@@ -1,14 +1,16 @@
 """The acceptance suite: every verification criterion in one place.
 
-Each check returns quietly or raises ``AssertionError`` with a
-description of the mismatch.  ``run_all`` collects the outcomes, so the
-command line ``verify`` and the test suite share one source of truth.
-All arithmetic is exact; there are no tolerances anywhere.
+Each check returns quietly or raises ``CheckFailed`` (an
+``AssertionError``) with a description of the mismatch.  Every
+comparison goes through ``require``, an explicit raise, so running
+under ``python -O`` still compares everything.  ``run_all`` collects
+the outcomes, so the command line ``verify`` and the test suite share
+one source of truth.  All arithmetic is exact; there are no
+tolerances anywhere.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -16,7 +18,20 @@ from fractions import Fraction
 from importlib import resources
 
 from . import chamber, components, deodhar, fixtures, linalg, minors, rep
-from .weyl import W, WORD_I, WORD_I_TILDE, Weight, enumerate_distinguished
+from .weyl import W, WORD_I, WORD_I_TILDE, enumerate_distinguished
+
+
+class CheckFailed(AssertionError):
+    """A computed result disagrees with its reference."""
+
+
+def require(ok, message, *args):
+    """Raise ``CheckFailed`` with ``message % args`` unless ``ok``.
+
+    The message is formatted only on failure.
+    """
+    if not ok:
+        raise CheckFailed(message % args if args else message)
 
 
 @dataclass
@@ -31,14 +46,21 @@ def check_distinguished_subexpressions():
     """The eight subexpressions of 121212, with names and chains."""
     subs = enumerate_distinguished(WORD_I)
     got = {s.name: s.sigma_names() for s in subs}
-    if got != fixtures.DISTINGUISHED_I:
-        missing = set(fixtures.DISTINGUISHED_I) ^ set(got)
-        raise AssertionError("subexpression sets differ: %s" % (missing or got))
+    require(
+        got == fixtures.DISTINGUISHED_I,
+        "subexpression sets differ: %s",
+        set(fixtures.DISTINGUISHED_I) ^ set(got) or got,
+    )
     for s in subs:
-        if len(s.I) + len(s.J) + len(s.K) != 6 or len(s.J) != len(s.K):
-            raise AssertionError("index sets of %s are inconsistent" % s.name)
-    if len(enumerate_distinguished(WORD_I_TILDE)) != 8:
-        raise AssertionError("the opposite word must also have 8 subexpressions")
+        require(
+            len(s.I) + len(s.J) + len(s.K) == 6 and len(s.J) == len(s.K),
+            "index sets of %s are inconsistent",
+            s.name,
+        )
+    require(
+        len(enumerate_distinguished(WORD_I_TILDE)) == 8,
+        "the opposite word must also have 8 subexpressions",
+    )
 
 
 def check_representations():
@@ -51,25 +73,29 @@ def check_representations():
             for j in (1, 2):
                 lhs = linalg.commutator(R.e[i], R.f[j])
                 rhs = R.h[i] if i == j else zero
-                assert lhs == rhs, "[e%d, f%d] in %s" % (i, j, label)
-                assert linalg.commutator(R.h[i], R.e[j]) == linalg.mat_scale(
-                    R.e[j], Fraction(cartan[i - 1][j - 1])
-                ), "[h%d, e%d] in %s" % (i, j, label)
-                assert linalg.commutator(R.h[i], R.f[j]) == linalg.mat_scale(
-                    R.f[j], Fraction(-cartan[i - 1][j - 1])
-                ), "[h%d, f%d] in %s" % (i, j, label)
+                require(lhs == rhs, "[e%d, f%d] in %s", i, j, label)
+                require(
+                    linalg.commutator(R.h[i], R.e[j])
+                    == linalg.mat_scale(R.e[j], Fraction(cartan[i - 1][j - 1])),
+                    "[h%d, e%d] in %s", i, j, label,
+                )
+                require(
+                    linalg.commutator(R.h[i], R.f[j])
+                    == linalg.mat_scale(R.f[j], Fraction(-cartan[i - 1][j - 1])),
+                    "[h%d, f%d] in %s", i, j, label,
+                )
         for mats, (a, b) in ((R.e, (1, 2)), (R.f, (1, 2))):
             t = mats[b]
             for _ in range(4):
                 t = linalg.commutator(mats[a], t)
-            assert linalg.is_zero_matrix(t), "quartic Serre relation in %s" % label
+            require(linalg.is_zero_matrix(t), "quartic Serre relation in %s", label)
             t = mats[a]
             for _ in range(2):
                 t = linalg.commutator(mats[b], t)
-            assert linalg.is_zero_matrix(t), "quadratic Serre relation in %s" % label
+            require(linalg.is_zero_matrix(t), "quadratic Serre relation in %s", label)
     w0a = rep.group_product(rep.sdot(i) for i in WORD_I)
     w0b = rep.group_product(rep.sdot(i) for i in WORD_I_TILDE)
-    assert w0a.m7 == w0b.m7 and w0a.m14 == w0b.m14, "braid identity for w0dot"
+    require(w0a.m7 == w0b.m7 and w0a.m14 == w0b.m14, "braid identity for w0dot")
     rng = random.Random(2024)
     for _ in range(20):
         t = Fraction(rng.choice(deodhar.PRIMES), rng.choice(deodhar.PRIMES))
@@ -78,8 +104,9 @@ def check_representations():
         for i in (1, 2):
             lhs = rep.x(i, t)
             rhs = rep.y(i, 1 / t) * rep.sdot(i) * rep.coweight(i, 1 / t) * rep.y(i, 1 / t)
-            assert lhs.m7 == rhs.m7 and lhs.m14 == rhs.m14, (
-                "rank-1 factorization identity at t=%s, i=%d" % (t, i)
+            require(
+                lhs.m7 == rhs.m7 and lhs.m14 == rhs.m14,
+                "rank-1 factorization identity at t=%s, i=%d", t, i,
             )
 
 
@@ -87,10 +114,11 @@ def check_symbolic_minors():
     """The 12 minors of the symbolic sextuple product, verbatim."""
     got = minors.symbolic_minors()
     expected = fixtures.minor_polynomials()
-    assert set(got) == set(expected)
+    require(set(got) == set(expected), "minor labels differ: %s", set(got) ^ set(expected))
     for label in expected:
-        assert got[label] == expected[label], (
-            "minor %s: %s != %s" % (label, got[label], expected[label])
+        require(
+            got[label] == expected[label],
+            "minor %s: %s != %s", label, got[label], expected[label],
         )
 
 
@@ -122,11 +150,11 @@ def check_chamber_consistency(points_per_family=100, seed=90210):
             fac = chamber.epsilon_factorize(xel, WORD_I_TILDE)
         except chamber.NotFactorizable:
             continue
-        assert fac.params == closed, "epsilon closed form drift at %s" % (params,)
+        require(fac.params == closed, "epsilon closed form drift at %s", params)
         yel = fac.product()
-        assert chamber.flag_equal_opposed(xel, yel), "flag identity (epsilon)"
+        require(chamber.flag_equal_opposed(xel, yel), "flag identity (epsilon)")
         back = chamber.alpha_factorize(yel, WORD_I_TILDE)
-        assert back.product() == xel, "alpha then epsilon round trip"
+        require(back.product() == xel, "alpha then epsilon round trip")
         done += 1
     # the seven alpha families
     for name in fixtures.TABLE_ORDER:
@@ -140,26 +168,37 @@ def check_chamber_consistency(points_per_family=100, seed=90210):
                 fac = chamber.alpha_factorize(point, WORD_I_TILDE)
             except chamber.NotFactorizable:
                 continue
-            assert fac.params == closed, (
-                "alpha closed form drift on %s at %s %s" % (name, t, m)
+            require(
+                fac.params == closed,
+                "alpha closed form drift on %s at %s %s", name, t, m,
             )
             xel = fac.product()
-            assert chamber.flag_equal_opposed(xel, point), "flag identity (alpha)"
+            require(chamber.flag_equal_opposed(xel, point), "flag identity (alpha)")
             back = chamber.epsilon_factorize(xel, WORD_I_TILDE)
-            assert back.product() == point, "epsilon then alpha round trip"
+            require(back.product() == point, "epsilon then alpha round trip")
             done += 1
     # total positivity: all-positive input gives all-positive output
     ones = tuple(Fraction(1) for _ in range(6))
     xel = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, ones))
-    assert all(p > 0 for p in chamber.epsilon_factorize(xel, WORD_I_TILDE).params)
+    require(
+        all(p > 0 for p in chamber.epsilon_factorize(xel, WORD_I_TILDE).params),
+        "epsilon of a totally positive point is not positive",
+    )
     yel = rep.group_product(rep.y(i, t) for i, t in zip(WORD_I_TILDE, ones))
-    assert all(p > 0 for p in chamber.alpha_factorize(yel, WORD_I_TILDE).params)
+    require(
+        all(p > 0 for p in chamber.alpha_factorize(yel, WORD_I_TILDE).params),
+        "alpha of a totally positive point is not positive",
+    )
 
 
 def check_component_graph(samples=8, seed=42):
     """The 128-cell partition equals the reference figure exactly."""
     partition = components.compute_figure1(samples, seed)
-    assert partition.sizes() == (2, 2, 2, 2, 16, 16, 16, 16, 16, 16, 24)
+    require(
+        partition.sizes() == (2, 2, 2, 2, 16, 16, 16, 16, 16, 16, 24),
+        "component sizes differ: %s",
+        partition.sizes(),
+    )
     expected = {
         num: frozenset(
             [components.SignVector("i", s) for s in icells]
@@ -167,12 +206,12 @@ def check_component_graph(samples=8, seed=42):
         )
         for num, (icells, itcells) in fixtures.FIGURE1.items()
     }
-    assert partition.components == expected, "component membership differs"
+    require(partition.components == expected, "component membership differs")
 
 
 def check_bijection(samples=8, seed=42):
     got = components.match_plus_components(samples, seed)
-    assert got == fixtures.BIJECTION, "bijection differs: %s" % (got,)
+    require(got == fixtures.BIJECTION, "bijection differs: %s", got)
 
 
 def check_classification(samples=8, seed=42):
@@ -184,18 +223,20 @@ def check_classification(samples=8, seed=42):
             (cell, signs, letter, fixtures.BIJECTION[letter])
             for cell, signs, letter in fixtures.CLASSIFICATION_TABLES[name]
         }
-        assert got == expected, (
-            "classification table %s differs: %s" % (name, got ^ expected)
+        require(
+            got == expected,
+            "classification table %s differs: %s", name, got ^ expected,
         )
 
 
 def check_euler(samples=8, seed=42):
     report = components.euler_report(samples, seed)
     for num in range(1, 12):
-        assert report.per_component[num] == fixtures.EULER_TABLE[num], (
-            "component %d: %s" % (num, report.per_component[num])
+        require(
+            report.per_component[num] == fixtures.EULER_TABLE[num],
+            "component %d: %s", num, report.per_component[num],
         )
-    assert report.total_euler() == 12
+    require(report.total_euler() == 12, "total Euler characteristic %s", report.total_euler())
     # full per-cell grouping
     by_component = {num: ([], [], []) for num in range(1, 12)}
     for record in report.records:
@@ -203,8 +244,9 @@ def check_euler(samples=8, seed=42):
     for num, groups in by_component.items():
         expected = fixtures.COMPONENT_CELLS[num]
         for c in range(3):
-            assert set(groups[c]) == set(expected[c]), (
-                "component %d codim %d cells differ" % (num, c)
+            require(
+                set(groups[c]) == set(expected[c]),
+                "component %d codim %d cells differ", num, c,
             )
 
 
@@ -220,7 +262,7 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
         attempts = 0
         while done < resamples:
             attempts += 1
-            assert attempts <= 20 * resamples, "resample budget exhausted"
+            require(attempts <= 20 * resamples, "resample budget exhausted")
             t = tuple(s * deodhar.sample_magnitude(rng) for s in cell.h)
             if fam.K and done == 0 and attempts == 1:
                 m = tuple(Fraction(0) for _ in fam.K)
@@ -238,8 +280,9 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
             letter = next(
                 L for L, group in fixtures.UPPER_COMPONENTS.items() if signs in group
             )
-            assert fixtures.BIJECTION[letter] == record.component, (
-                "cell %s reclassified to %s" % (record.cell, letter)
+            require(
+                fixtures.BIJECTION[letter] == record.component,
+                "cell %s reclassified to %s", record.cell, letter,
             )
             done += 1
     # Deodhar chain invariants
@@ -247,9 +290,12 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
         for _ in range(chain_points):
             cell, t, m = _random_family_point(fam, rng)
             point = deodhar.cell_point(cell, t, m)
-            assert rep.is_unipotent_lower(point)
-            assert deodhar.bruhat_position_plus(point) is W.w0
-            assert deodhar.verify_cell_chain(cell, t, m)
+            require(rep.is_unipotent_lower(point), "cell point of %s is not unipotent lower", cell)
+            require(
+                deodhar.bruhat_position_plus(point) is W.w0,
+                "cell point of %s is not in B+ w0 B+", cell,
+            )
+            require(deodhar.verify_cell_chain(cell, t, m), "chain of %s at %s %s fails", cell, t, m)
     # counting remarks on the computed report
     report = components.euler_report(samples, graph_seed)
     pair_components = {frozenset((5, 6)), frozenset((7, 8)), frozenset((9, 10))}
@@ -257,9 +303,9 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
         if fam.codim != 2:
             continue
         comps = [r.component for r in report.records if r.family == fam.name]
-        assert sorted(comps).count(11) == 2, "codim-2 family %s" % fam.name
+        require(sorted(comps).count(11) == 2, "codim-2 family %s", fam.name)
         others = frozenset(c for c in comps if c != 11)
-        assert others in pair_components, "codim-2 family %s pairs" % fam.name
+        require(others in pair_components, "codim-2 family %s pairs", fam.name)
     codim1 = [r for r in report.records if r.codim == 1]
     for comp in range(5, 11):
         for fam in deodhar.families():
@@ -268,13 +314,13 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
             n = sum(
                 1 for r in codim1 if r.family == fam.name and r.component == comp
             )
-            assert n == 2, "component %d holds %d cells of %s" % (comp, n, fam.name)
+            require(n == 2, "component %d holds %d cells of %s", comp, n, fam.name)
     for fam in deodhar.families():
         if fam.codim != 1:
             continue
         n = sum(1 for r in codim1 if r.family == fam.name and r.component == 11)
-        assert n == 4
-    assert all(r.codim <= 2 for r in report.records)
+        require(n == 4, "component 11 holds %d cells of %s", n, fam.name)
+    require(all(r.codim <= 2 for r in report.records), "a cell has codimension above 2")
 
 
 def check_generator_fixture():
@@ -282,7 +328,7 @@ def check_generator_fixture():
     committed = json.loads(
         resources.files("g2cells.data").joinpath("chevalley_generators.json").read_text()
     )
-    assert committed == rep.generator_fixture(), "generator fixture drift"
+    require(committed == rep.generator_fixture(), "generator fixture drift")
 
 
 CHECKS = (

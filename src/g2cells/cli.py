@@ -3,7 +3,8 @@
 Rational parameters are given as comma-separated ``p/q`` or integer
 strings and are parsed losslessly.  Output is deterministic: identical
 inputs and seed produce byte-identical output.  Data goes to stdout,
-diagnostics to stderr; ``--out FILE`` redirects the data stream.
+diagnostics to stderr; ``--out FILE`` redirects the data stream.  Bad
+input ends the run with a one-line message on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import io
 import json
 import sys
 
-from . import chamber, checks, components, deodhar, fixtures, minors
+from . import chamber, checks, components, deodhar, fixtures, minors, rep
 from .scalars import parse_rational
-from .weyl import WORD_I_TILDE, enumerate_distinguished
+from .weyl import W, WORD_I_TILDE, enumerate_distinguished
 
 
 def _parse_word(text):
@@ -26,8 +27,29 @@ def _parse_word(text):
     return word
 
 
+class UsageError(Exception):
+    """Input that parses but does not fit the command."""
+
+
+def _parse_w0_word(text):
+    word = _parse_word(text)
+    if len(word) != W.w0.length or not W.is_reduced(word):
+        raise argparse.ArgumentTypeError("the word must be a reduced word of w0: 121212 or 212121")
+    return word
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _parse_params(text):
-    return tuple(parse_rational(piece) for piece in text.split(","))
+    try:
+        return tuple(parse_rational(piece) for piece in text.split(","))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("a parameter has denominator 0")
 
 
 def _emit(args, text):
@@ -106,9 +128,9 @@ def cmd_cells(args):
 
 def _split_params(fam, params):
     if len(params) != 6 - len(fam.J):
-        raise SystemExit(
-            "family %s takes %d parameters (%s)"
-            % (fam.name, 6 - len(fam.J), ",".join(fam.param_signature()))
+        raise UsageError(
+            "family %s takes %d parameters (%s), got %d"
+            % (fam.name, 6 - len(fam.J), ",".join(fam.param_signature()), len(params))
         )
     t, m = [], []
     it = iter(params)
@@ -117,17 +139,28 @@ def _split_params(fam, params):
     return tuple(t), tuple(m)
 
 
-def cmd_cell_point(args):
-    fam = deodhar.family_by_name(args.family)
+def _cell_point(args):
+    """The cell, its coordinates t and m, and the point named by --family and --params."""
+    try:
+        fam = deodhar.family_by_name(args.family)
+    except KeyError:
+        raise UsageError(
+            "unknown family %r (one of %s)"
+            % (args.family, ", ".join(f.name for f in deodhar.families()))
+        )
     t, m = _split_params(fam, args.params)
+    if any(v == 0 for v in t):
+        raise UsageError("the t parameters of family %s must be nonzero" % fam.name)
     cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
-    point = deodhar.cell_point(cell, t, m)
-    from . import rep as _rep
+    return cell, t, m, deodhar.cell_point(cell, t, m)
 
+
+def cmd_cell_point(args):
+    cell, t, m, point = _cell_point(args)
     chain = deodhar.position_chain(cell, t, m)
     lines = [
         "cell             %s" % cell.display(),
-        "unipotent-lower  %s" % _rep.is_unipotent_lower(point),
+        "unipotent-lower  %s" % rep.is_unipotent_lower(point),
         "in-big-cell      %s" % (deodhar.bruhat_position_plus(point) is deodhar.W.w0),
         "chain            %s" % " ".join(repr(w) for w in chain),
         "chain-valid      %s" % deodhar.verify_cell_chain(cell, t, m),
@@ -146,34 +179,39 @@ def cmd_minors(args):
 
 
 def cmd_epsilon(args):
-    from . import rep as _rep
-
-    xel = _rep.group_product(
-        _rep.x(i, t) for i, t in zip(args.word, args.params)
-    )
+    if len(args.params) != len(args.word):
+        raise UsageError(
+            "--params gives %d values for the %d letters of --word"
+            % (len(args.params), len(args.word))
+        )
+    xel = rep.group_product(rep.x(i, t) for i, t in zip(args.word, args.params))
     try:
         values = chamber.epsilon_factorize(xel, args.word).params
     except chamber.NotFactorizable:
         _emit(args, "not-factorizable\n")
         return 0
     if tuple(args.word) == WORD_I_TILDE:
-        assert values == chamber.closed_form_epsilon(args.params)
+        checks.require(
+            values == chamber.closed_form_epsilon(args.params),
+            "epsilon minors disagree with the closed form at %s", args.params,
+        )
     _emit(args, " ".join(str(v) for v in values) + "\n")
     return 0
 
 
 def cmd_alpha(args):
-    fam = deodhar.family_by_name(args.family)
-    t, m = _split_params(fam, args.params)
-    cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
-    point = deodhar.cell_point(cell, t, m)
+    cell, t, m, point = _cell_point(args)
+    fam = cell.family
     try:
         values = chamber.alpha_factorize(point, args.word).params
     except chamber.NotFactorizable:
         _emit(args, "not-factorizable\n")
         return 0
     if tuple(args.word) == WORD_I_TILDE and fam.codim > 0:
-        assert values == chamber.closed_form_alpha(fam.name, t, m)
+        checks.require(
+            values == chamber.closed_form_alpha(fam.name, t, m),
+            "alpha minors disagree with the closed form on %s at %s %s", fam.name, t, m,
+        )
     _emit(args, " ".join(str(v) for v in values) + "\n")
     return 0
 
@@ -207,7 +245,11 @@ def _classification_rows(args):
 
 def cmd_classify(args):
     if args.signs:
-        r = components.classify_cell(args.signs, args.samples, args.seed)
+        try:
+            cell = deodhar.cell_by_display(args.signs)
+        except (KeyError, ValueError) as exc:
+            raise UsageError("--signs %r: %s" % (args.signs, exc.args[0]))
+        r = components.classify_cell(cell, args.samples, args.seed)
         rows = [(r.cell, r.family, r.signs, r.letter, r.component, r.codim)]
     else:
         rows = _classification_rows(args)
@@ -299,12 +341,12 @@ def build_parser():
     p = add("epsilon", cmd_epsilon, help="factorization parameters of the epsilon map")
     p.add_argument("--params", type=_parse_params, required=True,
                    help="six rationals a,b,c,d,e,f")
-    p.add_argument("--word", type=_parse_word, default=WORD_I_TILDE)
+    p.add_argument("--word", type=_parse_w0_word, default=WORD_I_TILDE)
 
     p = add("alpha", cmd_alpha, help="factorization parameters of the alpha map")
     p.add_argument("--family", required=True)
     p.add_argument("--params", type=_parse_params, required=True)
-    p.add_argument("--word", type=_parse_word, default=WORD_I_TILDE)
+    p.add_argument("--word", type=_parse_w0_word, default=WORD_I_TILDE)
 
     for name, fn, helptext in (
         ("graph", cmd_graph, "connected components of the 128 sign cells"),
@@ -313,7 +355,7 @@ def build_parser():
         ("euler", cmd_euler, "Euler characteristics per component"),
     ):
         p = add(name, fn, help=helptext)
-        p.add_argument("--samples", type=int, default=8)
+        p.add_argument("--samples", type=_positive_int, default=8)
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         if name == "classify":
@@ -328,7 +370,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print("g2cells %s: error: %s" % (args.command, exc), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,8 +21,9 @@ a mismatch is an error, never a silent renumbering.
 
 from __future__ import annotations
 
+import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,7 +51,7 @@ WORDS = {"i": WORD_I, "it": WORD_I_TILDE}
 #: all 64 sign strings, in a fixed display order (+ before -)
 ALL_SIGNS = tuple(
     "".join(choice)
-    for choice in __import__("itertools").product("+-", repeat=6)
+    for choice in itertools.product("+-", repeat=6)
 )
 
 
@@ -372,8 +373,6 @@ def classify_cell(cell, samples=8, seed=42):
 
 
 def _all_cells_of_family(fam):
-    import itertools
-
     for h in itertools.product((1, -1), repeat=len(fam.I)):
         yield deodhar.CellId(fam, h)
 

@@ -112,8 +112,10 @@ def families():
     """The eight families over the word (1,2,1,2,1,2)."""
     subs = enumerate_distinguished(WORD_I)
     fams = tuple(CellFamily(s) for s in subs)
-    assert {f.codim for f in fams} <= {0, 1, 2}
-    assert all(f.dim + f.codim == 6 for f in fams)
+    if not {f.codim for f in fams} <= {0, 1, 2}:
+        raise RuntimeError("a family of 121212 has codimension above 2")
+    if any(f.dim + f.codim != 6 for f in fams):
+        raise RuntimeError("a family's dimension and codimension do not add up to 6")
     return fams
 
 
@@ -172,15 +174,11 @@ def cell_by_display(display):
     raise KeyError("no cell family matches %r" % (display,))
 
 
-def cell_point(cell, t, m):
-    """The product z_1 ... z_6 at the given coordinates.
-
-    ``t`` lists the R*-coordinates (I positions, in order), each with
-    the sign required by the cell; ``m`` lists the R-coordinates.
-    """
+def _cell_factors(cell, t, m):
+    """The atom words of z_1, ..., z_6 at the given coordinates."""
     fam = cell.family
-    t = tuple(Fraction(v) for v in t)
-    m = tuple(Fraction(v) for v in m)
+    t = [Fraction(v) for v in t]
+    m = [Fraction(v) for v in m]
     if len(t) != len(fam.I) or len(m) != len(fam.K):
         raise ValueError("expected %d t's and %d m's" % (len(fam.I), len(fam.K)))
     for val, sign in zip(t, cell.h):
@@ -193,37 +191,26 @@ def cell_point(cell, t, m):
     mi = iter(m)
     for j, letter in enumerate(fam.word, start=1):
         if j in fam.I:
-            factors.append(rep.y(letter, next(ti)))
+            factors.append((("y", letter, next(ti)),))
         elif j in fam.J:
-            factors.append(rep.sdot(letter))
+            factors.append((("sdot", letter),))
         else:
-            factors.append(rep.x(letter, next(mi)) * rep.sdot_inverse(letter))
-    return rep.group_product(factors)
+            factors.append((("x", letter, next(mi)), ("sdot_inv", letter)))
+    return factors
+
+
+def cell_point(cell, t, m):
+    """The product z_1 ... z_6 at the given coordinates.
+
+    ``t`` lists the R*-coordinates (I positions, in order), each with
+    the sign required by the cell; ``m`` lists the R-coordinates.
+    """
+    return rep.GroupElement(sum(_cell_factors(cell, t, m), ()))
 
 
 def _prefix_points(cell, t, m):
-    fam = cell.family
-    t = tuple(Fraction(v) for v in t)
-    m = tuple(Fraction(v) for v in m)
-    for val, sign in zip(t, cell.h):
-        if val == 0 or (val > 0) != (sign > 0):
-            raise ValueError("t coordinates must be nonzero with the cell's signs")
-    factors = []
-    ti = iter(t)
-    mi = iter(m)
-    for j, letter in enumerate(fam.word, start=1):
-        if j in fam.I:
-            factors.append(rep.y(letter, next(ti)))
-        elif j in fam.J:
-            factors.append(rep.sdot(letter))
-        else:
-            factors.append(rep.x(letter, next(mi)) * rep.sdot_inverse(letter))
-    prefixes = []
-    g = rep.group_identity()
-    for z in factors:
-        g = g * z
-        prefixes.append(g)
-    return prefixes
+    """The partial products z_1 ... z_j for j = 1..6."""
+    return rep.prefix_products(_cell_factors(cell, t, m))
 
 
 @lru_cache(maxsize=None)

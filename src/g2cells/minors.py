@@ -149,7 +149,7 @@ _LOWEST = {}
 def highest_row(g, level):
     """The row functional v -> coefficient of v_omega in g.v, as a covector."""
     r = rep.representation(_REP_OF_LEVEL[level])
-    unit = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(r.dim))
+    unit = [Fraction(1) if k == 0 else Fraction(0) for k in range(r.dim)]
     return rep.apply_covector(g, _REP_OF_LEVEL[level], unit)
 
 
@@ -159,9 +159,7 @@ def lowest_row(g, level):
         _LOWEST[level] = _lowest_info(level)
     idx, sign = _LOWEST[level]
     r = rep.representation(_REP_OF_LEVEL[level])
-    unit = tuple(
-        Fraction(1, sign) if k == idx else Fraction(0) for k in range(r.dim)
-    )
+    unit = [Fraction(1, sign) if k == idx else Fraction(0) for k in range(r.dim)]
     return rep.apply_covector(g, _REP_OF_LEVEL[level], unit)
 
 

@@ -15,9 +15,12 @@ are resolved symmetrically: position k and position 13-k carry opposite
 weights.
 
 One-parameter subgroups are exact truncated exponentials (the
-generators are nilpotent), torus elements are diagonal in the weight
-bases, and each group element remembers the generator word that
-produced it, so that matrices can be regenerated and inverted exactly.
+generators are nilpotent) and torus elements are diagonal in the weight
+bases.  A group element is the word of generator atoms that produced
+it: products concatenate words, inverses reverse them, and a matrix is
+folded from the word, sparse atom row by sparse atom row, only when it
+is first read.  Dense matrix products run only while the
+representations are built.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .weyl import W, Weight
+from .weyl import Weight
 
 __all__ = [
     "Representation",
@@ -40,6 +43,7 @@ __all__ = [
     "wdot",
     "group_identity",
     "group_product",
+    "prefix_products",
     "apply_to_vector",
     "is_upper",
     "is_lower",
@@ -127,32 +131,21 @@ class Representation:
             )
 
     def one_parameter_rows(self, kind, i, t):
-        """Sparse rows of exp(t e_i) / exp(t f_i): row -> ((col, value), ...)."""
-        extra = {}
+        """Sparse rows of exp(t e_i) - 1 / exp(t f_i) - 1: row -> [(col, value), ...].
+
+        The unit diagonal is left out, so that folding a unipotent atom
+        never multiplies by 1.
+        """
+        rows = [[] for _ in range(self.dim)]
         tk = 1
         for entries in self._sparse_terms[(kind, i)]:
             tk = tk * t
             for r, c, v in entries:
-                extra.setdefault(r, []).append((c, v * tk))
-        rows = []
-        one = Fraction(1)
-        for r in range(self.dim):
-            rows.append(tuple([(r, one)] + extra.get(r, [])))
-        return tuple(rows)
+                rows[r].append((c, v * tk))
+        return rows
 
-    def one_parameter(self, kind, i, t):
-        """exp(t * e_i) for kind 'x', exp(t * f_i) for kind 'y'."""
-        rows = self.one_parameter_rows(kind, i, t)
-        zero = Fraction(0)
-        out = []
-        for r in range(self.dim):
-            dense = [zero] * self.dim
-            for c, v in rows[r]:
-                dense[c] = dense[c] + v
-            out.append(tuple(dense))
-        return tuple(out)
-
-    def coweight_matrix(self, i, t):
+    def coweight_diagonal(self, i, t):
+        """Eigenvalues t^<alpha_i^vee, mu> of the torus element, basis by basis."""
         if t == 0:
             raise ValueError("coweight argument must be nonzero")
         t = Fraction(t) if not isinstance(t, Fraction) else t
@@ -160,10 +153,7 @@ class Representation:
         for mu in self.weights:
             n = mu.pairing(i)
             vals.append(t**n if n >= 0 else (1 / t) ** (-n))
-        return tuple(
-            tuple(vals[r] if r == s else Fraction(0) for s in range(self.dim))
-            for r in range(self.dim)
-        )
+        return tuple(vals)
 
     def divided_f_power(self, i, b):
         """f_i^b / b! as an exact matrix (zero beyond nilpotency)."""
@@ -284,60 +274,50 @@ def representation(label):
 # group elements
 # ---------------------------------------------------------------------------
 
-_ATOM_CACHE = {}
 
+def _atom_rows(atom, label):
+    """(unit, rows): the atom's matrix as nonzero entries grouped by row,
+    rows[r] = [(col, value), ...].
 
-def _atom_matrix(atom, label):
-    key = None
+    When ``unit`` is true the matrix is 1 plus the rows: the unit
+    diagonal of x and y is implied, not listed.
+    """
     kind = atom[0]
-    try:
-        key = (atom, label)
-        hit = _ATOM_CACHE.get(key)
-        if hit is not None:
-            return hit
-    except TypeError:
-        key = None
-    rep = representation(label)
     if kind in ("x", "y"):
-        _, i, t = atom
-        mat = rep.one_parameter(kind, i, t)
-    elif kind == "coweight":
-        _, i, t = atom
-        mat = rep.coweight_matrix(i, t)
-    elif kind == "sdot":
-        _, i = atom
-        mat = linalg.mat_mul(
-            linalg.mat_mul(
-                rep.one_parameter("x", i, Fraction(1)),
-                rep.one_parameter("y", i, Fraction(-1)),
-            ),
-            rep.one_parameter("x", i, Fraction(1)),
-        )
-    elif kind == "sdot_inv":
-        _, i = atom
-        mat = linalg.mat_mul(
-            linalg.mat_mul(
-                rep.one_parameter("x", i, Fraction(-1)),
-                rep.one_parameter("y", i, Fraction(1)),
-            ),
-            rep.one_parameter("x", i, Fraction(-1)),
-        )
-    else:
-        raise ValueError("unknown atom %r" % (atom,))
-    if key is not None:
-        _ATOM_CACHE[key] = mat
-    return mat
+        return True, representation(label).one_parameter_rows(kind, atom[1], atom[2])
+    if kind == "coweight":
+        diagonal = representation(label).coweight_diagonal(atom[1], atom[2])
+        return False, [((k, v),) for k, v in enumerate(diagonal)]
+    if kind in ("sdot", "sdot_inv"):
+        return False, _weyl_rows(kind, atom[1], label)
+    raise ValueError("unknown atom %r" % (atom,))
 
 
-def _fold_atoms(atoms, label, dim):
-    """Product of atom matrices, multiplying sparsely from the left."""
-    out = linalg.identity(dim)
+@lru_cache(maxsize=8)
+def _weyl_rows(kind, i, label):
+    """Rows of sdot_i = x_i(1) y_i(-1) x_i(1), or of its inverse, folded once.
+
+    The key holds no parameter: two kinds, two letters, two
+    representations, so the table never exceeds its eight entries.
+    """
+    s = Fraction(1) if kind == "sdot" else Fraction(-1)
+    mat = _fold_atoms((("x", i, s), ("y", i, -s), ("x", i, s)), label)
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in mat)
+
+
+def _fold_atoms(atoms, label, start=None):
+    """start * (product of the atoms' matrices), multiplying sparsely from the left.
+
+    ``start`` defaults to the identity of the representation.
+    """
+    out = start if start is not None else linalg.identity(representation(label).dim)
+    dim = len(out)
     for atom in atoms:
-        rows = _atom_rows(atom, label)
+        unit, rows = _atom_rows(atom, label)
         nxt = []
         for i in range(dim):
-            acc = [0] * dim
             row = out[i]
+            acc = list(row) if unit else [0] * dim
             for t in range(dim):
                 a = row[t]
                 if a:
@@ -368,55 +348,45 @@ class GroupElement:
     """A group element carried in both representations at once.
 
     ``provenance`` is the word of generator atoms that produced the
-    element; the 7x7 matrix is computed eagerly, the 14x14 one lazily.
+    element.  Products concatenate words; each matrix is folded from the
+    word when it is first read, and kept.  ``m7`` may be given when the
+    caller has already folded it.
     """
 
     __slots__ = ("provenance", "_m7", "_m14")
 
     def __init__(self, provenance, m7=None):
         self.provenance = tuple(provenance)
-        if m7 is None:
-            m7 = _fold_atoms(self.provenance, "V7", 7)
         self._m7 = m7
         self._m14 = None
 
     @property
     def m7(self):
+        if self._m7 is None:
+            self._m7 = _fold_atoms(self.provenance, "V7")
         return self._m7
 
     @property
     def m14(self):
         if self._m14 is None:
-            self._m14 = _fold_atoms(self.provenance, "V14", 14)
+            self._m14 = _fold_atoms(self.provenance, "V14")
         return self._m14
 
     def matrix(self, label):
         return self.m7 if label == "V7" else self.m14
 
-    def regenerate(self):
-        """Rebuild both matrices from provenance (used as an exactness check)."""
-        fresh = GroupElement(self.provenance)
-        return fresh.m7, fresh.m14
-
     def __mul__(self, other):
-        out = GroupElement.__new__(GroupElement)
-        out.provenance = self.provenance + other.provenance
-        out._m7 = linalg.mat_mul(self._m7, other._m7)
-        out._m14 = None
-        if self._m14 is not None and other._m14 is not None:
-            out._m14 = linalg.mat_mul(self._m14, other._m14)
-        return out
+        return GroupElement(self.provenance + other.provenance)
 
     def inverse(self):
-        atoms = tuple(_invert_atom(a) for a in reversed(self.provenance))
-        return GroupElement(atoms)
+        return GroupElement([_invert_atom(a) for a in reversed(self.provenance)])
 
     def __eq__(self, other):
         # V7 is faithful for G2, so the 7x7 matrix identifies the element
-        return isinstance(other, GroupElement) and self._m7 == other._m7
+        return isinstance(other, GroupElement) and self.m7 == other.m7
 
     def __hash__(self):
-        return hash(self._m7)
+        return hash(self.m7)
 
     def __repr__(self):
         return "GroupElement(%s)" % (", ".join(map(_atom_repr, self.provenance)) or "1")
@@ -440,6 +410,21 @@ def group_product(elements):
     out = group_identity()
     for g in elements:
         out = out * g
+    return out
+
+
+def prefix_products(words):
+    """The partial products of a sequence of atom words.
+
+    Each prefix's 7x7 matrix is folded on from the one before it, so the
+    whole chain costs one fold of the full word.
+    """
+    out = []
+    provenance, m7 = (), None
+    for atoms in words:
+        provenance += atoms
+        m7 = _fold_atoms(atoms, "V7", m7)
+        out.append(GroupElement(provenance, m7=m7))
     return out
 
 
@@ -483,44 +468,13 @@ def wdot(w):
     return GroupElement(atoms)
 
 
-_SPARSE_CACHE = {}
-
-
-def _atom_rows(atom, label):
-    """Nonzero entries of the atom matrix, grouped by row."""
-    try:
-        hit = _SPARSE_CACHE.get((atom, label))
-    except TypeError:
-        hit = None
-    if hit is not None:
-        return hit
-    kind = atom[0]
-    r = representation(label)
-    if kind in ("x", "y"):
-        rows = r.one_parameter_rows(kind, atom[1], atom[2])
-    elif kind == "coweight":
-        mat = r.coweight_matrix(atom[1], atom[2])
-        rows = tuple(((k, mat[k][k]),) for k in range(r.dim))
-    else:
-        mat = _atom_matrix(atom, label)
-        rows = tuple(
-            tuple((j, v) for j, v in enumerate(row) if v)
-            for row in mat
-        )
-    try:
-        _SPARSE_CACHE[(atom, label)] = rows
-    except TypeError:
-        pass
-    return rows
-
-
 def apply_to_vector(g, label, vec):
     """g . vec computed through the provenance chain (no big products)."""
     for atom in reversed(g.provenance):
-        rows = _atom_rows(atom, label)
+        unit, rows = _atom_rows(atom, label)
         vec = [
-            sum((v * vec[j] for j, v in row if vec[j]), start=0)
-            for row in rows
+            sum((v * vec[j] for j, v in row if vec[j]), start=vec[r] if unit else 0)
+            for r, row in enumerate(rows)
         ]
     return tuple(vec)
 
@@ -529,8 +483,8 @@ def apply_covector(g, label, row_vec):
     """row_vec . g (a row vector) through the provenance chain."""
     n = len(row_vec)
     for atom in g.provenance:
-        rows = _atom_rows(atom, label)
-        out = [0] * n
+        unit, rows = _atom_rows(atom, label)
+        out = list(row_vec) if unit else [0] * n
         for i, u in enumerate(row_vec):
             if u:
                 for j, v in rows[i]:

@@ -156,9 +156,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def total_degree(self):
-        return max((sum(e) for e in self.coeffs), default=0)
-
     def evaluate(self, values):
         """Evaluate at a tuple of Fractions, one per ring variable."""
         if len(values) != self.ring.nvars:

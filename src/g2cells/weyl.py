@@ -246,14 +246,6 @@ class WeylGroup:
     def is_reduced(self, word):
         return self.from_word(word).length == len(word)
 
-    def element_by_weight_action(self, images):
-        """The element sending SHORT_ROOTS[k] to images[k], or None."""
-        try:
-            perm = tuple(SHORT_ROOTS.index(w) for w in images)
-        except ValueError:
-            return None
-        return self._by_perm.get(perm)
-
     # -- Bruhat order -----------------------------------------------------
 
     def _subword(self, u, w):

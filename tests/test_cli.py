@@ -41,6 +41,47 @@ def test_epsilon_output(capsys):
     assert out.strip() == "not-factorizable"
 
 
+def test_epsilon_rejects_wrong_parameter_count(capsys):
+    code = cli.main(["epsilon", "--params", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "g2cells epsilon: error: --params gives 3 values for the 6 letters of --word"
+    ]
+
+
+def test_alpha_rejects_wrong_parameter_count(capsys):
+    code = cli.main(["alpha", "--family", "x21x12", "--params", "1,2,3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "g2cells alpha: error: family x21x12 takes 4 parameters (t1,t2,m1,m2), got 3"
+    ]
+
+
+def test_usage_errors_exit_2_without_traceback():
+    for argv in (
+        ["cell-point", "--family", "x21x12", "--params", "1,2,3,5,7"],
+        ["alpha", "--family", "nosuch", "--params", "1,2,3,5"],
+        ["alpha", "--family", "x21x12", "--params", "0,2,3,5"],
+        ["epsilon", "--params", "1,2,3,5,7,1/0"],
+        ["epsilon", "--params", "1,2,3,5,7,11", "--word", "1212"],
+        ["classify", "--signs", "0+*0+"],
+        ["classify", "--signs", "0+0+**"],
+        ["graph", "--samples", "0"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "g2cells"] + argv,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2, argv
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines()[-1].startswith("g2cells %s: error: " % argv[0])
+
+
 def test_epsilon_parses_fraction_strings(capsys):
     code, out = run_cli(["epsilon", "--params", "1/2,2,3,5,7,11/3"], capsys)
     assert code == 0

@@ -1,13 +1,14 @@
 """The two exact representations and the one-parameter subgroups."""
 
 import json
+import random
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2cells import linalg, rep
+from g2cells import checks, deodhar, linalg, rep
 from g2cells.weyl import W, WORD_I, WORD_I_TILDE, Weight
 
 V7, V14 = rep.build_representations()
@@ -166,13 +167,182 @@ def test_determinants_are_one():
         assert linalg.det(g.m14) == 1
 
 
+# ---------------------------------------------------------------------------
+# dense oracle: every atom as a full matrix built from the Chevalley
+# generators, multiplied with linalg.mat_mul, sharing nothing with the
+# sparse fold of rep
+# ---------------------------------------------------------------------------
+
+
+def _dense_exp(mat, t):
+    """exp(t * mat) for a nilpotent mat, summed until the powers vanish."""
+    n = len(mat)
+    out = linalg.identity(n)
+    term = linalg.identity(n)
+    k = 0
+    while True:
+        k += 1
+        term = linalg.mat_scale(linalg.mat_mul(term, mat), Fraction(t) / k)
+        if linalg.is_zero_matrix(term):
+            return out
+        out = linalg.mat_add(out, term)
+
+
+def _dense_atom(atom, R):
+    kind, i = atom[0], atom[1]
+    if kind == "x":
+        return _dense_exp(R.e[i], atom[2])
+    if kind == "y":
+        return _dense_exp(R.f[i], atom[2])
+    if kind == "coweight":
+        t = Fraction(atom[2])
+        return tuple(
+            tuple(t ** mu.pairing(i) if r == c else Fraction(0) for c in range(R.dim))
+            for r, mu in enumerate(R.weights)
+        )
+    s = 1 if kind == "sdot" else -1
+    e, f = _dense_exp(R.e[i], s), _dense_exp(R.f[i], -s)
+    return linalg.mat_mul(linalg.mat_mul(e, f), e)
+
+
+def _dense_product(atoms, R):
+    out = linalg.identity(R.dim)
+    for atom in atoms:
+        out = linalg.mat_mul(out, _dense_atom(atom, R))
+    return out
+
+
+def _singleton(atom):
+    kind = atom[0]
+    if kind in ("x", "y", "coweight"):
+        return getattr(rep, kind)(atom[1], atom[2])
+    return rep.sdot(atom[1]) if kind == "sdot" else rep.sdot_inverse(atom[1])
+
+
+letters = st.sampled_from((1, 2))
+atoms = st.one_of(
+    st.tuples(st.sampled_from(("x", "y")), letters, rationals),
+    st.tuples(st.just("coweight"), letters, nonzero_rationals),
+    st.tuples(st.sampled_from(("sdot", "sdot_inv")), letters),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(atoms, max_size=7))
+def test_lazy_product_matches_dense_product(word):
+    g = rep.group_product(_singleton(atom) for atom in word)
+    for R in (V7, V14):
+        dense = _dense_product(word, R)
+        vec = tuple(Fraction(k + 1, 2) for k in range(R.dim))
+        assert g.matrix(R.label) == dense
+        assert rep.apply_to_vector(g, R.label, vec) == linalg.mat_vec(dense, vec)
+        assert rep.apply_covector(g, R.label, vec) == linalg.mat_vec(tuple(zip(*dense)), vec)
+
+
 def test_provenance_regenerates_matrices():
-    g = rep.x(1, Fraction(1, 2)) * rep.sdot(2) * rep.y(1, Fraction(-3, 7))
-    m7, m14 = g.regenerate()
-    assert m7 == g.m7 and m14 == g.m14
+    word = (("x", 1, Fraction(1, 2)), ("sdot", 2), ("y", 1, Fraction(-3, 7)),
+            ("coweight", 2, Fraction(5, 3)), ("sdot_inv", 1))
+    g = rep.group_product(_singleton(atom) for atom in word)
+    assert g.provenance == word
+    assert g.m7 == _dense_product(word, V7) and g.m14 == _dense_product(word, V14)
     inv = g.inverse()
     assert g * inv == rep.group_identity()
     assert (g * inv).m14 == linalg.identity(14)
+
+
+def _cell_word(cell, t, m):
+    """The atoms of z_1 ... z_6, spelled out from the family's index sets."""
+    fam = cell.family
+    ti, mi = iter(t), iter(m)
+    words = []
+    for j, letter in enumerate(fam.word, start=1):
+        if j in fam.I:
+            words.append((("y", letter, next(ti)),))
+        elif j in fam.J:
+            words.append((("sdot", letter),))
+        else:
+            words.append((("x", letter, next(mi)), ("sdot_inv", letter)))
+    return words
+
+
+def test_prefix_points_match_dense_prefix_products():
+    rng = random.Random(31)
+    for fam in deodhar.families():
+        for _ in range(3):
+            cell, t, m = checks._random_family_point(fam, rng)
+            words = _cell_word(cell, t, m)
+            prefixes = deodhar._prefix_points(cell, t, m)
+            assert len(prefixes) == len(words) == 6
+            dense = linalg.identity(7)
+            for k, g in enumerate(prefixes, start=1):
+                dense = linalg.mat_mul(dense, _dense_product(words[k - 1], V7))
+                assert g.provenance == sum(words[:k], ())
+                assert g.m7 == dense
+            assert deodhar.cell_point(cell, t, m) == prefixes[-1]
+
+
+def test_products_fold_without_dense_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a dense matrix product ran after set-up")
+
+    rep._weyl_rows.cache_clear()  # the Weyl rows too are folded, not multiplied
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    g = rep.x(1, Fraction(2, 3)) * rep.sdot(2) * rep.coweight(1, Fraction(-5)) * rep.y(2, 7)
+    h = g * rep.sdot_inverse(1) * g.inverse()
+    for el in (g, h):
+        assert len(el.m7) == 7 and len(el.m14) == 14
+        assert len(rep.apply_covector(el, "V14", el.m14[0])) == 14
+
+
+def _rep_caches():
+    """Size of every dict and lru_cache held by rep or by its two representations."""
+    out = {}
+    for name, obj in vars(rep).items():
+        if isinstance(obj, dict) and not name.startswith("__"):
+            out[name] = len(obj)
+        elif hasattr(obj, "cache_info"):
+            out[name] = obj.cache_info().currsize
+    for R in (V7, V14):
+        for name, obj in vars(R).items():
+            if isinstance(obj, dict):
+                out["%s.%s" % (R.label, name)] = len(obj)
+    return out
+
+
+#: the lru_caches of rep and the most entries each may hold; none is keyed
+#: by a parameter
+CACHE_BOUNDS = {"build_representations": 1, "wdot": len(W.elements), "_weyl_rows": 8}
+
+
+def test_caches_stay_bounded():
+    before = _rep_caches()
+    rng = random.Random(5)
+    kinds = ("x", "y", "coweight", "sdot", "sdot_inv")
+    for n in range(1000):
+        word = []
+        for _ in range(4):
+            kind, i = rng.choice(kinds), rng.choice((1, 2))
+            if kind in ("sdot", "sdot_inv"):
+                word.append((kind, i))
+            else:
+                word.append((kind, i, rng.choice((1, -1)) * deodhar.sample_magnitude(rng)))
+        g = rep.group_product(_singleton(atom) for atom in word)
+        g.m7
+        if n % 10 == 0:
+            g.m14
+            rep.apply_covector(g, "V14", g.m14[0])
+    for w in W.elements:
+        rep.wdot(w).m7
+    after = _rep_caches()
+    assert set(after) == set(before)
+    for name, size in after.items():
+        if name in CACHE_BOUNDS:
+            assert size <= CACHE_BOUNDS[name], name
+        else:
+            assert size == before[name], name
+    assert {name for name in after if hasattr(getattr(rep, name, None), "cache_info")} == set(
+        CACHE_BOUNDS
+    )
 
 
 def test_triangularity_predicates():
