@@ -8,7 +8,6 @@ the Euler characteristic of each component.
 """
 
 from .weyl import (
-    CartanMatrix,
     G2_CARTAN,
     Subexpression,
     W,
@@ -58,7 +57,6 @@ from .chamber import (
     flag_equal_opposed,
 )
 from .deodhar import (
-    CellFamily,
     CellId,
     bruhat_position_mixed,
     bruhat_position_plus,

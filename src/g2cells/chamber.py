@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from . import rep
 from .minors import highest_row, lowest_row, pair_row_with_weight
-from .weyl import W, Weight
+from .weyl import G2_CARTAN, OMEGA, W
 
 __all__ = [
     "NotFactorizable",
@@ -41,10 +41,6 @@ __all__ = [
     "closed_form_alpha",
     "CLOSED_FORM_FAMILIES",
 ]
-
-_OMEGA = {1: Weight(1, 0), 2: Weight(0, 1)}
-_CARTAN = {(1, 1): 2, (1, 2): -3, (2, 1): -1, (2, 2): 2}
-
 
 class NotFactorizable(Exception):
     """The point lies outside the open chart of the requested word."""
@@ -99,10 +95,10 @@ def _ansatz_weights(word, negate):
     for m in range(1, len(word) + 1):
         jm = word[m - 1]
         jbar = 2 if jm == 1 else 1
-        exp = -_CARTAN[(jbar, jm)]
-        num = prefixes[m].act(_OMEGA[jbar])
-        den1 = prefixes[m].act(_OMEGA[jm])
-        den2 = prefixes[m - 1].act(_OMEGA[jm])
+        exp = -G2_CARTAN[jbar - 1][jm - 1]
+        num = prefixes[m].act(OMEGA[jbar])
+        den1 = prefixes[m].act(OMEGA[jm])
+        den2 = prefixes[m - 1].act(OMEGA[jm])
         if negate:
             num, den1, den2 = -num, -den1, -den2
         out.append((jbar, num, exp, jm, den1, den2))

@@ -330,13 +330,7 @@ def build_parser():
     p.add_argument("--params", type=_parse_params, required=True,
                    help="comma-separated rationals in the family's signature order")
 
-    p = add("minors", cmd_minors, help="print the twelve symbolic generalized minors")
-    p.add_argument(
-        "--symbolic",
-        action="store_true",
-        default=True,
-        help="print the symbolic polynomial table (the default and only mode)",
-    )
+    add("minors", cmd_minors, help="print the twelve symbolic generalized minors")
 
     p = add("epsilon", cmd_epsilon, help="factorization parameters of the epsilon map")
     p.add_argument("--params", type=_parse_params, required=True,
@@ -367,9 +361,24 @@ def build_parser():
     return parser
 
 
+def _bind_params(argv):
+    """Attach each ``--params`` value to its flag, as ``--params=VALUE``.
+
+    argparse takes a separate value with a leading minus sign, such as
+    ``-1,2,3,5``, for an option; bound to the flag it is read as a value.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--params" and not token.startswith("--"):
+            out[-1] = "--params=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_bind_params(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except UsageError as exc:

@@ -25,10 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg, rep
-from .weyl import W, WORD_I, enumerate_distinguished
+from .weyl import W, WORD_I, Subexpression, enumerate_distinguished
 
 __all__ = [
-    "CellFamily",
     "CellId",
     "families",
     "family_by_name",
@@ -52,66 +51,10 @@ def sample_magnitude(rng):
     return Fraction(rng.choice(PRIMES), rng.choice(PRIMES))
 
 
-@dataclass(frozen=True)
-class CellFamily:
-    """A Deodhar family: a distinguished subexpression with its geometry."""
-
-    subexpression: object
-
-    @property
-    def name(self):
-        return self.subexpression.name
-
-    @property
-    def word(self):
-        return self.subexpression.word
-
-    @property
-    def I(self):
-        return self.subexpression.I
-
-    @property
-    def J(self):
-        return self.subexpression.J
-
-    @property
-    def K(self):
-        return self.subexpression.K
-
-    @property
-    def sigma(self):
-        return self.subexpression.sigma
-
-    @property
-    def dim(self):
-        return len(self.I) + len(self.K)
-
-    @property
-    def codim(self):
-        return len(self.J)
-
-    def param_signature(self):
-        """Parameter names in position order, e.g. ('t1','t2','m1','m2')."""
-        names = []
-        ti = mi = 0
-        for j in range(1, len(self.word) + 1):
-            if j in self.I:
-                ti += 1
-                names.append("t%d" % ti)
-            elif j in self.K:
-                mi += 1
-                names.append("m%d" % mi)
-        return tuple(names)
-
-    def __repr__(self):
-        return "CellFamily(%s)" % self.name
-
-
 @lru_cache(maxsize=None)
 def families():
-    """The eight families over the word (1,2,1,2,1,2)."""
-    subs = enumerate_distinguished(WORD_I)
-    fams = tuple(CellFamily(s) for s in subs)
+    """The eight families over the word (1,2,1,2,1,2): its distinguished subexpressions."""
+    fams = tuple(enumerate_distinguished(WORD_I))
     if not {f.codim for f in fams} <= {0, 1, 2}:
         raise RuntimeError("a family of 121212 has codimension above 2")
     if any(f.dim + f.codim != 6 for f in fams):
@@ -130,7 +73,7 @@ def family_by_name(name):
 class CellId:
     """A cell D_sigma(h): a family plus a sign per R*-coordinate."""
 
-    family: CellFamily
+    family: Subexpression
     h: tuple  # one +1/-1 per I position, in increasing position order
 
     def __post_init__(self):

@@ -3,8 +3,10 @@
 Matrices are tuples of tuples.  Rank computations use fraction-free
 Gaussian elimination (Bareiss) on integer-cleared matrices, so no pivot
 is ever lost to rounding.  Bruhat-position permutations are read off
-rank profiles via a single column-reduction pass; the slower
-per-submatrix definition is kept as an independent cross-check.
+rank profiles by one column-reduction scan, which serves the top-left
+profile directly and the bottom-left profile on the row-reversed
+matrix; the slower per-submatrix definitions are kept as independent
+cross-checks.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ def identity(n):
         tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
         for i in range(n)
     )
-
-
-def mat_from_rows(rows):
-    return tuple(tuple(row) for row in rows)
 
 
 def mat_mul(A, B):
@@ -144,21 +142,17 @@ def submatrix_rank(A, rows, cols):
     return rank([[A[i][j] for j in cols] for i in rows])
 
 
-def bruhat_permutation_topleft(A):
-    """Permutation P of an L*P*U factorization (L lower, U upper triangular).
+def _column_reduction_scan(A):
+    """The topmost nonzero index of each column after column reduction.
 
-    Returns a tuple p with p[j] = i meaning P has its 1 of column j in row i.
-    Characterized by the top-left rank profile r(i,j) = rank A[:i, :j]:
-    p[j] = i exactly when r gains at (i,j) in both directions.
-
-    Computed in one pass: reduce columns left to right against previously
-    kept columns so that kept columns have pairwise distinct topmost
-    nonzero positions; column j contributes p[j] = topmost index of its
-    reduced vector.
+    Columns are reduced left to right against previously kept columns,
+    so that kept columns have pairwise distinct topmost nonzero
+    positions; column j contributes the topmost index of its reduced
+    vector.
     """
     n = len(A)
     kept = {}  # topmost index -> reduced column vector
-    p = [None] * n
+    p = []
     for j in range(n):
         v = [A[i][j] for i in range(n)]
         while True:
@@ -171,33 +165,29 @@ def bruhat_permutation_topleft(A):
             c = v[top] / u[top]
             v = [a - c * b for a, b in zip(v, u)]
         kept[top] = v
-        p[j] = top
-    return tuple(p)
+        p.append(top)
+    return p
+
+
+def bruhat_permutation_topleft(A):
+    """Permutation P of an L*P*U factorization (L lower, U upper triangular).
+
+    Returns a tuple p with p[j] = i meaning P has its 1 of column j in row i.
+    Characterized by the top-left rank profile r(i,j) = rank A[:i, :j]:
+    p[j] = i exactly when r gains at (i,j) in both directions.
+    """
+    return tuple(_column_reduction_scan(A))
 
 
 def bruhat_permutation_bottomleft(A):
     """Permutation of a U1*P*U2 factorization (both factors upper triangular).
 
-    Same as the top-left recipe but with the row index reversed: the
-    bottom-left rank profile r(i,j) = rank A[i:, :j] is the invariant.
+    The bottom-left rank profile r(i,j) = rank A[i:, :j] is the
+    invariant: the top-left scan of A with its rows reversed, with each
+    row index mapped back.
     """
     n = len(A)
-    kept = {}
-    p = [None] * n
-    for j in range(n):
-        v = [A[i][j] for i in range(n)]
-        while True:
-            bot = next((i for i in range(n - 1, -1, -1) if v[i] != 0), None)
-            if bot is None:
-                raise ValueError("singular matrix has no Bruhat permutation")
-            if bot not in kept:
-                break
-            u = kept[bot]
-            c = v[bot] / u[bot]
-            v = [a - c * b for a, b in zip(v, u)]
-        kept[bot] = v
-        p[j] = bot
-    return tuple(p)
+    return tuple(n - 1 - i for i in _column_reduction_scan(A[::-1]))
 
 
 def bruhat_permutation_topleft_by_ranks(A):

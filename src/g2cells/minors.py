@@ -11,6 +11,12 @@ Extremal weight spaces are one dimensional, so in the weight-ordered
 bases these coefficients are single coordinates.  Extremal vectors have
 integer coordinates (divided powers clear all denominators) and depend
 only on the weight, not on the reduced word used.
+
+Every minor is evaluated one way: the unit covector of the highest (or
+lowest) weight is folded along the word of g once per level
+(``highest_row``/``lowest_row``), and the resulting row functional is
+contracted with an extremal vector (``pair_row_with_weight``).  All
+minors of one level then share a single fold.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from functools import lru_cache
 
 from . import rep
 from .scalars import PolyRing
-from .weyl import W, Weight
+from .weyl import OMEGA, W, Weight, weight_by_label
 
 __all__ = [
     "ChamberWeight",
@@ -29,8 +35,6 @@ __all__ = [
     "extremal_vector",
     "minor",
     "minor_lower",
-    "minor_by_weight",
-    "minor_lower_by_weight",
     "weight_to_chamber",
     "LEVEL1_LABELS",
     "LEVEL2_LABELS",
@@ -49,10 +53,7 @@ class ChamberWeight:
 
     @property
     def weight(self):
-        return self.w.act(Weight(1, 0) if self.level == 1 else Weight(0, 1))
-
-    def label(self):
-        return self.weight.eps_label()
+        return self.w.act(OMEGA[self.level])
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,7 @@ class ExtremalVector:
 @lru_cache(maxsize=None)
 def _orbit(level):
     """All weights w*omega_i with a minimal-length representative each."""
-    omega = Weight(1, 0) if level == 1 else Weight(0, 1)
+    omega = OMEGA[level]
     reps = {}
     for w in sorted(W.elements, key=lambda el: (el.length, el.word)):
         mu = w.act(omega)
@@ -106,7 +107,7 @@ def _extremal_along_word(level, word):
     """
     label = _REP_OF_LEVEL[level]
     r = rep.representation(label)
-    omega = Weight(1, 0) if level == 1 else Weight(0, 1)
+    omega = OMEGA[level]
     vec = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(r.dim))
     mu = omega
     for j in reversed(word):
@@ -126,93 +127,55 @@ def _extremal_along_word(level, word):
 
 def extremal_vector(level, w):
     """The extremal weight vector of weight w*omega_level."""
-    omega = Weight(1, 0) if level == 1 else Weight(0, 1)
-    mu = w.act(omega)
+    mu = w.act(OMEGA[level])
     vec = _extremal_by_weight(level, mu.n1, mu.n2)
     return ExtremalVector(_REP_OF_LEVEL[level], vec, mu)
 
 
-def _lowest_info(level):
-    omega = Weight(1, 0) if level == 1 else Weight(0, 1)
-    mu = -omega
-    vec = _extremal_by_weight(level, mu.n1, mu.n2)
-    dim = len(vec)
-    nz = [k for k in range(dim) if vec[k] != 0]
-    if nz != [dim - 1] or abs(vec[dim - 1]) != 1:
-        raise AssertionError("lowest extremal vector is not +/- the last basis vector")
-    return dim - 1, vec[dim - 1]
-
-
-_LOWEST = {}
+@lru_cache(maxsize=None)
+def _unit_covector(level, lowest):
+    """The covector reading the coefficient of v_omega, or of v_{-omega} if ``lowest``."""
+    dim = rep.representation(_REP_OF_LEVEL[level]).dim
+    idx, value = 0, Fraction(1)
+    if lowest:
+        mu = -OMEGA[level]
+        vec = _extremal_by_weight(level, mu.n1, mu.n2)
+        idx = dim - 1
+        if any(vec[:idx]) or abs(vec[idx]) != 1:
+            raise ArithmeticError("lowest extremal vector is not +/- the last basis vector")
+        value = 1 / Fraction(vec[idx])
+    return tuple(value if k == idx else Fraction(0) for k in range(dim))
 
 
 def highest_row(g, level):
     """The row functional v -> coefficient of v_omega in g.v, as a covector."""
-    r = rep.representation(_REP_OF_LEVEL[level])
-    unit = [Fraction(1) if k == 0 else Fraction(0) for k in range(r.dim)]
-    return rep.apply_covector(g, _REP_OF_LEVEL[level], unit)
+    return rep.apply_covector(g, _REP_OF_LEVEL[level], _unit_covector(level, False))
 
 
 def lowest_row(g, level):
     """The row functional v -> coefficient of v_{-omega} in g.v."""
-    if level not in _LOWEST:
-        _LOWEST[level] = _lowest_info(level)
-    idx, sign = _LOWEST[level]
-    r = rep.representation(_REP_OF_LEVEL[level])
-    unit = [Fraction(1, sign) if k == idx else Fraction(0) for k in range(r.dim)]
-    return rep.apply_covector(g, _REP_OF_LEVEL[level], unit)
+    return rep.apply_covector(g, _REP_OF_LEVEL[level], _unit_covector(level, True))
 
 
 def pair_row_with_weight(row, level, mu):
-    """Contract a precomputed row functional with the extremal vector of mu."""
+    """Contract a row functional with the extremal vector of mu."""
     vec = _extremal_by_weight(level, mu.n1, mu.n2)
     return sum((a * b for a, b in zip(row, vec) if a and b), start=0)
 
 
-def minor_by_weight(g, level, mu):
-    """Delta at the chamber weight mu of the given level."""
-    vec = _extremal_by_weight(level, mu.n1, mu.n2)
-    out = rep.apply_to_vector(g, _REP_OF_LEVEL[level], vec)
-    return out[0]
-
-
-def minor_lower_by_weight(g, level, mu):
-    """Delta_- at the chamber weight mu of the given level."""
-    if level not in _LOWEST:
-        _LOWEST[level] = _lowest_info(level)
-    idx, sign = _LOWEST[level]
-    vec = _extremal_by_weight(level, mu.n1, mu.n2)
-    out = rep.apply_to_vector(g, _REP_OF_LEVEL[level], vec)
-    return out[idx] / sign if sign != 1 else out[idx]
-
-
 def minor(g, cw):
     """Delta^{w omega_i}(g): coefficient of v_{omega_i} in g . v_{w omega_i}."""
-    return minor_by_weight(g, cw.level, cw.weight)
+    return pair_row_with_weight(highest_row(g, cw.level), cw.level, cw.weight)
 
 
 def minor_lower(g, cw):
     """Delta_-^{w omega_i}(g): coefficient of v_{-omega_i} in g . v_{w omega_i}."""
-    return minor_lower_by_weight(g, cw.level, cw.weight)
+    return pair_row_with_weight(lowest_row(g, cw.level), cw.level, cw.weight)
 
 
 #: epsilon labels of the level-1 and level-2 chamber weights in display order
 LEVEL1_LABELS = ("e1", "-e3", "-e2", "e2", "e3", "-e1")
 LEVEL2_LABELS = ("e1-e3", "e1-e2", "e2-e3", "e3-e2", "e2-e1", "e3-e1")
-
-_LABEL_TO_WEIGHT = {}
-
-
-def weight_by_label(label):
-    if not _LABEL_TO_WEIGHT:
-        eps = {1: Weight(1, 0), 2: Weight(-2, 1), 3: Weight(1, -1)}
-        for i in (1, 2, 3):
-            _LABEL_TO_WEIGHT["e%d" % i] = eps[i]
-            _LABEL_TO_WEIGHT["-e%d" % i] = -eps[i]
-            for j in (1, 2, 3):
-                if i != j:
-                    _LABEL_TO_WEIGHT["e%d-e%d" % (i, j)] = eps[i] - eps[j]
-    return _LABEL_TO_WEIGHT[label]
 
 
 @lru_cache(maxsize=None)
@@ -228,8 +191,8 @@ def symbolic_minors():
     factors = (("x", 2, a), ("x", 1, b), ("x", 2, c), ("x", 1, d), ("x", 2, e), ("x", 1, f))
     g = rep.GroupElement(factors)
     out = {}
-    for label in LEVEL1_LABELS:
-        out[label] = minor_by_weight(g, 1, weight_by_label(label))
-    for label in LEVEL2_LABELS:
-        out[label] = minor_by_weight(g, 2, weight_by_label(label))
+    for level, labels in ((1, LEVEL1_LABELS), (2, LEVEL2_LABELS)):
+        row = highest_row(g, level)
+        for label in labels:
+            out[label] = pair_row_with_weight(row, level, weight_by_label(label))
     return out

@@ -20,7 +20,9 @@ bases.  A group element is the word of generator atoms that produced
 it: products concatenate words, inverses reverse them, and a matrix is
 folded from the word, sparse atom row by sparse atom row, only when it
 is first read.  Dense matrix products run only while the
-representations are built.
+representations are built.  A row vector meets a group element only
+through ``apply_covector``, folded along the word; the minors are read
+that way, and there is no column-vector fold.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .weyl import Weight
+from .weyl import ALPHA, Weight
 
 __all__ = [
     "Representation",
@@ -44,7 +46,6 @@ __all__ = [
     "group_identity",
     "group_product",
     "prefix_products",
-    "apply_to_vector",
     "is_upper",
     "is_lower",
     "is_unipotent_upper",
@@ -85,8 +86,6 @@ _E1_7 = _madd(_unit(0, 1), _unit(2, 3, 2), _unit(3, 4), _unit(5, 6))
 _F1_7 = _madd(_unit(1, 0), _unit(3, 2), _unit(4, 3, 2), _unit(6, 5))
 _E2_7 = _madd(_unit(1, 2), _unit(4, 5))
 _F2_7 = _madd(_unit(2, 1), _unit(5, 4))
-
-_ALPHA_W = {1: Weight(2, -1), 2: Weight(-3, 2)}
 
 
 class Representation:
@@ -210,7 +209,7 @@ def _build_adjoint(v7):
     y_3a12 = nest(f1, y_2a12, 3)
     y_theta = nest(f2, y_3a12)
 
-    a1, a2 = _ALPHA_W[1], _ALPHA_W[2]
+    a1, a2 = ALPHA[1], ALPHA[2]
     theta = Weight(3 * a1.n1 + 2 * a2.n1, 3 * a1.n2 + 2 * a2.n2)
     pos = [
         (theta, x_theta),
@@ -466,17 +465,6 @@ def wdot(w):
     """Representative of w, the product of sdot along any reduced word."""
     atoms = tuple(("sdot", i) for i in w.word)
     return GroupElement(atoms)
-
-
-def apply_to_vector(g, label, vec):
-    """g . vec computed through the provenance chain (no big products)."""
-    for atom in reversed(g.provenance):
-        unit, rows = _atom_rows(atom, label)
-        vec = [
-            sum((v * vec[j] for j, v in row if vec[j]), start=vec[r] if unit else 0)
-            for r, row in enumerate(rows)
-        ]
-    return tuple(vec)
 
 
 def apply_covector(g, label, row_vec):

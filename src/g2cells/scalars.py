@@ -153,9 +153,6 @@ class Poly:
 
     # -- queries ---------------------------------------------------------
 
-    def is_zero(self):
-        return not self.coeffs
-
     def evaluate(self, values):
         """Evaluate at a tuple of Fractions, one per ring variable."""
         if len(values) != self.ring.nvars:

@@ -23,33 +23,8 @@ import itertools
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    """A rank-2 Cartan matrix, validated on construction."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        a = self.entries
-        if len(a) != 2 or any(len(row) != 2 for row in a):
-            raise ValueError("expected a 2x2 matrix")
-        if a[0][0] != 2 or a[1][1] != 2:
-            raise ValueError("diagonal entries must equal 2")
-        if a[0][1] > 0 or a[1][0] > 0:
-            raise ValueError("off-diagonal entries must be <= 0")
-        if (a[0][1] == 0) != (a[1][0] == 0):
-            raise ValueError("A_ij = 0 iff A_ji = 0")
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i - 1][j - 1]
-
-
-G2_CARTAN = CartanMatrix(((2, -3), (-1, 2)))
-
-# simple roots and fundamental weights in fundamental-weight coordinates
-_ALPHA = {1: (2, -1), 2: (-3, 2)}
-_OMEGA = {1: (1, 0), 2: (0, 1)}
+#: the Cartan matrix, A[i-1][j-1] = <alpha_i^vee, alpha_j>
+G2_CARTAN = ((2, -3), (-1, 2))
 
 
 @dataclass(frozen=True, order=True)
@@ -65,8 +40,8 @@ class Weight:
 
     def reflect(self, i):
         c = self.pairing(i)
-        a = _ALPHA[i]
-        return Weight(self.n1 - c * a[0], self.n2 - c * a[1])
+        a = ALPHA[i]
+        return Weight(self.n1 - c * a.n1, self.n2 - c * a.n2)
 
     def __add__(self, other):
         return Weight(self.n1 + other.n1, self.n2 + other.n2)
@@ -95,6 +70,11 @@ class Weight:
         return lbl if lbl is not None else str(self.eps_triple())
 
 
+#: simple roots and fundamental weights in fundamental-weight coordinates
+ALPHA = {1: Weight(2, -1), 2: Weight(-3, 2)}
+OMEGA = {1: Weight(1, 0), 2: Weight(0, 1)}
+
+
 def _eps(i):
     return {1: Weight(1, 0), 2: Weight(-2, 1), 3: Weight(1, -1)}[i]
 
@@ -106,6 +86,13 @@ for _i in (1, 2, 3):
 for _i, _j in itertools.permutations((1, 2, 3), 2):
     _w = _eps(_i) - _eps(_j)
     _EPS_LABELS[(_w.n1, _w.n2)] = "e%d-e%d" % (_i, _j)
+_WEIGHT_BY_LABEL = {label: Weight(*key) for key, label in _EPS_LABELS.items()}
+
+
+def weight_by_label(label):
+    """The weight with epsilon label ``label``, such as 'e1', '-e3' or 'e3-e2'."""
+    return _WEIGHT_BY_LABEL[label]
+
 
 #: the six short roots, in the fixed order used for the permutation action
 SHORT_ROOTS = (_eps(1), _eps(2), _eps(3), -_eps(1), -_eps(2), -_eps(3))
@@ -139,9 +126,6 @@ class WeylElement:
             weight = weight.reflect(i)
         return weight
 
-    def is_identity(self):
-        return self.length == 0
-
     def __eq__(self, other):
         return isinstance(other, WeylElement) and self.perm == other.perm
 
@@ -157,10 +141,7 @@ class WeylElement:
 class WeylGroup:
     """The Weyl group of type G2 with all tables precomputed."""
 
-    def __init__(self, cartan=G2_CARTAN):
-        if cartan != G2_CARTAN:
-            raise ValueError("only the G2 Cartan matrix is supported")
-        self.cartan = cartan
+    def __init__(self):
         s_perm = {}
         for i in (1, 2):
             s_perm[i] = tuple(
@@ -262,9 +243,6 @@ class WeylGroup:
     def bruhat_leq(self, u, w):
         return self._leq[(u, w)]
 
-    def bruhat_less(self, u, w):
-        return u != w and self._leq[(u, w)]
-
 
 #: the shared G2 Weyl group instance
 W = WeylGroup()
@@ -319,6 +297,19 @@ class Subexpression:
 
     def sigma_names(self):
         return tuple(repr(s) for s in self.sigma)
+
+    def param_signature(self):
+        """Parameter names in position order, e.g. ('t1','t2','m1','m2')."""
+        names = []
+        ti = mi = 0
+        for j in range(1, len(self.word) + 1):
+            if j in self.I:
+                ti += 1
+                names.append("t%d" % ti)
+            elif j in self.K:
+                mi += 1
+                names.append("m%d" % mi)
+        return tuple(names)
 
 
 def enumerate_distinguished(word):

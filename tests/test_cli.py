@@ -3,12 +3,19 @@
 import csv
 import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from g2cells import cli, fixtures
+from g2cells.scalars import parse_rational
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(argv, capsys):
@@ -100,6 +107,46 @@ def test_cell_point_output(capsys):
     )
     assert code == 0
     assert "chain-valid      True" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["epsilon", "--params", "-1,2,3,5,7,11"],
+        ["alpha", "--family", "x21x12", "--params", "-1,2,3,5"],
+        ["cell-point", "--family", "x21x12", "--params", "-1,2,3,5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_leading_parameter(argv, capsys):
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    bound = argv[:-2] + ["--params=" + argv[-1]]
+    assert run_cli(bound, capsys) == (0, out)
+    expected = {
+        "epsilon": "1/9 9/55 -6655/36 -2/1155 735/4 -2/385\n",
+        "alpha": "-1/5 -5/2 -8/85 17/14 343/68 2/7\n",
+    }
+    if argv[0] in expected:
+        assert out == expected[argv[0]]
+    else:
+        assert "cell             -00+**" in out and "chain-valid      True" in out
+
+
+def test_readme_commands_parse():
+    """Every command line in README's command block is accepted by the parser."""
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", README.read_text(), re.S).group(1)
+    commands = [line for line in block.splitlines() if line.startswith("g2cells ")]
+    assert len(commands) >= 10
+    parser = cli.build_parser()
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        assert parser.parse_args(argv).command == argv[0], line
+
+
+@given(st.fractions())
+def test_parse_rational_round_trip(q):
+    assert parse_rational(str(q)) == q
 
 
 def test_minors_output(capsys):

@@ -1,5 +1,6 @@
 """Cell parameterizations, rank-profile positions, and chain checks."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -34,6 +35,18 @@ def test_cell_display_round_trip():
     assert cell.display() == "0+*0-*"
     with pytest.raises(KeyError):
         deodhar.cell_by_display("0+0+**")  # no family has J = {1,3}
+
+
+def test_every_cell_display_round_trips():
+    cells = [
+        deodhar.CellId(fam, h)
+        for fam in deodhar.families()
+        for h in itertools.product((1, -1), repeat=len(fam.I))
+    ]
+    assert len(cells) == 140
+    assert len({c.display() for c in cells}) == 140
+    for cell in cells:
+        assert deodhar.cell_by_display(cell.display()) == cell
 
 
 def test_cell_point_all_ones_is_unipotent_lower():

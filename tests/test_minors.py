@@ -5,8 +5,8 @@ from math import gcd
 
 import pytest
 
-from g2cells import fixtures, minors, rep
-from g2cells.weyl import W, Weight
+from g2cells import fixtures, linalg, minors, rep
+from g2cells.weyl import W, Weight, weight_by_label
 
 
 def test_extremal_at_identity_is_highest_vector():
@@ -55,7 +55,7 @@ def test_weight_to_chamber_examples():
     assert cw.w.act(Weight(1, 0)) == Weight(-1, 0)
     assert cw.w.length == 5
     # e3 - e2 at level 2
-    mu = minors.weight_by_label("e3-e2")
+    mu = weight_by_label("e3-e2")
     cw = minors.weight_to_chamber(mu)
     assert cw.level == 2 and cw.w.act(Weight(0, 1)) == mu
     assert all(
@@ -85,11 +85,13 @@ def test_minor_examples_at_rational_point():
 
     g = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, params))
     a, b, c, d, e, f = params
-    assert minors.minor_by_weight(g, 1, minors.weight_by_label("e1")) == 1
-    assert minors.minor_by_weight(g, 1, minors.weight_by_label("-e3")) == f + d + b
-    assert minors.minor_by_weight(
-        g, 2, minors.weight_by_label("e3-e1")
-    ) == a * b**3 * c**2 * d**3 * e
+
+    def minor_at(label):
+        return minors.minor(g, minors.weight_to_chamber(weight_by_label(label)))
+
+    assert minor_at("e1") == 1
+    assert minor_at("-e3") == f + d + b
+    assert minor_at("e3-e1") == a * b**3 * c**2 * d**3 * e
 
 
 def test_minor_lower_examples():
@@ -126,13 +128,20 @@ def test_minor_of_unipotents_at_fundamental_weights():
 
 
 def test_row_functionals_agree_with_direct_minors():
+    """Both minors against the dense matrix applied to the extremal vector."""
     params = [Fraction(v) for v in (2, -3, 5, -7, 11, -13)]
-    g = rep.group_product(
+    upper = rep.group_product(
         rep.x(i, t) for i, t in zip((2, 1, 2, 1, 2, 1), params)
     )
-    for level in (1, 2):
-        row = minors.highest_row(g, level)
-        for w in W.elements:
-            cw = minors.ChamberWeight(w, level)
-            direct = minors.minor(g, cw)
-            assert minors.pair_row_with_weight(row, level, cw.weight) == direct
+    lower = rep.group_product(
+        rep.y(i, t) for i, t in zip((1, 2, 1, 2, 1, 2), params)
+    )
+    for g in (upper, lower, upper * lower):
+        for level, label in ((1, "V7"), (2, "V14")):
+            lowest = minors.extremal_vector(level, W.w0).coordinates[-1]
+            for w in W.elements:
+                cw = minors.ChamberWeight(w, level)
+                vec = minors.extremal_vector(level, w).coordinates
+                dense = linalg.mat_vec(g.matrix(label), vec)
+                assert minors.minor(g, cw) == dense[0]
+                assert minors.minor_lower(g, cw) == dense[-1] / lowest

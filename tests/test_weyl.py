@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from g2cells.weyl import (
-    CartanMatrix,
+    ALPHA,
+    G2_CARTAN,
+    OMEGA,
     W,
     WORD_I,
     WORD_I_TILDE,
@@ -15,6 +17,7 @@ from g2cells.weyl import (
     enumerate_distinguished,
     multiply,
     subexpression_by_name,
+    weight_by_label,
 )
 
 
@@ -201,10 +204,19 @@ def test_distinguished_rejects_unreduced_word():
         enumerate_distinguished((1, 1))
 
 
-def test_cartan_matrix_validation():
-    with pytest.raises(ValueError):
-        CartanMatrix(((2, 1), (-1, 2)))
-    with pytest.raises(ValueError):
-        CartanMatrix(((1, -1), (-1, 2)))
-    with pytest.raises(ValueError):
-        CartanMatrix(((2, 0), (-1, 2)))
+def test_root_datum_tables():
+    for i in (1, 2):
+        for j in (1, 2):
+            assert ALPHA[j].pairing(i) == G2_CARTAN[i - 1][j - 1]
+            assert OMEGA[j].pairing(i) == (1 if i == j else 0)
+
+
+def test_weight_by_label_inverts_eps_label():
+    labels = ["e%d" % i for i in (1, 2, 3)] + ["-e%d" % i for i in (1, 2, 3)]
+    labels += ["e%d-e%d" % ij for ij in itertools.permutations((1, 2, 3), 2)]
+    for label in labels:
+        assert weight_by_label(label).eps_label() == label
+    assert weight_by_label("e1") == OMEGA[1]
+    assert weight_by_label("e1-e3") == OMEGA[2]
+    with pytest.raises(KeyError):
+        weight_by_label("e1+e2")
