@@ -51,7 +51,7 @@ point = cell_point(cell, (1, 2), (3, 5))
 afac = alpha_factorize(point, WORD_I_TILDE)
 print("alpha parameters of the x21x12 point at t=(1,2), m=(3,5):")
 print("  ", " ".join(map(str, afac.params)))
-print("sign pattern:", "".join("+" if p > 0 else "-" for p in afac.params))
+print("sign pattern:", afac.signs())
 
 # Round trip: epsilon of the alpha image returns the original point.
 back = epsilon_factorize(afac.product(), WORD_I_TILDE)

@@ -18,7 +18,7 @@ loudly.
 
 A vanishing minor means the input is outside the open chart for the
 chosen word; that is a recoverable condition (``NotFactorizable``), not
-a failure, and callers are expected to resample.
+a failure, and callers resample through ``redraw``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .weyl import G2_CARTAN, OMEGA, W
 
 __all__ = [
     "NotFactorizable",
+    "redraw",
     "Factorization",
     "epsilon_factorize",
     "alpha_factorize",
@@ -42,8 +43,27 @@ __all__ = [
     "CLOSED_FORM_FAMILIES",
 ]
 
+
 class NotFactorizable(Exception):
     """The point lies outside the open chart of the requested word."""
+
+
+#: calls ``redraw`` makes before it gives up
+REDRAW_ATTEMPTS = 50
+
+
+def redraw(draw, what):
+    """The first value ``draw()`` returns without raising ``NotFactorizable``.
+
+    After ``REDRAW_ATTEMPTS`` refused draws, raises ``RuntimeError``
+    naming ``what``, the thing being drawn.
+    """
+    for _ in range(REDRAW_ATTEMPTS):
+        try:
+            return draw()
+        except NotFactorizable:
+            pass
+    raise RuntimeError("no factorizable draw of %s in %d attempts" % (what, REDRAW_ATTEMPTS))
 
 
 @dataclass(frozen=True)
@@ -67,7 +87,8 @@ class Factorization:
         )
 
     def signs(self):
-        return tuple(1 if p > 0 else -1 for p in self.params)
+        """The signs of the parameters as a string of '+' and '-'."""
+        return "".join("+" if p > 0 else "-" for p in self.params)
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ tolerances anywhere.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -133,50 +134,37 @@ def _random_family_point(fam, rng):
     return cell, t, m
 
 
+def _chamber_draw(kind, rng):
+    """A random point of check 4: its coordinates, the point, the closed form
+    and the factorization, for ``kind`` "epsilon" or an alpha family name."""
+    if kind == "epsilon":
+        coords = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in range(6))
+        point = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, coords))
+        closed = chamber.closed_form_epsilon(coords)
+        return coords, point, closed, chamber.epsilon_factorize(point, WORD_I_TILDE)
+    cell, t, m = _random_family_point(deodhar.family_by_name(kind), rng)
+    point = deodhar.cell_point(cell, t, m)
+    closed = chamber.closed_form_alpha(kind, t, m)
+    return (t, m), point, closed, chamber.alpha_factorize(point, WORD_I_TILDE)
+
+
 def check_chamber_consistency(points_per_family=100, seed=90210):
     """Theorem factorizations match closed forms and round-trip exactly."""
     rng = random.Random(seed)
-    # epsilon family: symbolic-product inputs
-    done = 0
-    while done < points_per_family:
-        params = tuple(
-            rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in range(6)
-        )
-        xel = rep.group_product(
-            rep.x(i, t) for i, t in zip(WORD_I_TILDE, params)
-        )
-        try:
-            closed = chamber.closed_form_epsilon(params)
-            fac = chamber.epsilon_factorize(xel, WORD_I_TILDE)
-        except chamber.NotFactorizable:
-            continue
-        require(fac.params == closed, "epsilon closed form drift at %s", params)
-        yel = fac.product()
-        require(chamber.flag_equal_opposed(xel, yel), "flag identity (epsilon)")
-        back = chamber.alpha_factorize(yel, WORD_I_TILDE)
-        require(back.product() == xel, "alpha then epsilon round trip")
-        done += 1
-    # the seven alpha families
-    for name in fixtures.TABLE_ORDER:
-        fam = deodhar.family_by_name(name)
-        done = 0
-        while done < points_per_family:
-            cell, t, m = _random_family_point(fam, rng)
-            point = deodhar.cell_point(cell, t, m)
-            try:
-                closed = chamber.closed_form_alpha(name, t, m)
-                fac = chamber.alpha_factorize(point, WORD_I_TILDE)
-            except chamber.NotFactorizable:
-                continue
-            require(
-                fac.params == closed,
-                "alpha closed form drift on %s at %s %s", name, t, m,
+    for kind in ("epsilon",) + fixtures.TABLE_ORDER:
+        for _ in range(points_per_family):
+            coords, point, closed, fac = chamber.redraw(
+                lambda: _chamber_draw(kind, rng), "a point of %s" % kind
             )
-            xel = fac.product()
-            require(chamber.flag_equal_opposed(xel, point), "flag identity (alpha)")
-            back = chamber.epsilon_factorize(xel, WORD_I_TILDE)
-            require(back.product() == point, "epsilon then alpha round trip")
-            done += 1
+            require(fac.params == closed, "closed form drift on %s at %s", kind, coords)
+            image = fac.product()
+            if kind == "epsilon":
+                require(chamber.flag_equal_opposed(point, image), "flag identity (epsilon)")
+                back = chamber.alpha_factorize(image, WORD_I_TILDE)
+            else:
+                require(chamber.flag_equal_opposed(image, point), "flag identity (alpha)")
+                back = chamber.epsilon_factorize(image, WORD_I_TILDE)
+            require(back.product() == point, "round trip on %s", kind)
     # total positivity: all-positive input gives all-positive output
     ones = tuple(Fraction(1) for _ in range(6))
     xel = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, ones))
@@ -199,14 +187,10 @@ def check_component_graph(samples=8, seed=42):
         "component sizes differ: %s",
         partition.sizes(),
     )
-    expected = {
-        num: frozenset(
-            [components.SignVector("i", s) for s in icells]
-            + [components.SignVector("it", s) for s in itcells]
-        )
-        for num, (icells, itcells) in fixtures.FIGURE1.items()
-    }
-    require(partition.components == expected, "component membership differs")
+    require(
+        partition.components == components._fixture_partition(),
+        "component membership differs",
+    )
 
 
 def check_bijection(samples=8, seed=42):
@@ -250,41 +234,35 @@ def check_euler(samples=8, seed=42):
             )
 
 
+def _upper_letter(cell, rng, zero_m):
+    """The upper letter of alpha at a random point of the cell, m = 0 if ``zero_m``."""
+    t = tuple(s * deodhar.sample_magnitude(rng) for s in cell.h)
+    if zero_m:
+        m = tuple(Fraction(0) for _ in cell.family.K)
+    else:
+        m = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in cell.family.K)
+    fac = chamber.alpha_factorize(deodhar.cell_point(cell, t, m), WORD_I_TILDE)
+    return fixtures.UPPER_LETTER[fac.signs()]
+
+
 def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, graph_seed=42):
     """Point independence, chain verification, and the counting remarks."""
     rng = random.Random(seed)
+    report = components.euler_report(samples, graph_seed)
     # point independence of the classification: every cell keeps its
-    # label at `resamples` fresh interior points (zero m included once)
-    for record in components.euler_report(samples, graph_seed).records:
+    # label at `resamples` fresh interior points (zero m at the first draw)
+    for record in report.records:
         cell = deodhar.cell_by_display(record.cell)
-        fam = cell.family
-        done = 0
-        attempts = 0
-        while done < resamples:
-            attempts += 1
-            require(attempts <= 20 * resamples, "resample budget exhausted")
-            t = tuple(s * deodhar.sample_magnitude(rng) for s in cell.h)
-            if fam.K and done == 0 and attempts == 1:
-                m = tuple(Fraction(0) for _ in fam.K)
-            else:
-                m = tuple(
-                    rng.choice((1, -1)) * deodhar.sample_magnitude(rng)
-                    for _ in fam.K
-                )
-            point = deodhar.cell_point(cell, t, m)
-            try:
-                fac = chamber.alpha_factorize(point, WORD_I_TILDE)
-            except chamber.NotFactorizable:
-                continue
-            signs = fixtures.string_of_signs(fac.signs())
-            letter = next(
-                L for L, group in fixtures.UPPER_COMPONENTS.items() if signs in group
+        draws = itertools.count()
+        for _ in range(resamples):
+            letter = chamber.redraw(
+                lambda: _upper_letter(cell, rng, zero_m=next(draws) == 0),
+                "a point of cell %s" % record.cell,
             )
             require(
                 fixtures.BIJECTION[letter] == record.component,
                 "cell %s reclassified to %s", record.cell, letter,
             )
-            done += 1
     # Deodhar chain invariants
     for fam in deodhar.families():
         for _ in range(chain_points):
@@ -297,29 +275,19 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
             )
             require(deodhar.verify_cell_chain(cell, t, m), "chain of %s at %s %s fails", cell, t, m)
     # counting remarks on the computed report
-    report = components.euler_report(samples, graph_seed)
     pair_components = {frozenset((5, 6)), frozenset((7, 8)), frozenset((9, 10))}
     for fam in deodhar.families():
-        if fam.codim != 2:
-            continue
         comps = [r.component for r in report.records if r.family == fam.name]
-        require(sorted(comps).count(11) == 2, "codim-2 family %s", fam.name)
-        others = frozenset(c for c in comps if c != 11)
-        require(others in pair_components, "codim-2 family %s pairs", fam.name)
-    codim1 = [r for r in report.records if r.codim == 1]
-    for comp in range(5, 11):
-        for fam in deodhar.families():
-            if fam.codim != 1:
-                continue
-            n = sum(
-                1 for r in codim1 if r.family == fam.name and r.component == comp
-            )
-            require(n == 2, "component %d holds %d cells of %s", comp, n, fam.name)
-    for fam in deodhar.families():
-        if fam.codim != 1:
-            continue
-        n = sum(1 for r in codim1 if r.family == fam.name and r.component == 11)
-        require(n == 4, "component 11 holds %d cells of %s", n, fam.name)
+        if fam.codim == 2:
+            require(comps.count(11) == 2, "codim-2 family %s", fam.name)
+            others = frozenset(c for c in comps if c != 11)
+            require(others in pair_components, "codim-2 family %s pairs", fam.name)
+        elif fam.codim == 1:
+            for comp, n in [(comp, 2) for comp in range(5, 11)] + [(11, 4)]:
+                require(
+                    comps.count(comp) == n,
+                    "component %d holds %d cells of %s", comp, comps.count(comp), fam.name,
+                )
     require(all(r.codim <= 2 for r in report.records), "a cell has codimension above 2")
 
 

@@ -24,6 +24,8 @@ def _parse_word(text):
     word = tuple(int(ch) for ch in text.replace(",", ""))
     if any(i not in (1, 2) for i in word):
         raise argparse.ArgumentTypeError("words use the letters 1 and 2")
+    if not W.is_reduced(word):
+        raise argparse.ArgumentTypeError("the word %s is not reduced" % text)
     return word
 
 
@@ -33,7 +35,7 @@ class UsageError(Exception):
 
 def _parse_w0_word(text):
     word = _parse_word(text)
-    if len(word) != W.w0.length or not W.is_reduced(word):
+    if len(word) != W.w0.length:
         raise argparse.ArgumentTypeError("the word must be a reduced word of w0: 121212 or 212121")
     return word
 
@@ -53,11 +55,14 @@ def _parse_params(text):
 
 
 def _emit(args, text):
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write --out %s: %s" % (args.out, exc.strerror))
 
 
 def _tabular(args, header, rows):
@@ -285,22 +290,11 @@ def cmd_verify(args):
     summary = "verified %d/%d checks" % (sum(r.passed for r in results), len(results))
     lines.append(summary)
     print(summary, file=sys.stderr)
-    fmt = getattr(args, "format", "text")
-    if fmt == "json":
-        payload = [
-            {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
-            for r in results
-        ]
-        _emit(args, json.dumps(payload, indent=1) + "\n")
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(("number", "name", "passed", "detail"))
-        for r in results:
-            writer.writerow((r.number, r.name, r.passed, r.detail))
-        _emit(args, buf.getvalue())
-    else:
+    if args.format == "text":
         _emit(args, "\n".join(lines) + "\n")
+    else:
+        rows = [(r.number, r.name, r.passed, r.detail) for r in results]
+        _emit(args, _tabular(args, ("number", "name", "passed", "detail"), rows))
     return 0 if ok else 1
 
 

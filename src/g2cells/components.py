@@ -5,8 +5,9 @@ subsets swept out by the sign cells of the lower factorizations along
 the words 121212 and 212121.  Components are therefore recovered by
 sampling points in each sign cell, re-factorizing along the other word
 and recording which sign cells overlap (``build_overlap_graph``).
-
-On top of the component graph this module recomputes
+Only ``compute_figure1`` samples, so only it is cached, for a few
+``(samples, seed)`` pairs.  On top of its partition, and kept on it,
+this module recomputes
 
 * the letter grouping of the upper-side sign cells (the mirror of the
   graph's 212121 columns),
@@ -15,8 +16,10 @@ On top of the component graph this module recomputes
 * the classification of all 140 Deodhar cells, sending a sample point
   of each cell through the alpha map and reading the six signs.
 
-Every result is compared against the reference tables in ``fixtures``;
-a mismatch is an error, never a silent renumbering.
+A draw outside the chart is redrawn (``chamber.redraw``); a fixed test
+point moves to fresh primes.  Every result is compared against the
+reference tables in ``fixtures``; a mismatch is an error, never a
+silent renumbering.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import chamber, deodhar, fixtures, rep
 from .weyl import WORD_I, WORD_I_TILDE
@@ -72,7 +75,6 @@ class OverlapGraph:
     seed: int
     nodes: tuple
     edges: set
-    partners: dict  # node -> sorted tuple of partner sign strings observed
 
     def adjacency(self):
         adj = {node: set() for node in self.nodes}
@@ -95,8 +97,7 @@ def _lower_point(word, signs, rng):
 def _refactor_signs(point, word):
     """Signs of the lower factorization of the point along the given word."""
     upper = chamber.alpha_factorize(point, WORDS[word])
-    lower = chamber.epsilon_factorize(upper.product(), WORDS[word])
-    return fixtures.string_of_signs(lower.signs())
+    return chamber.epsilon_factorize(upper.product(), WORDS[word]).signs()
 
 
 def build_overlap_graph(samples=8, seed=42):
@@ -104,43 +105,32 @@ def build_overlap_graph(samples=8, seed=42):
 
     For every cell of one word, points are re-factorized along the other
     word; the resulting sign cell meets the sampled one, giving an edge.
-    Non-factorizable samples are redrawn, up to 50 attempts per cell.
+    Each sample is redrawn until it factorizes, up to
+    ``chamber.REDRAW_ATTEMPTS`` draws.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = random.Random(seed)
     edges = set()
-    partners = {}
     nodes = tuple(
         SignVector(word, signs) for word in ("i", "it") for signs in ALL_SIGNS
     )
     for word, other in (("i", "it"), ("it", "i")):
         for signs in ALL_SIGNS:
             node = SignVector(word, signs)
-            seen = set()
-            got = 0
-            attempts = 0
-            while got < samples:
-                attempts += 1
-                if attempts > 50:
-                    raise RuntimeError(
-                        "cell %r exhausted its resample budget" % (node,)
-                    )
-                point = _lower_point(word, signs, rng)
-                try:
-                    mate_signs = _refactor_signs(point, other)
-                except chamber.NotFactorizable:
-                    continue
-                mate = SignVector(other, mate_signs)
-                edges.add(frozenset((node, mate)))
-                seen.add(mate_signs)
-                got += 1
-            partners[node] = tuple(sorted(seen))
-    return OverlapGraph(samples, seed, nodes, edges, partners)
+            for _ in range(samples):
+                mate = chamber.redraw(
+                    lambda: _refactor_signs(_lower_point(word, signs, rng), other),
+                    "sign cell %r" % (node,),
+                )
+                edges.add(frozenset((node, SignVector(other, mate))))
+    return OverlapGraph(samples, seed, nodes, edges)
 
 
 @dataclass
 class ComponentPartition:
+    """The numbered components; the stages above them are kept once read."""
+
     components: dict        # number -> frozenset of SignVector
     graph: OverlapGraph
 
@@ -154,6 +144,49 @@ class ComponentPartition:
         return tuple(
             len(self.components[k]) for k in sorted(self.components)
         )
+
+    @cached_property
+    def bijection(self):
+        out = {}
+        for letter in sorted(_upper_letter_groups(self)):
+            mags = _magnitudes(fixtures.UPPER_TEST_MAGNITUDES)
+            signs = chamber.redraw(
+                lambda: _epsilon_signs(fixtures.UPPER_COMPONENTS[letter][0], next(mags)),
+                "the test point of letter %s" % letter,
+            )
+            out[letter] = self.component_of(SignVector("it", signs))
+        if sorted(out.values()) != list(range(1, 12)):
+            raise AssertionError("letter matching is not a bijection")
+        return out
+
+    def classify(self, cell):
+        if cell.codim == 0:
+            number = self.component_of(SignVector("i", cell.display()))
+            return CellRecord(cell.display(), cell.family.name, 0, "", "", number)
+        return _classify_positive_codim(cell, self.bijection)
+
+    @cached_property
+    def classification_tables(self):
+        return {
+            name: tuple(self.classify(cell) for cell in _all_cells_of_family(name))
+            for name in fixtures.TABLE_ORDER
+        }
+
+    @cached_property
+    def euler_report(self):
+        records = [self.classify(cell) for cell in _all_cells_of_family("xxxxxx")]
+        records += itertools.chain.from_iterable(self.classification_tables.values())
+        counts = {num: [0, 0, 0] for num in range(1, 12)}
+        for record in records:
+            counts[record.component][record.codim] += 1
+        totals = [sum(c[k] for c in counts.values()) for k in range(3)]
+        if totals != [64, 64, 12]:
+            raise AssertionError("codimension bookkeeping is off: %r" % (totals,))
+        per_component = {
+            num: (n0, n1, n2, n0 - n1 + n2)
+            for num, (n0, n1, n2) in counts.items()
+        }
+        return ClassificationReport(tuple(records), per_component)
 
 
 def _fixture_partition():
@@ -172,54 +205,50 @@ class PartitionTooFine(Exception):
 def connected_components(graph):
     """Partition the graph and number the blocks to match the fixture.
 
-    Raises ``PartitionTooFine`` when every computed block sits inside a
-    fixture block but some fixture block is split (more sampling can
-    only merge blocks, so retrying is sound).  Any other mismatch is a
-    hard error carrying a diff.
+    A block that meets two fixture components is a hard error carrying
+    the block.  Otherwise the blocks cover the fixture components, and
+    more blocks than components raises ``PartitionTooFine`` (more
+    sampling can only merge blocks, so retrying is sound).
     """
+    expected = _fixture_partition()
+    home = {node: num for num, members in expected.items() for node in members}
     adj = graph.adjacency()
-    blocks = []
+    numbers = []
     seen = set()
     for node in graph.nodes:
         if node in seen:
             continue
         stack = [node]
-        comp = set()
+        block = set()
         while stack:
             cur = stack.pop()
-            if cur in comp:
-                continue
-            comp.add(cur)
-            stack.extend(adj[cur] - comp)
-        seen |= comp
-        blocks.append(frozenset(comp))
-
-    expected = _fixture_partition()
-    by_membership = {}
-    for block in blocks:
-        homes = {num for num, members in expected.items() if block & members}
-        if len(homes) != 1 or not block <= expected[min(homes)]:
+            if cur not in block:
+                block.add(cur)
+                stack.extend(adj[cur] - block)
+        seen |= block
+        homes = {home[n] for n in block}
+        if len(homes) != 1:
             raise AssertionError(
                 "component partition disagrees with the reference table: "
                 "block %s spreads over %s" % (sorted(map(repr, block)), sorted(homes))
             )
-        by_membership.setdefault(min(homes), []).append(block)
-    for num, parts in by_membership.items():
-        merged = frozenset().union(*parts)
-        if merged != expected[num]:
-            raise PartitionTooFine(
-                "component %d is split into %d sampled blocks" % (num, len(parts))
-            )
-    if len(by_membership) != len(expected):
-        raise AssertionError("missing components entirely")
-    return ComponentPartition(
-        {num: expected[num] for num in sorted(expected)}, graph
-    )
+        numbers.extend(homes)
+    if len(numbers) != len(expected):
+        split = sorted({num for num in numbers if numbers.count(num) > 1})
+        raise PartitionTooFine("components %s are split in the sampled graph" % split)
+    return ComponentPartition(expected, graph)
 
 
-@lru_cache(maxsize=None)
 def compute_figure1(samples=8, seed=42):
-    """The component partition, doubling the sample count on near misses."""
+    """The component partition, doubling the sample count on near misses.
+
+    Equal arguments, however passed, give the same cached partition.
+    """
+    return _figure1(samples, seed)
+
+
+@lru_cache(maxsize=4)  # a few (samples, seed) pairs
+def _figure1(samples, seed):
     while True:
         graph = build_overlap_graph(samples, seed)
         try:
@@ -230,12 +259,32 @@ def compute_figure1(samples=8, seed=42):
             samples *= 2
 
 
+def _magnitudes(first, used=()):
+    """Magnitudes of a test point: ``first``, then the next unused primes."""
+    yield tuple(first)
+    fresh = [p for p in deodhar.PRIMES if p not in set(first) | set(used)]
+    for end in range(len(first), len(fresh) + 1, len(first)):
+        yield tuple(fresh[end - len(first):end])
+    raise RuntimeError("prime magnitude pool exhausted")
+
+
 # ---------------------------------------------------------------------------
 # upper-side letter components and the bijection
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _upper_letter_groups(partition):
+    columns = [
+        frozenset(node.signs for node in members if node.word == "it")
+        for members in partition.components.values()
+    ]
+    groups = {letter: frozenset(cells) for letter, cells in fixtures.UPPER_COMPONENTS.items()}
+    for letter, target in groups.items():
+        if columns.count(target) != 1:
+            raise AssertionError("upper grouping for letter %s not recovered" % letter)
+    return groups
+
+
 def upper_letter_groups(samples=8, seed=42):
     """Letter grouping of the upper sign cells along the word 212121.
 
@@ -244,32 +293,23 @@ def upper_letter_groups(samples=8, seed=42):
     grouping is the 212121 column of the component partition.  The
     result is asserted against the fixture before letters are assigned.
     """
-    partition = compute_figure1(samples, seed)
-    columns = {}
-    for num, members in partition.components.items():
-        columns[num] = frozenset(
-            node.signs for node in members if node.word == "it"
-        )
-    groups = {}
-    for letter, signs in fixtures.UPPER_COMPONENTS.items():
-        target = frozenset(signs)
-        matches = [num for num, col in columns.items() if col == target]
-        if len(matches) != 1:
-            raise AssertionError(
-                "upper grouping for letter %s not recovered" % letter
-            )
-        groups[letter] = target
-    return groups
+    return _upper_letter_groups(compute_figure1(samples, seed))
 
 
-def _letter_of_upper_signs(signs, samples=8, seed=42):
-    for letter, group in upper_letter_groups(samples, seed).items():
-        if signs in group:
-            return letter
-    raise KeyError(signs)
+def _epsilon_signs(signs, magnitudes):
+    """Signs of epsilon at the upper point with these signs and magnitudes."""
+    params = tuple(
+        (1 if ch == "+" else -1) * Fraction(mag)
+        for ch, mag in zip(signs, magnitudes)
+    )
+    xel = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, params))
+    closed = chamber.closed_form_epsilon(params)
+    fac = chamber.epsilon_factorize(xel, WORD_I_TILDE)
+    if fac.params != closed:
+        raise AssertionError("closed epsilon form drifted from the minors")
+    return fac.signs()
 
 
-@lru_cache(maxsize=None)
 def match_plus_components(samples=8, seed=42):
     """The bijection letter -> component number, found via epsilon.
 
@@ -277,45 +317,7 @@ def match_plus_components(samples=8, seed=42):
     magnitudes (1, 2, 3, 5, 7, 11); the epsilon image is a lower sign
     cell along 212121 whose component number is read off the partition.
     """
-    partition = compute_figure1(samples, seed)
-    groups = upper_letter_groups(samples, seed)
-    out = {}
-    for letter in sorted(groups):
-        rep_signs = fixtures.UPPER_COMPONENTS[letter][0]
-        magnitudes = fixtures.UPPER_TEST_MAGNITUDES
-        attempt = 0
-        while True:
-            attempt += 1
-            params = tuple(
-                (1 if ch == "+" else -1) * Fraction(mag)
-                for ch, mag in zip(rep_signs, magnitudes)
-            )
-            xel = rep.group_product(
-                rep.x(i, t) for i, t in zip(WORD_I_TILDE, params)
-            )
-            try:
-                closed = chamber.closed_form_epsilon(params)
-                fac = chamber.epsilon_factorize(xel, WORD_I_TILDE)
-            except chamber.NotFactorizable:
-                if attempt > 5:
-                    raise
-                magnitudes = _next_primes(magnitudes)
-                continue
-            if fac.params != closed:
-                raise AssertionError("closed epsilon form drifted from the minors")
-            image = SignVector("it", fixtures.string_of_signs(fac.signs()))
-            out[letter] = partition.component_of(image)
-            break
-    if sorted(out.values()) != list(range(1, 12)):
-        raise AssertionError("letter matching is not a bijection")
-    return out
-
-
-def _next_primes(magnitudes):
-    pool = [p for p in deodhar.PRIMES if p > max(magnitudes)]
-    if len(pool) < len(magnitudes):
-        raise RuntimeError("prime magnitude pool exhausted")
-    return tuple(pool[: len(magnitudes)])
+    return compute_figure1(samples, seed).bijection
 
 
 # ---------------------------------------------------------------------------
@@ -333,28 +335,20 @@ class CellRecord:
     component: int
 
 
-def _classify_positive_codim(cell, samples=8, seed=42):
+def _classify_positive_codim(cell, bijection):
     fam = cell.family
     t_mags = fixtures.CLASSIFY_T_MAGNITUDES[len(fam.I)]
-    m_mags = list(fixtures.CLASSIFY_M_MAGNITUDES[len(fam.K)])
     t = tuple(s * Fraction(mag) for s, mag in zip(cell.h, t_mags))
-    used = set(t_mags) | set(m_mags)
-    while True:
-        point = deodhar.cell_point(cell, t, tuple(Fraction(m) for m in m_mags))
-        try:
-            fac = chamber.alpha_factorize(point, WORD_I_TILDE)
-            break
-        except chamber.NotFactorizable:
-            # move the free coordinates to the next unused primes
-            fresh = [p for p in deodhar.PRIMES if p not in used]
-            if len(fresh) < len(m_mags):
-                raise
-            m_mags = fresh[: len(m_mags)]
-            used |= set(m_mags)
-    signs = fixtures.string_of_signs(fac.signs())
-    letter = _letter_of_upper_signs(signs, samples, seed)
-    number = match_plus_components(samples, seed)[letter]
-    return CellRecord(cell.display(), fam.name, fam.codim, signs, letter, number)
+    mags = _magnitudes(fixtures.CLASSIFY_M_MAGNITUDES[len(fam.K)], used=t_mags)
+    fac = chamber.redraw(
+        lambda: chamber.alpha_factorize(
+            deodhar.cell_point(cell, t, tuple(map(Fraction, next(mags)))), WORD_I_TILDE
+        ),
+        "the test point of cell %s" % cell.display(),
+    )
+    signs = fac.signs()
+    letter = fixtures.UPPER_LETTER[signs]
+    return CellRecord(cell.display(), fam.name, fam.codim, signs, letter, bijection[letter])
 
 
 def classify_cell(cell, samples=8, seed=42):
@@ -365,28 +359,18 @@ def classify_cell(cell, samples=8, seed=42):
     """
     if isinstance(cell, str):
         cell = deodhar.cell_by_display(cell)
-    if cell.codim == 0:
-        partition = compute_figure1(samples, seed)
-        number = partition.component_of(SignVector("i", cell.display()))
-        return CellRecord(cell.display(), cell.family.name, 0, "", "", number)
-    return _classify_positive_codim(cell, samples, seed)
+    return compute_figure1(samples, seed).classify(cell)
 
 
-def _all_cells_of_family(fam):
+def _all_cells_of_family(name):
+    fam = deodhar.family_by_name(name)
     for h in itertools.product((1, -1), repeat=len(fam.I)):
         yield deodhar.CellId(fam, h)
 
 
-@lru_cache(maxsize=None)
 def classification_tables(samples=8, seed=42):
     """Records for the 76 positive-codimension cells, grouped by family."""
-    out = {}
-    for name in fixtures.TABLE_ORDER:
-        fam = deodhar.family_by_name(name)
-        out[name] = tuple(
-            classify_cell(cell, samples, seed) for cell in _all_cells_of_family(fam)
-        )
-    return out
+    return compute_figure1(samples, seed).classification_tables
 
 
 @dataclass
@@ -398,26 +382,6 @@ class ClassificationReport:
         return sum(v[3] for v in self.per_component.values())
 
 
-@lru_cache(maxsize=None)
 def euler_report(samples=8, seed=42):
     """Classify all 140 cells and tally Euler characteristics."""
-    records = []
-    fam0 = deodhar.family_by_name("xxxxxx")
-    for cell in _all_cells_of_family(fam0):
-        records.append(classify_cell(cell, samples, seed))
-    for name in fixtures.TABLE_ORDER:
-        records.extend(classification_tables(samples, seed)[name])
-    counts = {num: [0, 0, 0] for num in range(1, 12)}
-    for record in records:
-        counts[record.component][record.codim] += 1
-    totals = [0, 0, 0]
-    for num in counts:
-        for c in range(3):
-            totals[c] += counts[num][c]
-    if totals != [64, 64, 12]:
-        raise AssertionError("codimension bookkeeping is off: %r" % (totals,))
-    per_component = {
-        num: (n0, n1, n2, n0 - n1 + n2)
-        for num, (n0, n1, n2) in counts.items()
-    }
-    return ClassificationReport(tuple(records), per_component)
+    return compute_figure1(samples, seed).euler_report

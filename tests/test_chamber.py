@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from g2cells import chamber, deodhar, rep
 from g2cells.weyl import WORD_I, WORD_I_TILDE
@@ -141,3 +142,57 @@ def test_closed_alpha_examples_from_tables():
     assert vals[0] == Fraction(1, 2) and vals[1] == Fraction(-1, 5)
     vals = chamber.closed_form_alpha("1x12x2", (1, 2), (3, 5))
     assert vals[0] == Fraction(-1, 5)
+
+
+def test_redraw_returns_first_factorizable_draw():
+    draws = iter([chamber.NotFactorizable("outside"), chamber.NotFactorizable("outside"), "inside"])
+
+    def draw():
+        value = next(draws)
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    assert chamber.redraw(draw, "a test point") == "inside"
+
+
+def test_redraw_gives_up_after_its_budget():
+    calls = []
+
+    def draw():
+        calls.append(1)
+        raise chamber.NotFactorizable("always outside")
+
+    with pytest.raises(RuntimeError, match="a hopeless point"):
+        chamber.redraw(draw, "a hopeless point")
+    assert len(calls) == chamber.REDRAW_ATTEMPTS == 50
+
+
+def test_redraw_passes_other_errors_through():
+    def draw():
+        raise ValueError("not a chart miss")
+
+    with pytest.raises(ValueError):
+        chamber.redraw(draw, "a test point")
+
+
+nonzero = st.fractions(min_value=-20, max_value=20, max_denominator=7).filter(bool)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(deodhar.families()),
+    st.sampled_from((WORD_I, WORD_I_TILDE)),
+    st.lists(nonzero, min_size=6, max_size=6),
+    st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7), min_size=2, max_size=2),
+)
+def test_alpha_and_epsilon_are_inverse_on_cell_points(fam, word, t, m):
+    t, m = tuple(t[: len(fam.I)]), tuple(m[: len(fam.K)])
+    cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
+    point = deodhar.cell_point(cell, t, m)
+    try:
+        upper = chamber.alpha_factorize(point, word)
+        back = chamber.epsilon_factorize(upper.product(), word)
+    except chamber.NotFactorizable:
+        assume(False)
+    assert back.product() == point

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from g2cells import cli, fixtures
+from g2cells import cli, deodhar, fixtures
 from g2cells.scalars import parse_rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -78,6 +78,8 @@ def test_usage_errors_exit_2_without_traceback():
         ["classify", "--signs", "0+*0+"],
         ["classify", "--signs", "0+0+**"],
         ["graph", "--samples", "0"],
+        ["distinguished", "--word", "1122"],
+        ["epsilon", "--params", "1,2,3,5,7,11", "--out", "/nonexistent/dir/f"],
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "g2cells"] + argv,
@@ -142,6 +144,17 @@ def test_readme_commands_parse():
     for line in commands:
         argv = shlex.split(line, comments=True)[1:]
         assert parser.parse_args(argv).command == argv[0], line
+
+
+@given(st.sampled_from(deodhar.families()), st.integers(0, 12))
+def test_split_params_checks_the_arity(fam, count):
+    params = tuple(range(1, count + 1))
+    if count == 6 - len(fam.J):
+        t, m = cli._split_params(fam, params)
+        assert (len(t), len(m)) == (len(fam.I), len(fam.K))
+    else:
+        with pytest.raises(cli.UsageError):
+            cli._split_params(fam, params)
 
 
 @given(st.fractions())

@@ -62,7 +62,7 @@ def test_overlap_is_symmetric_under_reseeding(partition):
         back = chamber.epsilon_factorize(
             chamber.alpha_factorize(mate.product(), WORD_I).product(), WORD_I
         )
-        assert fixtures.string_of_signs(back.signs()) == signs
+        assert back.signs() == signs
 
 
 def test_upper_letter_groups_match_reference():
@@ -152,10 +152,7 @@ def test_classification_point_independent():
                 fac = chamber.alpha_factorize(point, WORD_I_TILDE)
             except chamber.NotFactorizable:
                 continue
-            signs = fixtures.string_of_signs(fac.signs())
-            letter = next(
-                L for L, grp in fixtures.UPPER_COMPONENTS.items() if signs in grp
-            )
+            letter = fixtures.UPPER_LETTER[fac.signs()]
             assert fixtures.BIJECTION[letter] == base.component
             done += 1
 
@@ -193,3 +190,72 @@ def test_fixture_internal_coherence():
 def test_graph_input_validation():
     with pytest.raises(ValueError):
         components.build_overlap_graph(samples=0)
+
+
+def _refuse_every_other_call(monkeypatch, name):
+    """Patch ``chamber.<name>`` to raise NotFactorizable on its 1st, 3rd, ... call."""
+    original = getattr(chamber, name)
+    calls = []
+
+    def flaky(*args):
+        calls.append(args)
+        if len(calls) % 2:
+            raise chamber.NotFactorizable("refused by the test")
+        return original(*args)
+
+    monkeypatch.setattr(chamber, name, flaky)
+    return calls
+
+
+def test_bijection_survives_the_prime_fallback(partition, monkeypatch):
+    calls = _refuse_every_other_call(monkeypatch, "epsilon_factorize")
+    fresh = components.ComponentPartition(partition.components, partition.graph)
+    assert fresh.bijection == fixtures.BIJECTION
+    assert len(calls) == 2 * len(fixtures.BIJECTION)
+
+
+def test_classification_survives_the_prime_fallback(partition, monkeypatch):
+    calls = _refuse_every_other_call(monkeypatch, "alpha_factorize")
+    for name, rows in fixtures.CLASSIFICATION_TABLES.items():
+        for display, signs, letter in rows:
+            record = components._classify_positive_codim(
+                deodhar.cell_by_display(display), partition.bijection
+            )
+            # the six signs may move with the fresh magnitudes; the letter may not
+            assert (record.cell, record.letter) == (display, letter)
+            assert record.component == fixtures.BIJECTION[letter]
+    assert len(calls) == 2 * 76
+
+
+def test_prime_fallback_magnitudes():
+    mags = components._magnitudes((3, 5), used=(1, 2))
+    assert [next(mags) for _ in range(3)] == [(3, 5), (7, 11), (13, 17)]
+    mags = components._magnitudes(fixtures.UPPER_TEST_MAGNITUDES)
+    assert next(mags) == (1, 2, 3, 5, 7, 11)
+    assert next(mags) == (13, 17, 19, 23, 29, 31)
+    with pytest.raises(RuntimeError, match="exhausted"):
+        list(components._magnitudes((7,), used=(1, 2, 3, 5)))
+
+
+def test_compute_figure1_caches_one_partition_per_arguments():
+    assert components.compute_figure1() is components.compute_figure1(SAMPLES, SEED)
+    assert components.compute_figure1(samples=SAMPLES, seed=SEED) is components.compute_figure1()
+    assert components.euler_report() is components.euler_report(SAMPLES, SEED)
+
+
+def test_components_cache_is_bounded():
+    maxsize = components._figure1.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+
+
+def test_partition_gates_on_hand_made_graphs(partition):
+    graph = partition.graph
+    bare = components.OverlapGraph(graph.samples, graph.seed, graph.nodes, set())
+    with pytest.raises(components.PartitionTooFine):
+        components.connected_components(bare)
+    across = frozenset((SignVector("i", "++++++"), SignVector("i", "+-+-+-")))  # 1 and 3
+    crossed = components.OverlapGraph(
+        graph.samples, graph.seed, graph.nodes, graph.edges | {across}
+    )
+    with pytest.raises(AssertionError, match="spreads over"):
+        components.connected_components(crossed)
