@@ -77,6 +77,11 @@ class Factorization:
     def __post_init__(self):
         if self.kind not in ("upper", "lower"):
             raise ValueError("kind must be 'upper' or 'lower'")
+        if len(self.params) != len(self.word):
+            raise ValueError(
+                "%d parameters for the %d letters of word %r"
+                % (len(self.params), len(self.word), self.word)
+            )
         if any(p == 0 for p in self.params):
             raise NotFactorizable("factorization parameters must be nonzero")
 

@@ -16,7 +16,9 @@ Every minor is evaluated one way: the unit covector of the highest (or
 lowest) weight is folded along the word of g once per level
 (``highest_row``/``lowest_row``), and the resulting row functional is
 contracted with an extremal vector (``pair_row_with_weight``).  All
-minors of one level then share a single fold.
+minors of one level then share a single fold.  The fold runs over the
+integers and returns numerators over one denominator; the contraction
+is integral too, and divides by that denominator once per minor.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ def _extremal_along_word(level, word):
     for c in vec:
         if Fraction(c).denominator != 1:
             raise ArithmeticError("extremal vector has a non-integer coordinate")
-    return vec
+    return tuple(int(c) for c in vec)
 
 
 def extremal_vector(level, w):
@@ -148,7 +150,8 @@ def _unit_covector(level, lowest):
 
 
 def highest_row(g, level):
-    """The row functional v -> coefficient of v_omega in g.v, as a covector."""
+    """The row functional v -> coefficient of v_omega in g.v, as a covector
+    (numerators, denominator)."""
     return rep.apply_covector(g, _REP_OF_LEVEL[level], _unit_covector(level, False))
 
 
@@ -158,9 +161,11 @@ def lowest_row(g, level):
 
 
 def pair_row_with_weight(row, level, mu):
-    """Contract a row functional with the extremal vector of mu."""
+    """Contract a row functional (numerators, denominator) with the extremal
+    vector of mu, dividing by the denominator once."""
+    num, den = row
     vec = _extremal_by_weight(level, mu.n1, mu.n2)
-    return sum((a * b for a, b in zip(row, vec) if a and b), start=0)
+    return sum((a * b for a, b in zip(num, vec) if a and b), start=0) / Fraction(den)
 
 
 def minor(g, cw):

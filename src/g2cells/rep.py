@@ -18,17 +18,27 @@ One-parameter subgroups are exact truncated exponentials (the
 generators are nilpotent) and torus elements are diagonal in the weight
 bases.  A group element is the word of generator atoms that produced
 it: products concatenate words, inverses reverse them, and a matrix is
-folded from the word, sparse atom row by sparse atom row, only when it
-is first read.  Dense matrix products run only while the
-representations are built.  A row vector meets a group element only
-through ``apply_covector``, folded along the word; the minors are read
-that way, and there is no column-vector fold.
+folded from the word, sparse atom by sparse atom, only when it is first
+read.  Dense matrix products run only while the representations are
+built.
+
+Every atom is read one way, as integral sparse entries over a positive
+denominator (``_atom_rows``): x_i(p/q) and y_i(p/q) from the integral
+divided-power tables scaled by q^K, a torus element over the least
+common denominator of its eigenvalues, and the Weyl representatives
+with denominator 1.  A row vector meets a group element only through
+``apply_covector``, which folds it along the word over Python ints with
+one common denominator; the minors are read that way, and there is no
+column-vector fold.  Matrices fold over ``Fraction``s.  A word made
+only of x atoms lies in U+ and one made only of y atoms in U-, so the
+unipotence predicates read such words without folding a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
 from .weyl import ALPHA, Weight
@@ -59,6 +69,13 @@ def _unit(i, j, c=1, n=7):
         tuple(Fraction(c) if (r, s) == (i, j) else Fraction(0) for s in range(n))
         for r in range(n)
     )
+
+
+def _integral(v):
+    """The int value of an exact scalar that must be an integer."""
+    if Fraction(v).denominator != 1:
+        raise ArithmeticError("expected an integral entry, got %s" % (v,))
+    return int(v)
 
 
 def _madd(*ms):
@@ -116,43 +133,43 @@ class Representation:
                     table.append(linalg.mat_scale(power, Fraction(1, fact)))
                 self._exp_tables[(kind, i)] = table
                 self.nilpotency[(kind, i)] = k
-        # sparse views of the positive powers, for fast per-parameter assembly
-        self._sparse_terms = {}
-        for key, table in self._exp_tables.items():
-            self._sparse_terms[key] = tuple(
-                tuple(
-                    (r, c, term[r][c])
-                    for r in range(self.dim)
-                    for c in range(self.dim)
-                    if term[r][c]
-                )
-                for term in table[1:]
+        # the nonzero entries (k, r, c, value) of the positive powers
+        # E^k / k!, all integral, so that every atom is built over the integers
+        self._int_terms = {
+            key: tuple(
+                (k, r, c, _integral(term[r][c]))
+                for k, term in enumerate(table[1:], start=1)
+                for r in range(self.dim)
+                for c in range(self.dim)
+                if term[r][c]
             )
+            for key, table in self._exp_tables.items()
+        }
 
     def one_parameter_rows(self, kind, i, t):
-        """Sparse rows of exp(t e_i) - 1 / exp(t f_i) - 1: row -> [(col, value), ...].
+        """Integral entries of exp(t e_i) - 1 / exp(t f_i) - 1, and their denominator.
 
-        The unit diagonal is left out, so that folding a unipotent atom
-        never multiplies by 1.
+        For t = p/q and top power K = nilpotency - 1, the entries
+        (row, col, value) are those of sum_k p^k q^(K-k) E^k/k!, so the
+        atom is 1 + entries / q^K; a parameter that is not a ``Fraction``
+        (an int, or a ``Poly``) counts as p/1.  The unit diagonal is left
+        out, so that folding a unipotent atom never multiplies by 1.
+        Returns (entries, q^K).
         """
-        rows = [[] for _ in range(self.dim)]
-        tk = 1
-        for entries in self._sparse_terms[(kind, i)]:
-            tk = tk * t
-            for r, c, v in entries:
-                rows[r].append((c, v * tk))
-        return rows
+        p, q = (t.numerator, t.denominator) if isinstance(t, Fraction) else (t, 1)
+        top = self.nilpotency[(kind, i)] - 1
+        scales = [p**k * q ** (top - k) for k in range(top + 1)]
+        return [(r, c, v * scales[k]) for k, r, c, v in self._int_terms[(kind, i)]], q**top
 
     def coweight_diagonal(self, i, t):
-        """Eigenvalues t^<alpha_i^vee, mu> of the torus element, basis by basis."""
+        """Eigenvalues t^<alpha_i^vee, mu> of the torus element, basis by basis,
+        as integral numerators over their least common denominator."""
         if t == 0:
             raise ValueError("coweight argument must be nonzero")
-        t = Fraction(t) if not isinstance(t, Fraction) else t
-        vals = []
-        for mu in self.weights:
-            n = mu.pairing(i)
-            vals.append(t**n if n >= 0 else (1 / t) ** (-n))
-        return tuple(vals)
+        t = Fraction(t)
+        vals = [t ** mu.pairing(i) for mu in self.weights]
+        den = lcm(*(v.denominator for v in vals))
+        return [v.numerator * (den // v.denominator) for v in vals], den
 
     def divided_f_power(self, i, b):
         """f_i^b / b! as an exact matrix (zero beyond nilpotency)."""
@@ -275,53 +292,59 @@ def representation(label):
 
 
 def _atom_rows(atom, label):
-    """(unit, rows): the atom's matrix as nonzero entries grouped by row,
-    rows[r] = [(col, value), ...].
+    """(unit, entries, den): the atom's matrix as its nonzero integral
+    entries (row, col, value) over the positive denominator den.
 
-    When ``unit`` is true the matrix is 1 plus the rows: the unit
-    diagonal of x and y is implied, not listed.
+    When ``unit`` is true the matrix is 1 + entries / den: the unit
+    diagonal of x and y is implied, not listed.  Otherwise it is
+    entries / den.  Both folds read every atom through here.
     """
     kind = atom[0]
     if kind in ("x", "y"):
-        return True, representation(label).one_parameter_rows(kind, atom[1], atom[2])
+        entries, den = representation(label).one_parameter_rows(kind, atom[1], atom[2])
+        return True, entries, den
     if kind == "coweight":
-        diagonal = representation(label).coweight_diagonal(atom[1], atom[2])
-        return False, [((k, v),) for k, v in enumerate(diagonal)]
+        diagonal, den = representation(label).coweight_diagonal(atom[1], atom[2])
+        return False, [(k, k, v) for k, v in enumerate(diagonal)], den
     if kind in ("sdot", "sdot_inv"):
-        return False, _weyl_rows(kind, atom[1], label)
+        return False, _weyl_rows(kind, atom[1], label), 1
     raise ValueError("unknown atom %r" % (atom,))
 
 
 @lru_cache(maxsize=8)
 def _weyl_rows(kind, i, label):
-    """Rows of sdot_i = x_i(1) y_i(-1) x_i(1), or of its inverse, folded once.
+    """Integral entries of sdot_i = x_i(1) y_i(-1) x_i(1), or of its inverse, folded once.
 
     The key holds no parameter: two kinds, two letters, two
     representations, so the table never exceeds its eight entries.
     """
     s = Fraction(1) if kind == "sdot" else Fraction(-1)
     mat = _fold_atoms((("x", i, s), ("y", i, -s), ("x", i, s)), label)
-    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in mat)
+    return tuple(
+        (r, c, _integral(v)) for r, row in enumerate(mat) for c, v in enumerate(row) if v
+    )
 
 
 def _fold_atoms(atoms, label, start=None):
     """start * (product of the atoms' matrices), multiplying sparsely from the left.
 
-    ``start`` defaults to the identity of the representation.
+    ``start`` defaults to the identity of the representation.  Matrix
+    entries stay ``Fraction``s: each atom's integral entries are divided
+    by its denominator once, as they are read.
     """
     out = start if start is not None else linalg.identity(representation(label).dim)
     dim = len(out)
     for atom in atoms:
-        unit, rows = _atom_rows(atom, label)
+        unit, entries, den = _atom_rows(atom, label)
+        if den != 1:
+            entries = [(r, c, Fraction(v, den)) for r, c, v in entries]
         nxt = []
-        for i in range(dim):
-            row = out[i]
+        for row in out:
             acc = list(row) if unit else [0] * dim
-            for t in range(dim):
-                a = row[t]
+            for r, c, v in entries:
+                a = row[r]
                 if a:
-                    for j, v in rows[t]:
-                        acc[j] = acc[j] + a * v
+                    acc[c] = acc[c] + a * v
             nxt.append(tuple(acc))
         out = tuple(nxt)
     return out
@@ -468,17 +491,26 @@ def wdot(w):
 
 
 def apply_covector(g, label, row_vec):
-    """row_vec . g (a row vector) through the provenance chain."""
-    n = len(row_vec)
+    """row_vec . g (a row vector) through the provenance chain, over the integers.
+
+    ``row_vec`` holds ints or ``Fraction``s.  Returns (numerators, den):
+    entry j of row_vec . g is numerators[j] / den, with den a positive
+    int.  The covector is kept as integral numerators over one common
+    denominator, and each atom multiplies its own denominator into it.
+    """
+    den = lcm(*(u.denominator for u in row_vec))
+    num = [u.numerator * (den // u.denominator) for u in row_vec]
+    n = len(num)
     for atom in g.provenance:
-        unit, rows = _atom_rows(atom, label)
-        out = list(row_vec) if unit else [0] * n
-        for i, u in enumerate(row_vec):
+        unit, entries, d = _atom_rows(atom, label)
+        out = [u * d for u in num] if unit else [0] * n
+        for r, c, v in entries:
+            u = num[r]
             if u:
-                for j, v in rows[i]:
-                    out[j] = out[j] + u * v
-        row_vec = out
-    return tuple(row_vec)
+                out[c] = out[c] + u * v
+        num = out
+        den *= d
+    return num, den
 
 
 # ---------------------------------------------------------------------------
@@ -497,10 +529,16 @@ def is_lower(g):
 
 
 def is_unipotent_upper(g):
+    # a product of x atoms lies in U+, so such a word needs no fold
+    if all(atom[0] == "x" for atom in g.provenance):
+        return True
     return is_upper(g) and all(g.m7[i][i] == 1 for i in range(7))
 
 
 def is_unipotent_lower(g):
+    # a product of y atoms lies in U-, so such a word needs no fold
+    if all(atom[0] == "y" for atom in g.provenance):
+        return True
     return is_lower(g) and all(g.m7[i][i] == 1 for i in range(7))
 
 
@@ -518,10 +556,6 @@ def generator_fixture():
             ("h1", rep.h[1]),
             ("h2", rep.h[2]),
         ):
-            for row in mat:
-                for v in row:
-                    if Fraction(v).denominator != 1:
-                        raise ArithmeticError("generator matrices must be integral")
-            entry[name] = [[int(v) for v in row] for row in mat]
+            entry[name] = [[_integral(v) for v in row] for row in mat]
         out[label] = entry
     return out

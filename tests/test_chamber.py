@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from g2cells import chamber, deodhar, rep
-from g2cells.weyl import WORD_I, WORD_I_TILDE
+from g2cells.weyl import WORD_I, WORD_I_TILDE, W
 
 
 def x_tilde(params):
@@ -69,6 +69,32 @@ def test_alpha_requires_lower_input():
         chamber.alpha_factorize(rep.x(1, Fraction(1)), WORD_I_TILDE)
     with pytest.raises(ValueError):
         chamber.epsilon_factorize(rep.y(1, Fraction(1)), WORD_I_TILDE)
+
+
+#: (not unipotent lower, not unipotent upper) pairs of x, y and sdot words,
+#: pure and mixed; the unipotence guards of the maps must refuse each
+WRONG_SIDE = (
+    (x_tilde((1, 2, 3, 5, 7, 11)), y_word(WORD_I_TILDE, (1, 2, 3, 5, 7, 11))),
+    (rep.sdot(1), rep.sdot(2)),
+    (rep.wdot(W.w0), rep.wdot(W.w0)),
+    (y_word(WORD_I_TILDE, (1, 2, 3, 5, 7, 11)) * rep.x(1, Fraction(1, 3)),
+     x_tilde((1, 2, 3, 5, 7, 11)) * rep.y(2, Fraction(-1, 3))),
+    (rep.sdot(2) * rep.y(1, Fraction(2)), rep.x(1, Fraction(2)) * rep.sdot_inverse(1)),
+)
+
+
+@pytest.mark.parametrize(
+    "not_lower, not_upper", WRONG_SIDE, ids=("pure", "sdot", "w0", "mixed", "sdot-mixed")
+)
+def test_factorizations_reject_the_wrong_side(not_lower, not_upper):
+    with pytest.raises(ValueError, match="alpha_factorize"):
+        chamber.alpha_factorize(not_lower, WORD_I_TILDE)
+    with pytest.raises(ValueError, match="epsilon_factorize"):
+        chamber.epsilon_factorize(not_upper, WORD_I_TILDE)
+    with pytest.raises(ValueError, match="second argument"):
+        chamber.flag_equal_opposed(x_tilde((1,) * 6), not_lower)
+    with pytest.raises(ValueError, match="first argument"):
+        chamber.flag_equal_opposed(not_upper, y_word(WORD_I, (1,) * 6))
 
 
 def test_factorize_rejects_bad_words():
@@ -135,6 +161,12 @@ def test_flag_equal_opposed_rejects_mismatched_pair():
 def test_factorization_forbids_zero_params():
     with pytest.raises(chamber.NotFactorizable):
         chamber.Factorization(WORD_I_TILDE, (Fraction(0),) * 6, "lower")
+
+
+def test_factorization_rejects_a_parameter_count_off_the_word():
+    for n in (0, 5, 7):
+        with pytest.raises(ValueError, match="%d parameters" % n):
+            chamber.Factorization(WORD_I_TILDE, (Fraction(1),) * n, "upper")
 
 
 def test_closed_alpha_examples_from_tables():

@@ -1,5 +1,6 @@
 """Component graph, letter matching, classification, Euler numbers."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -38,6 +39,34 @@ def test_expected_edges_present(partition):
     graph = partition.graph
     assert frozenset((SignVector("i", "++++++"), SignVector("it", "++++++"))) in graph.edges
     assert frozenset((SignVector("i", "+-+-+-"), SignVector("it", "-+-+-+"))) in graph.edges
+
+
+#: SHA-256 of the sorted edge reprs of build_overlap_graph(8, 42), joined
+#: by newlines; any change to the sample stream or to the arithmetic
+#: behind a sample moves it
+EDGES_SHA256 = "792a9a187823ed1d718ee98a125e6fb68deb8dd311507fe79906c70034020ec4"
+
+
+def test_full_overlap_graph_is_pinned(partition):
+    edges = sorted(repr(sorted(edge, key=repr)) for edge in partition.graph.edges)
+    assert len(edges) == 261
+    assert hashlib.sha256("\n".join(edges).encode()).hexdigest() == EDGES_SHA256
+
+
+def test_overlap_samples_fold_no_matrix(partition, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a 7x7 matrix was folded")
+
+    monkeypatch.setattr(rep, "_fold_atoms", refuse)
+    rng = random.Random(11)
+    for word, other in (("i", "it"), ("it", "i")):
+        for signs in ("++++++", "+-+-+-", "--+-++"):
+            mate = chamber.redraw(
+                lambda: components._refactor_signs(components._lower_point(word, signs, rng), other),
+                "sign cell %s" % signs,
+            )
+            node, image = SignVector(word, signs), SignVector(other, mate)
+            assert partition.component_of(image) == partition.component_of(node)
 
 
 def test_edges_stay_inside_components(partition):

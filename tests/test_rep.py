@@ -1,6 +1,7 @@
 """The two exact representations and the one-parameter subgroups."""
 
 import json
+import math
 import random
 from fractions import Fraction
 from importlib import resources
@@ -220,23 +221,68 @@ def _singleton(atom):
     return rep.sdot(atom[1]) if kind == "sdot" else rep.sdot_inverse(atom[1])
 
 
+#: primes far beyond the sampling pool, so that every power of a
+#: denominator the integral rows carry is a large integer
+LARGE_PRIMES = (1000003, 998244353, 2**61 - 1)
+large_prime_rationals = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.sampled_from(LARGE_PRIMES)
+)
+parameters = st.one_of(rationals, large_prime_rationals)
+nonzero_parameters = parameters.filter(lambda q: q != 0)
+
 letters = st.sampled_from((1, 2))
 atoms = st.one_of(
-    st.tuples(st.sampled_from(("x", "y")), letters, rationals),
-    st.tuples(st.just("coweight"), letters, nonzero_rationals),
+    st.tuples(st.sampled_from(("x", "y")), letters, parameters),
+    st.tuples(st.just("coweight"), letters, nonzero_parameters),
     st.tuples(st.sampled_from(("sdot", "sdot_inv")), letters),
 )
 
 
+def _covector_image(g, label, vec):
+    """row vec . g as Fractions, from the integral numerators and the denominator
+    of ``apply_covector``."""
+    num, den = rep.apply_covector(g, label, vec)
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(n, int) for n in num)
+    return tuple(Fraction(n, den) for n in num)
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.lists(atoms, max_size=7))
-def test_lazy_product_matches_dense_product(word):
+@given(st.lists(atoms, max_size=7), st.lists(rationals, min_size=14, max_size=14))
+def test_lazy_product_matches_dense_product(word, covector):
     g = rep.group_product(_singleton(atom) for atom in word)
     for R in (V7, V14):
         dense = _dense_product(word, R)
-        vec = tuple(Fraction(k + 1, 2) for k in range(R.dim))
         assert g.matrix(R.label) == dense
-        assert rep.apply_covector(g, R.label, vec) == linalg_reference.mat_vec(tuple(zip(*dense)), vec)
+        for vec in (tuple(Fraction(k + 1, 2) for k in range(R.dim)), tuple(covector[: R.dim])):
+            assert _covector_image(g, R.label, vec) == linalg_reference.mat_vec(tuple(zip(*dense)), vec)
+
+
+@pytest.mark.parametrize("R", (V7, V14), ids=("V7", "V14"))
+def test_integral_rows_at_large_prime_denominators(R):
+    p, q = LARGE_PRIMES[2], LARGE_PRIMES[1]
+    word = (("y", 1, Fraction(-p, q)), ("x", 2, Fraction(q, p)), ("coweight", 1, Fraction(-q, p)),
+            ("sdot", 2), ("coweight", 2, Fraction(p, LARGE_PRIMES[0])), ("x", 1, Fraction(1, q)))
+    # both coweights pair negatively with some weight, so both eigenvalue
+    # denominators enter the common denominator
+    for i in (1, 2):
+        assert any(mu.pairing(i) < 0 for mu in R.weights)
+        assert any(mu.pairing(i) > 0 for mu in R.weights)
+    g = rep.GroupElement(word)
+    dense = _dense_product(word, R)
+    assert g.matrix(R.label) == dense
+    vec = tuple(Fraction((-1) ** k * (k + 2), 3 * k + 1) for k in range(R.dim))
+    assert _covector_image(g, R.label, vec) == linalg_reference.mat_vec(tuple(zip(*dense)), vec)
+
+
+@pytest.mark.parametrize("R", (V7, V14), ids=("V7", "V14"))
+@pytest.mark.parametrize("t", (Fraction(-3, 7), Fraction(5, 1000003), Fraction(-(2**61 - 1), 4)))
+def test_coweight_diagonal_is_integral_over_its_lcm(R, t):
+    for i in (1, 2):
+        numerators, den = R.coweight_diagonal(i, t)
+        expected = [t ** mu.pairing(i) for mu in R.weights]
+        assert [Fraction(n, den) for n in numerators] == expected
+        assert den == math.lcm(*(v.denominator for v in expected))
 
 
 def test_provenance_regenerates_matrices():
@@ -291,7 +337,7 @@ def test_products_fold_without_dense_products(monkeypatch):
     h = g * rep.sdot_inverse(1) * g.inverse()
     for el in (g, h):
         assert len(el.m7) == 7 and len(el.m14) == 14
-        assert len(rep.apply_covector(el, "V14", el.m14[0])) == 14
+        assert len(rep.apply_covector(el, "V14", el.m14[0])[0]) == 14
 
 
 def _rep_caches():
@@ -351,6 +397,52 @@ def test_triangularity_predicates():
     assert not rep.is_upper(rep.sdot(1))
     assert rep.is_upper(rep.coweight(1, Fraction(2)))
     assert not rep.is_unipotent_upper(rep.coweight(1, Fraction(2)))
+
+
+def _unipotent_by_m7(g, lower):
+    """Unipotence read from the folded 7x7 matrix alone."""
+    m = g.m7
+    return all(
+        m[i][j] == (1 if i == j else 0)
+        for i in range(7)
+        for j in (range(i, 7) if lower else range(i + 1))
+    )
+
+
+one_kind_words = st.sampled_from(("x", "y")).flatmap(
+    lambda kind: st.lists(st.tuples(st.just(kind), letters, parameters), max_size=6)
+)
+cancelling_pairs = st.one_of(
+    st.tuples(st.sampled_from(("x", "y")), letters, parameters).map(
+        lambda a: [a, (a[0], a[1], -a[2])]
+    ),
+    letters.map(lambda i: [("sdot", i), ("sdot_inv", i)]),
+)
+mixed_words = st.lists(
+    st.one_of(atoms.map(lambda a: [a]), cancelling_pairs), max_size=5
+).map(lambda chunks: [a for chunk in chunks for a in chunk])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(one_kind_words, mixed_words))
+def test_unipotence_from_the_word_matches_m7(word):
+    g = rep.GroupElement(word)
+    assert rep.is_unipotent_lower(g) == _unipotent_by_m7(g, lower=True)
+    assert rep.is_unipotent_upper(g) == _unipotent_by_m7(g, lower=False)
+
+
+def test_unipotence_of_pure_words_needs_no_fold(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a 7x7 matrix was folded")
+
+    monkeypatch.setattr(rep, "_fold_atoms", refuse)
+    lower = rep.y(1, Fraction(2, 3)) * rep.y(2, Fraction(-5)) * rep.y(1, Fraction(-2, 3))
+    upper = rep.x(2, Fraction(7, 11)) * rep.x(1, Fraction(-1))
+    assert rep.is_unipotent_lower(lower) and rep.is_unipotent_upper(upper)
+    assert rep.is_unipotent_lower(rep.group_identity())
+    assert rep.is_unipotent_upper(rep.group_identity())
+    with pytest.raises(AssertionError, match="folded"):
+        rep.is_unipotent_lower(lower * rep.sdot(1) * rep.sdot_inverse(1))
 
 
 def test_v14_consistent_with_v7_on_predicates():
