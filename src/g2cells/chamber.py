@@ -175,14 +175,15 @@ def flag_equal_opposed(x, y):
     """True iff x . [B-] and y . [B+] are the same flag.
 
     [B-] = w0dot . [B+] and the stabilizer of [B+] is B+, so the test is
-    that y^-1 x w0dot is upper triangular.
+    that y^-1 x w0dot is upper triangular.  Row 0 constrains nothing, so
+    only rows 1..6 of its V7 matrix are folded.
     """
     if not rep.is_unipotent_upper(x):
         raise ValueError("first argument must be unipotent upper")
     if not rep.is_unipotent_lower(y):
         raise ValueError("second argument must be unipotent lower")
-    g = y.inverse() * x * rep.wdot(W.w0)
-    return rep.is_upper(g)
+    rows, _ = rep.matrix_rows(y.inverse() * x * rep.wdot(W.w0), "V7", first=1)
+    return all(not any(row[:i]) for i, row in enumerate(rows, start=1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,9 @@ tolerances anywhere.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 
 from . import chamber, components, deodhar, fixtures, linalg, minors, rep
 from .weyl import W, WORD_I, WORD_I_TILDE, enumerate_distinguished
@@ -289,14 +287,6 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
                     "component %d holds %d cells of %s", comp, comps.count(comp), fam.name,
                 )
     require(all(r.codim <= 2 for r in report.records), "a cell has codimension above 2")
-
-
-def check_generator_fixture():
-    """The committed Chevalley matrices equal the freshly built ones."""
-    committed = json.loads(
-        resources.files("g2cells.data").joinpath("chevalley_generators.json").read_text()
-    )
-    require(committed == rep.generator_fixture(), "generator fixture drift")
 
 
 CHECKS = (

@@ -179,16 +179,18 @@ def _element_from_matrix_permutation(p):
 
 
 def bruhat_position_mixed(g):
-    """The w with g in B- wdot B+, from the top-left rank profile."""
+    """The w with g in B- wdot B+, from the top-left rank profile of its
+    integral V7 rows (the common denominator scales no rank)."""
     return _element_from_matrix_permutation(
-        linalg.bruhat_permutation_topleft(g.m7)
+        linalg.bruhat_permutation_topleft(g.rows[0])
     )
 
 
 def bruhat_position_plus(g):
-    """The w with g in B+ wdot B+, from the bottom-left rank profile."""
+    """The w with g in B+ wdot B+, from the bottom-left rank profile of its
+    integral V7 rows."""
     return _element_from_matrix_permutation(
-        linalg.bruhat_permutation_bottomleft(g.m7)
+        linalg.bruhat_permutation_bottomleft(g.rows[0])
     )
 
 

@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals (and polynomial entries).
 
 Matrices are tuples of tuples.  Bruhat-position permutations are read
-off rank profiles by one column-reduction scan, which serves the
-top-left profile directly and the bottom-left profile on the
-row-reversed matrix.  The per-submatrix rank definitions they are
-checked against live with the tests.
+off rank profiles by one fraction-free column-reduction scan, which
+serves the top-left profile directly and the bottom-left profile on the
+row-reversed matrix.  Scaling a row or a column moves no rank profile,
+so the scan takes a group element's integral rows as they are, without
+their common denominator, and eliminates over the integers.  The
+per-submatrix rank definitions it is checked against live with the
+tests.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ def _column_reduction_scan(A):
     Columns are reduced left to right against previously kept columns,
     so that kept columns have pairwise distinct topmost nonzero
     positions; column j contributes the topmost index of its reduced
-    vector.
+    vector.  The reduction is fraction-free, v <- u[top] v - v[top] u:
+    it scales v by a nonzero factor, which moves no topmost index, so
+    integer entries stay integers.
     """
     n = len(A)
     kept = {}  # topmost index -> reduced column vector
@@ -79,8 +84,8 @@ def _column_reduction_scan(A):
             if top not in kept:
                 break
             u = kept[top]
-            c = v[top] / u[top]
-            v = [a - c * b for a, b in zip(v, u)]
+            a, b = u[top], v[top]
+            v = [a * s - b * t for s, t in zip(v, u)]
         kept[top] = v
         p.append(top)
     return p

@@ -26,19 +26,24 @@ Every atom is read one way, as integral sparse entries over a positive
 denominator (``_atom_rows``): x_i(p/q) and y_i(p/q) from the integral
 divided-power tables scaled by q^K, a torus element over the least
 common denominator of its eigenvalues, and the Weyl representatives
-with denominator 1.  A row vector meets a group element only through
-``apply_covector``, which folds it along the word over Python ints with
-one common denominator; the minors are read that way, and there is no
-column-vector fold.  Matrices fold over ``Fraction``s.  A word made
-only of x atoms lies in U+ and one made only of y atoms in U-, so the
-unipotence predicates read such words without folding a matrix.
+with denominator 1.  There is one fold, ``_fold_rows``: it carries a
+block of row vectors as Python int numerators over one common
+denominator along the word, and builds no ``Fraction``.  A covector
+(``apply_covector``, which the minors read) is its one-row case, and a
+matrix (``matrix_rows``) is the block of unit rows.  A group element
+keeps its V7 matrix as such integral rows; equality cross-multiplies
+them, the triangularity predicates read them (a unit diagonal entry
+equals the denominator), and ``m7``/``m14`` are ``Fraction`` views
+built only for callers that read them.  A word made only of x atoms
+lies in U+ and one made only of y atoms in U-, so the unipotence
+predicates read such words without folding a matrix.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import linalg
 from .weyl import ALPHA, Weight
@@ -56,6 +61,7 @@ __all__ = [
     "group_identity",
     "group_product",
     "prefix_products",
+    "matrix_rows",
     "is_upper",
     "is_lower",
     "is_unipotent_upper",
@@ -297,7 +303,7 @@ def _atom_rows(atom, label):
 
     When ``unit`` is true the matrix is 1 + entries / den: the unit
     diagonal of x and y is implied, not listed.  Otherwise it is
-    entries / den.  Both folds read every atom through here.
+    entries / den.  The fold reads every atom through here.
     """
     kind = atom[0]
     if kind in ("x", "y"):
@@ -311,6 +317,38 @@ def _atom_rows(atom, label):
     raise ValueError("unknown atom %r" % (atom,))
 
 
+def _fold_rows(rows, den, atoms, label):
+    """(rows . (product of the atoms' matrices), den'), over the integers.
+
+    ``rows`` is a block of row vectors, each entry a numerator over the
+    common positive denominator ``den``.  Each atom multiplies its own
+    denominator into ``den`` and into the rows it leaves in place, so
+    the rows stay integral (or ``Poly``s with integral coefficients) and
+    no ``Fraction`` is built.  This is the package's only fold.
+    """
+    for atom in atoms:
+        unit, entries, d = _atom_rows(atom, label)
+        folded = []
+        for row in rows:
+            if unit:
+                out = [u * d for u in row] if d != 1 else list(row)
+            else:
+                out = [0] * len(row)
+            for r, c, v in entries:
+                u = row[r]
+                if u:
+                    out[c] = out[c] + u * v
+            folded.append(out)
+        rows = folded
+        den *= d
+    return rows, den
+
+
+def _unit_rows(dim, indices):
+    """The unit row vectors e_i, i in ``indices``, as lists of ints."""
+    return [[1 if j == i else 0 for j in range(dim)] for i in indices]
+
+
 @lru_cache(maxsize=8)
 def _weyl_rows(kind, i, label):
     """Integral entries of sdot_i = x_i(1) y_i(-1) x_i(1), or of its inverse, folded once.
@@ -319,35 +357,32 @@ def _weyl_rows(kind, i, label):
     representations, so the table never exceeds its eight entries.
     """
     s = Fraction(1) if kind == "sdot" else Fraction(-1)
-    mat = _fold_atoms((("x", i, s), ("y", i, -s), ("x", i, s)), label)
-    return tuple(
-        (r, c, _integral(v)) for r, row in enumerate(mat) for c, v in enumerate(row) if v
+    dim = representation(label).dim
+    rows, den = _fold_rows(
+        _unit_rows(dim, range(dim)), 1, (("x", i, s), ("y", i, -s), ("x", i, s)), label
     )
+    if den != 1:
+        raise ArithmeticError("Weyl representative of %s%d is not integral" % (kind, i))
+    return tuple((r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
 
 
-def _fold_atoms(atoms, label, start=None):
-    """start * (product of the atoms' matrices), multiplying sparsely from the left.
+def matrix_rows(g, label, first=0):
+    """Rows first..dim-1 of g's matrix: (rows, den), integral rows over one
+    positive common denominator.
 
-    ``start`` defaults to the identity of the representation.  Matrix
-    entries stay ``Fraction``s: each atom's integral entries are divided
-    by its denominator once, as they are read.
+    The one entry that folds a group element's matrix rather than a
+    covector; ``first`` = 1 leaves out row 0, which an upper triangular
+    test does not read.
     """
-    out = start if start is not None else linalg.identity(representation(label).dim)
-    dim = len(out)
-    for atom in atoms:
-        unit, entries, den = _atom_rows(atom, label)
-        if den != 1:
-            entries = [(r, c, Fraction(v, den)) for r, c, v in entries]
-        nxt = []
-        for row in out:
-            acc = list(row) if unit else [0] * dim
-            for r, c, v in entries:
-                a = row[r]
-                if a:
-                    acc[c] = acc[c] + a * v
-            nxt.append(tuple(acc))
-        out = tuple(nxt)
-    return out
+    dim = representation(label).dim
+    rows, den = _fold_rows(_unit_rows(dim, range(first, dim)), 1, g.provenance, label)
+    return tuple(map(tuple, rows)), den
+
+
+def _fraction_view(rows, den):
+    """The matrix rows / den with ``Fraction`` entries, for callers that read
+    ``m7`` or ``m14``."""
+    return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
 
 
 def _invert_atom(atom):
@@ -370,28 +405,38 @@ class GroupElement:
     """A group element carried in both representations at once.
 
     ``provenance`` is the word of generator atoms that produced the
-    element.  Products concatenate words; each matrix is folded from the
-    word when it is first read, and kept.  ``m7`` may be given when the
-    caller has already folded it.
+    element.  Products concatenate words.  ``rows`` is the V7 matrix as
+    integral rows over one common denominator, folded from the word when
+    it is first read, and kept; ``rows`` may be given when the caller has
+    already folded it.  ``m7`` and ``m14`` are ``Fraction`` views, built
+    only when read.
     """
 
-    __slots__ = ("provenance", "_m7", "_m14")
+    __slots__ = ("provenance", "_rows", "_m7", "_m14")
 
-    def __init__(self, provenance, m7=None):
+    def __init__(self, provenance, rows=None):
         self.provenance = tuple(provenance)
-        self._m7 = m7
+        self._rows = rows
+        self._m7 = None
         self._m14 = None
+
+    @property
+    def rows(self):
+        """The V7 matrix as (rows, den): integral rows over a positive int."""
+        if self._rows is None:
+            self._rows = matrix_rows(self, "V7")
+        return self._rows
 
     @property
     def m7(self):
         if self._m7 is None:
-            self._m7 = _fold_atoms(self.provenance, "V7")
+            self._m7 = _fraction_view(*self.rows)
         return self._m7
 
     @property
     def m14(self):
         if self._m14 is None:
-            self._m14 = _fold_atoms(self.provenance, "V14")
+            self._m14 = _fraction_view(*matrix_rows(self, "V14"))
         return self._m14
 
     def matrix(self, label):
@@ -404,11 +449,20 @@ class GroupElement:
         return GroupElement([_invert_atom(a) for a in reversed(self.provenance)])
 
     def __eq__(self, other):
-        # V7 is faithful for G2, so the 7x7 matrix identifies the element
-        return isinstance(other, GroupElement) and self.m7 == other.m7
+        # V7 is faithful for G2, so the 7x7 matrix identifies the element;
+        # a / da == b / db is compared as a * db == b * da
+        if not isinstance(other, GroupElement):
+            return False
+        (a, da), (b, db) = self.rows, other.rows
+        return all(
+            u * db == v * da for ra, rb in zip(a, b) for u, v in zip(ra, rb)
+        )
 
     def __hash__(self):
-        return hash(self.m7)
+        # the rows and denominator in lowest terms, so equal elements hash equal
+        rows, den = self.rows
+        g = gcd(den, *(v for row in rows for v in row))
+        return hash((den // g, tuple(tuple(v // g for v in row) for row in rows)))
 
     def __repr__(self):
         return "GroupElement(%s)" % (", ".join(map(_atom_repr, self.provenance)) or "1")
@@ -438,15 +492,15 @@ def group_product(elements):
 def prefix_products(words):
     """The partial products of a sequence of atom words.
 
-    Each prefix's 7x7 matrix is folded on from the one before it, so the
-    whole chain costs one fold of the full word.
+    Each prefix's integral V7 rows are folded on from those of the
+    prefix before it, so the whole chain costs one fold of the full word.
     """
     out = []
-    provenance, m7 = (), None
+    provenance, rows, den = (), _unit_rows(7, range(7)), 1
     for atoms in words:
         provenance += atoms
-        m7 = _fold_atoms(atoms, "V7", m7)
-        out.append(GroupElement(provenance, m7=m7))
+        rows, den = _fold_rows(rows, den, atoms, "V7")
+        out.append(GroupElement(provenance, rows=(tuple(map(tuple, rows)), den)))
     return out
 
 
@@ -495,51 +549,45 @@ def apply_covector(g, label, row_vec):
 
     ``row_vec`` holds ints or ``Fraction``s.  Returns (numerators, den):
     entry j of row_vec . g is numerators[j] / den, with den a positive
-    int.  The covector is kept as integral numerators over one common
-    denominator, and each atom multiplies its own denominator into it.
+    int.  This is the one-row case of the fold: the covector is kept as
+    integral numerators over one common denominator.
     """
     den = lcm(*(u.denominator for u in row_vec))
     num = [u.numerator * (den // u.denominator) for u in row_vec]
-    n = len(num)
-    for atom in g.provenance:
-        unit, entries, d = _atom_rows(atom, label)
-        out = [u * d for u in num] if unit else [0] * n
-        for r, c, v in entries:
-            u = num[r]
-            if u:
-                out[c] = out[c] + u * v
-        num = out
-        den *= d
+    (num,), den = _fold_rows([num], den, g.provenance, label)
     return num, den
 
 
 # ---------------------------------------------------------------------------
-# triangularity predicates (checked on V7; V14 is consistent by construction)
+# triangularity predicates (checked on V7; V14 is consistent by construction),
+# read from the integral rows: a unit diagonal entry equals the denominator
 # ---------------------------------------------------------------------------
 
 
 def is_upper(g):
-    m = g.m7
-    return all(m[i][j] == 0 for i in range(7) for j in range(i))
+    rows, _ = g.rows
+    return all(not any(row[:i]) for i, row in enumerate(rows))
 
 
 def is_lower(g):
-    m = g.m7
-    return all(m[i][j] == 0 for i in range(7) for j in range(i + 1, 7))
+    rows, _ = g.rows
+    return all(not any(row[i + 1:]) for i, row in enumerate(rows))
 
 
 def is_unipotent_upper(g):
     # a product of x atoms lies in U+, so such a word needs no fold
     if all(atom[0] == "x" for atom in g.provenance):
         return True
-    return is_upper(g) and all(g.m7[i][i] == 1 for i in range(7))
+    rows, den = g.rows
+    return is_upper(g) and all(rows[i][i] == den for i in range(7))
 
 
 def is_unipotent_lower(g):
     # a product of y atoms lies in U-, so such a word needs no fold
     if all(atom[0] == "y" for atom in g.provenance):
         return True
-    return is_lower(g) and all(g.m7[i][i] == 1 for i in range(7))
+    rows, den = g.rows
+    return is_lower(g) and all(rows[i][i] == den for i in range(7))
 
 
 def generator_fixture():

@@ -153,19 +153,6 @@ class Poly:
 
     # -- queries ---------------------------------------------------------
 
-    def evaluate(self, values):
-        """Evaluate at a tuple of Fractions, one per ring variable."""
-        if len(values) != self.ring.nvars:
-            raise ValueError("wrong number of values")
-        total = Fraction(0)
-        for exps, coeff in self.coeffs.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term *= Fraction(v) ** e
-            total += term
-        return total
-
     def terms_grlex(self):
         """Terms as (exponent tuple, coefficient), largest first in grlex."""
         return sorted(self.coeffs.items(), key=lambda item: _grlex_key(item[0]), reverse=True)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from g2cells import chamber, deodhar, rep
+from g2cells import chamber, checks, deodhar, fixtures, rep
 from g2cells.weyl import WORD_I, WORD_I_TILDE, W
 
 
@@ -158,6 +158,15 @@ def test_flag_equal_opposed_rejects_mismatched_pair():
     assert not chamber.flag_equal_opposed(rep.x(1, Fraction(1)), rep.y(1, Fraction(1)))
 
 
+@pytest.mark.parametrize("t", (Fraction(3, 5), Fraction(-7)))
+def test_flag_equal_opposed_reads_the_subdiagonal(t):
+    # y2(t) moves the flag by entries on the subdiagonal of y^-1 x w0dot alone
+    xel = x_tilde((1, 2, 3, 5, 7, 11))
+    yel = chamber.epsilon_factorize(xel, WORD_I_TILDE).product()
+    assert chamber.flag_equal_opposed(xel, yel)
+    assert not chamber.flag_equal_opposed(xel, yel * rep.y(2, t))
+
+
 def test_factorization_forbids_zero_params():
     with pytest.raises(chamber.NotFactorizable):
         chamber.Factorization(WORD_I_TILDE, (Fraction(0),) * 6, "lower")
@@ -228,3 +237,33 @@ def test_alpha_and_epsilon_are_inverse_on_cell_points(fam, word, t, m):
     except chamber.NotFactorizable:
         assume(False)
     assert back.product() == point
+
+
+def test_hot_paths_build_no_fraction_matrix(monkeypatch):
+    """A check-4 point of the epsilon family and of every alpha family (closed
+    form, factorization, flag identity, round trip) and a Deodhar chain point
+    of every family read integral rows and covectors only."""
+    def refuse(*args):
+        raise AssertionError("a Fraction matrix was built")
+
+    monkeypatch.setattr(rep, "_fraction_view", refuse)
+    with pytest.raises(AssertionError, match="Fraction matrix"):
+        rep.sdot(1).m7
+    rng = random.Random(4)
+    for kind in ("epsilon",) + fixtures.TABLE_ORDER:
+        _, point, closed, fac = chamber.redraw(lambda: checks._chamber_draw(kind, rng), kind)
+        assert fac.params == closed
+        image = fac.product()
+        if kind == "epsilon":
+            assert chamber.flag_equal_opposed(point, image)
+            back = chamber.alpha_factorize(image, WORD_I_TILDE)
+        else:
+            assert chamber.flag_equal_opposed(image, point)
+            back = chamber.epsilon_factorize(image, WORD_I_TILDE)
+        assert back.product() == point
+    for fam in deodhar.families():
+        cell, t, m = checks._random_family_point(fam, rng)
+        point = deodhar.cell_point(cell, t, m)
+        assert rep.is_unipotent_lower(point)
+        assert deodhar.bruhat_position_plus(point) is W.w0
+        assert deodhar.verify_cell_chain(cell, t, m)

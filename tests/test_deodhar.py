@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linalg_reference
 from g2cells import deodhar, linalg, rep
@@ -108,10 +109,57 @@ def test_rank_profile_permutation_against_subranks():
         cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
         g = deodhar.cell_point(cell, t, m)
         mat = g.m7
-        assert linalg.bruhat_permutation_topleft(mat) == \
-            linalg_reference.bruhat_permutation_topleft_by_ranks(mat)
-        assert linalg.bruhat_permutation_bottomleft(mat) == \
-            linalg_reference.bruhat_permutation_bottomleft_by_ranks(mat)
+        rows, den = g.rows
+        assert all(isinstance(v, int) for row in rows for v in row)
+        assert mat == tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+        for A in (mat, rows):
+            assert linalg.bruhat_permutation_topleft(A) == \
+                linalg_reference.bruhat_permutation_topleft_by_ranks(mat)
+            assert linalg.bruhat_permutation_bottomleft(A) == \
+                linalg_reference.bruhat_permutation_bottomleft_by_ranks(mat)
+
+
+small_entries = st.integers(-3, 3)
+dense_matrices = st.lists(st.lists(small_entries, min_size=7, max_size=7), min_size=7, max_size=7)
+# mostly zeros, so the permutations vary and many matrices are singular
+sparse_matrices = st.lists(
+    st.lists(st.sampled_from((0, 0, 0, 0, 1, -1, 2)), min_size=7, max_size=7), min_size=7, max_size=7
+)
+
+
+def _lpu(args):
+    """L * P * U for unit lower L, a permutation matrix P and upper U with a
+    nonzero diagonal, whose top-left permutation is P."""
+    lower, perm, upper, diagonal = args
+    L = [[1 if i == j else (lower[i * 7 + j] if j < i else 0) for j in range(7)] for i in range(7)]
+    P = [[1 if perm[j] == i else 0 for j in range(7)] for i in range(7)]
+    U = [[diagonal[i] if i == j else (upper[i * 7 + j] if j > i else 0) for j in range(7)]
+         for i in range(7)]
+    return linalg.mat_mul(linalg.mat_mul(L, P), U)
+
+
+lpu_matrices = st.tuples(
+    st.lists(small_entries, min_size=49, max_size=49),
+    st.permutations(range(7)),
+    st.lists(small_entries, min_size=49, max_size=49),
+    st.lists(st.sampled_from((1, -1, 2, -3)), min_size=7, max_size=7),
+).map(_lpu)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_matrices, sparse_matrices, lpu_matrices))
+def test_fraction_free_scan_matches_rank_profiles(A):
+    A = tuple(map(tuple, A))
+    if linalg_reference.rank(A) < 7:
+        with pytest.raises(ValueError):
+            linalg.bruhat_permutation_topleft(A)
+        with pytest.raises(ValueError):
+            linalg.bruhat_permutation_bottomleft(A)
+        return
+    assert linalg.bruhat_permutation_topleft(A) == \
+        linalg_reference.bruhat_permutation_topleft_by_ranks(A)
+    assert linalg.bruhat_permutation_bottomleft(A) == \
+        linalg_reference.bruhat_permutation_bottomleft_by_ranks(A)
 
 
 def test_bareiss_rank_basics():
@@ -178,3 +226,4 @@ def test_cells_of_distinct_families_have_distinct_chains():
         for other in fams:
             if other.name != fam.name:
                 assert sigma_read != other.sigma
+

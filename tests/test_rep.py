@@ -115,6 +115,22 @@ def test_braid_identity_for_w0():
     assert rep.wdot(W.w0) == a
 
 
+def test_equality_and_hash_across_denominators():
+    half = rep.x(1, Fraction(1, 2))
+    a, b = half * half, rep.x(1, 1)
+    assert a.rows[1] != b.rows[1]  # 16 against 1
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != rep.x(1, Fraction(1, 2)) and a != rep.x(2, 1)
+    w0a = rep.group_product(rep.sdot(i) for i in WORD_I)
+    w0b = rep.group_product(rep.sdot(i) for i in WORD_I_TILDE)
+    assert w0a == w0b and hash(w0a) == hash(w0b) and len({w0a, w0b}) == 1
+    g = rep.coweight(1, Fraction(3, 4)) * rep.y(2, Fraction(-5, 7)) * rep.coweight(2, Fraction(-2, 9))
+    product = g * g.inverse()
+    assert product.rows[1] > 1
+    assert product == rep.group_identity() and hash(product) == hash(rep.group_identity())
+    assert g != rep.group_identity() and g != "not a group element"
+
+
 @settings(max_examples=20, deadline=None)
 @given(nonzero_rationals, st.sampled_from((1, 2)))
 def test_rank_one_factorization_identity(t, i):
@@ -296,6 +312,14 @@ def test_provenance_regenerates_matrices():
     assert (g * inv).m14 == linalg.identity(14)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.lists(atoms, max_size=5), nonzero_parameters, letters)
+def test_hash_follows_equality_through_cancelling_pairs(word, t, i):
+    g = rep.GroupElement(word)
+    padded = g * rep.x(i, t) * rep.coweight(i, t) * rep.coweight(i, 1 / t) * rep.x(i, -t)
+    assert padded == g and hash(padded) == hash(g)
+
+
 def _cell_word(cell, t, m):
     """The atoms of z_1 ... z_6, spelled out from the family's index sets."""
     fam = cell.family
@@ -435,7 +459,7 @@ def test_unipotence_of_pure_words_needs_no_fold(monkeypatch):
     def refuse(*args):
         raise AssertionError("a 7x7 matrix was folded")
 
-    monkeypatch.setattr(rep, "_fold_atoms", refuse)
+    monkeypatch.setattr(rep, "matrix_rows", refuse)
     lower = rep.y(1, Fraction(2, 3)) * rep.y(2, Fraction(-5)) * rep.y(1, Fraction(-2, 3))
     upper = rep.x(2, Fraction(7, 11)) * rep.x(1, Fraction(-1))
     assert rep.is_unipotent_lower(lower) and rep.is_unipotent_upper(upper)
