@@ -16,9 +16,7 @@ from .weyl import (
     Weight,
     WeylElement,
     WeylGroup,
-    bruhat_leq,
     enumerate_distinguished,
-    multiply,
 )
 from .rep import (
     GroupElement,

@@ -67,7 +67,7 @@ def check_representations():
     cartan = ((2, -3), (-1, 2))
     for label in ("V7", "V14"):
         R = rep.representation(label)
-        zero = linalg.mat_scale(R.h[1], Fraction(0))
+        zero = linalg.mat_scale(R.h[1], 0)
         for i in (1, 2):
             for j in (1, 2):
                 lhs = linalg.commutator(R.e[i], R.f[j])
@@ -75,12 +75,12 @@ def check_representations():
                 require(lhs == rhs, "[e%d, f%d] in %s", i, j, label)
                 require(
                     linalg.commutator(R.h[i], R.e[j])
-                    == linalg.mat_scale(R.e[j], Fraction(cartan[i - 1][j - 1])),
+                    == linalg.mat_scale(R.e[j], cartan[i - 1][j - 1]),
                     "[h%d, e%d] in %s", i, j, label,
                 )
                 require(
                     linalg.commutator(R.h[i], R.f[j])
-                    == linalg.mat_scale(R.f[j], Fraction(-cartan[i - 1][j - 1])),
+                    == linalg.mat_scale(R.f[j], -cartan[i - 1][j - 1]),
                     "[h%d, f%d] in %s", i, j, label,
                 )
         for mats, (a, b) in ((R.e, (1, 2)), (R.f, (1, 2))):

@@ -1,9 +1,10 @@
-"""Exact linear algebra over the rationals (and polynomial entries).
+"""Exact dense matrix arithmetic and Bruhat-position scans.
 
-Matrices are tuples of tuples.  Bruhat-position permutations are read
-off rank profiles by one fraction-free column-reduction scan, which
-serves the top-left profile directly and the bottom-left profile on the
-row-reversed matrix.  Scaling a row or a column moves no rank profile,
+Matrices are tuples of tuples of exact entries: the ints of the
+Chevalley construction, or ``Fraction`` and ``Poly`` entries.
+Bruhat-position permutations are read off rank profiles by one
+fraction-free column-reduction scan, which serves the top-left profile
+directly and the bottom-left profile on the row-reversed matrix.  Scaling a row or a column moves no rank profile,
 so the scan takes a group element's integral rows as they are, without
 their common denominator, and eliminates over the integers.  The
 per-submatrix rank definitions it is checked against live with the
@@ -11,15 +12,6 @@ tests.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-def identity(n):
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i in range(n)
-    )
 
 
 def mat_mul(A, B):

@@ -8,9 +8,10 @@ of w.  Delta_-^{w omega_i}(g) takes the coefficient of the lowest
 weight vector v_{-omega_i} := v_{w0 omega_i} instead.
 
 Extremal weight spaces are one dimensional, so in the weight-ordered
-bases these coefficients are single coordinates.  Extremal vectors have
-integer coordinates (divided powers clear all denominators) and depend
-only on the weight, not on the reduced word used.
+bases these coefficients are single coordinates.  Extremal vectors are
+built from the integral divided-power table of ``rep``, so their
+coordinates are ints, and they depend only on the weight, not on the
+reduced word used.
 
 Every minor is evaluated one way: the unit covector of the highest (or
 lowest) weight is folded along the word of g once per level
@@ -105,26 +106,25 @@ def _extremal_along_word(level, word):
 
     Divided powers are applied from the right end of the word inward:
     f_{jl}^{(<a_{jl}^vee, omega>)} first, so each step moves one more
-    reflection from the right of the word onto the weight.
+    reflection from the right of the word onto the weight.  Each step
+    applies the entries of power b of the integral divided-power table,
+    so the coordinates are ints; a power past nilpotency has no entries.
     """
-    label = _REP_OF_LEVEL[level]
-    r = rep.representation(label)
-    omega = OMEGA[level]
-    vec = tuple(Fraction(1) if k == 0 else Fraction(0) for k in range(r.dim))
-    mu = omega
+    r = rep.representation(_REP_OF_LEVEL[level])
+    vec = [1] + [0] * (r.dim - 1)
+    mu = OMEGA[level]
     for j in reversed(word):
         b = mu.pairing(j)
         if b < 0:
             raise AssertionError("negative divided power along a reduced word")
-        mat = r.divided_f_power(j, b)
-        vec = tuple(
-            sum(mat[i][k] * vec[k] for k in range(r.dim) if vec[k]) for i in range(r.dim)
-        )
+        if b:
+            out = [0] * r.dim
+            for k, row, col, v in r._int_terms[("y", j)]:
+                if k == b and vec[col]:
+                    out[row] += v * vec[col]
+            vec = out
         mu = mu.reflect(j)
-    for c in vec:
-        if Fraction(c).denominator != 1:
-            raise ArithmeticError("extremal vector has a non-integer coordinate")
-    return tuple(int(c) for c in vec)
+    return tuple(vec)
 
 
 def extremal_vector(level, w):

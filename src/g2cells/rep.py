@@ -14,6 +14,17 @@ ties in V14 (the two height-1 roots, the zero space, and their mirrors)
 are resolved symmetrically: position k and position 13-k carry opposite
 weights.
 
+Both are built over Python ints.  The generators are integer matrices,
+and so are their divided powers E^k/k! and the adjoint matrices: the
+basis spans Kostant's Z-form, a lattice stable under every divided
+power.  Each division of the construction (the k! of a divided power,
+the p+1 of a root vector, an adjoint coordinate) is exact and raises
+``ArithmeticError`` on a remainder, and the adjoint coordinates must
+rebuild their matrix entry by entry.  Each one-parameter subgroup keeps
+one divided-power table, ``Representation._int_terms``: the entries
+(k, row, col, value) of E^k/k!, which both the fold and the extremal
+vectors of ``minors`` read.
+
 One-parameter subgroups are exact truncated exponentials (the
 generators are nilpotent) and torus elements are diagonal in the weight
 bases.  A group element is the word of generator atoms that produced
@@ -71,17 +82,15 @@ __all__ = [
 
 
 def _unit(i, j, c=1, n=7):
-    return tuple(
-        tuple(Fraction(c) if (r, s) == (i, j) else Fraction(0) for s in range(n))
-        for r in range(n)
-    )
+    return tuple(tuple(c if (r, s) == (i, j) else 0 for s in range(n)) for r in range(n))
 
 
-def _integral(v):
-    """The int value of an exact scalar that must be an integer."""
-    if Fraction(v).denominator != 1:
-        raise ArithmeticError("expected an integral entry, got %s" % (v,))
-    return int(v)
+def _exact_div(a, b):
+    """a // b for ints that b must divide: a remainder would leave the lattice."""
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("%s / %s is not integral" % (a, b))
+    return q
 
 
 def _madd(*ms):
@@ -121,36 +130,27 @@ class Representation:
         self.e = dict(e)
         self.f = dict(f)
         self.h = {i: linalg.commutator(self.e[i], self.f[i]) for i in (1, 2)}
-        # truncated exponential tables: powers E^k / k! until zero
-        self._exp_tables = {}
+        # the one divided-power table: the nonzero entries (k, r, c, value)
+        # of E^k / k! for k = 1, 2, ... until the powers vanish, each an
+        # exact quotient, so a power off the lattice raises ArithmeticError
+        self._int_terms = {}
         self.nilpotency = {}
         for kind, mats in (("x", self.e), ("y", self.f)):
             for i in (1, 2):
-                table = [linalg.identity(self.dim)]
-                k = 0
-                power = linalg.identity(self.dim)
-                fact = 1
-                while True:
+                terms = []
+                power, k, fact = mats[i], 1, 1
+                while not linalg.is_zero_matrix(power):
+                    terms.extend(
+                        (k, r, c, _exact_div(v, fact))
+                        for r, row in enumerate(power)
+                        for c, v in enumerate(row)
+                        if v
+                    )
                     k += 1
-                    power = linalg.mat_mul(power, mats[i])
-                    if linalg.is_zero_matrix(power):
-                        break
                     fact *= k
-                    table.append(linalg.mat_scale(power, Fraction(1, fact)))
-                self._exp_tables[(kind, i)] = table
+                    power = linalg.mat_mul(power, mats[i])
+                self._int_terms[(kind, i)] = tuple(terms)
                 self.nilpotency[(kind, i)] = k
-        # the nonzero entries (k, r, c, value) of the positive powers
-        # E^k / k!, all integral, so that every atom is built over the integers
-        self._int_terms = {
-            key: tuple(
-                (k, r, c, _integral(term[r][c]))
-                for k, term in enumerate(table[1:], start=1)
-                for r in range(self.dim)
-                for c in range(self.dim)
-                if term[r][c]
-            )
-            for key, table in self._exp_tables.items()
-        }
 
     def one_parameter_rows(self, kind, i, t):
         """Integral entries of exp(t e_i) - 1 / exp(t f_i) - 1, and their denominator.
@@ -177,33 +177,30 @@ class Representation:
         den = lcm(*(v.denominator for v in vals))
         return [v.numerator * (den // v.denominator) for v in vals], den
 
-    def divided_f_power(self, i, b):
-        """f_i^b / b! as an exact matrix (zero beyond nilpotency)."""
-        table = self._exp_tables[("y", i)]
-        if b < len(table):
-            return table[b]
-        return tuple(
-            tuple(Fraction(0) for _ in range(self.dim)) for _ in range(self.dim)
-        )
 
+def _coordinates_in_basis(M, basis, h_pair):
+    """Integer coefficients of M in a basis of matrices with disjoint root supports.
 
-def _coordinates_in_basis(M, basis, supports, h_pair):
-    """Coefficients of M in a basis of matrices with disjoint root supports."""
+    Each basis matrix is given as its nonzero entries (row, col, value).
+    A root vector's coefficient is the exact quotient of M by it at its
+    first entry; the two diagonal vectors at ``h_pair`` are read from
+    M[0][0] and M[1][1].  The basis must then rebuild M entry by entry:
+    a remainder or a mismatch raises ArithmeticError.
+    """
     coeffs = []
-    for k, B in enumerate(basis):
+    for k, entries in enumerate(basis):
         if k == h_pair[0]:
             coeffs.append(M[0][0])
         elif k == h_pair[1]:
             coeffs.append(M[1][1] + M[0][0])
         else:
-            (i, j) = supports[k]
-            coeffs.append(M[i][j] / B[i][j])
-    # exactness check: the basis must reproduce M on the nose
-    recon = None
-    for c, B in zip(coeffs, basis):
-        term = linalg.mat_scale(B, c)
-        recon = term if recon is None else linalg.mat_add(recon, term)
-    if recon != tuple(tuple(row) for row in M):
+            i, j, v = entries[0]
+            coeffs.append(_exact_div(M[i][j], v))
+    recon = [[0] * len(row) for row in M]
+    for c, entries in zip(coeffs, basis):
+        for i, j, v in entries:
+            recon[i][j] += c * v
+    if any(list(row) != out for row, out in zip(M, recon)):
         raise ArithmeticError("matrix is not in the span of the root basis")
     return coeffs
 
@@ -215,7 +212,7 @@ def _build_adjoint(v7):
 
     def nest(a, b, denom=1):
         c = linalg.commutator(a, b)
-        return linalg.mat_scale(c, Fraction(1, denom))
+        return tuple(tuple(_exact_div(v, denom) for v in row) for row in c)
 
     # positive root vectors, built by adding one simple root at a time;
     # the divisor p+1 keeps every vector primitive in the matrix lattice
@@ -254,28 +251,17 @@ def _build_adjoint(v7):
     weights = tuple(wt for wt, _ in basis)
     mats = [mat for _, mat in basis]
 
-    supports = {}
-    for k, m in enumerate(mats):
-        if k in (6, 7):
-            continue
-        supports[k] = next(
-            (i, j) for i in range(7) for j in range(7) if m[i][j] != 0
-        )
+    entries = [
+        [(i, j, v) for i, row in enumerate(m) for j, v in enumerate(row) if v] for m in mats
+    ]
 
     def ad_matrix(g):
-        cols = []
-        for m in mats:
-            cols.append(_coordinates_in_basis(linalg.commutator(g, m), mats, supports, (6, 7)))
+        cols = [_coordinates_in_basis(linalg.commutator(g, m), entries, (6, 7)) for m in mats]
         n = len(mats)
         return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
 
     e = {1: ad_matrix(e1), 2: ad_matrix(e2)}
     f = {1: ad_matrix(f1), 2: ad_matrix(f2)}
-    for mat in list(e.values()) + list(f.values()):
-        for row in mat:
-            for entry in row:
-                if entry.denominator != 1:
-                    raise ArithmeticError("adjoint matrices must be integral")
     return Representation("V14", weights, e, f)
 
 
@@ -356,7 +342,7 @@ def _weyl_rows(kind, i, label):
     The key holds no parameter: two kinds, two letters, two
     representations, so the table never exceeds its eight entries.
     """
-    s = Fraction(1) if kind == "sdot" else Fraction(-1)
+    s = 1 if kind == "sdot" else -1
     dim = representation(label).dim
     rows, den = _fold_rows(
         _unit_rows(dim, range(dim)), 1, (("x", i, s), ("y", i, -s), ("x", i, s)), label
@@ -604,6 +590,6 @@ def generator_fixture():
             ("h1", rep.h[1]),
             ("h2", rep.h[2]),
         ):
-            entry[name] = [[_integral(v) for v in row] for row in mat]
+            entry[name] = [list(row) for row in mat]
         out[label] = entry
     return out

@@ -2,9 +2,11 @@
 
 The group (dihedral of order 12) is realized by its faithful permutation
 action on the six short roots, so equality and multiplication reduce to
-permutation composition.  Reduced words, Bruhat order and distinguished
-subexpressions are all precomputed by exhaustive search, which is exact
-and instant at this size.
+permutation composition.  Canonical reduced words and the multiplication
+table are precomputed by breadth-first closure, and distinguished
+subexpressions are enumerated depth-first, which is exact and instant at
+this size.  Bruhat order on the group is not part of the package: the
+relative positions of flags are read from rank profiles (``deodhar``).
 
 Weights are stored in fundamental-weight coordinates (n1, n2), i.e.
 mu = n1*omega1 + n2*omega2, with the conventions
@@ -51,13 +53,6 @@ class Weight:
 
     def __neg__(self):
         return Weight(-self.n1, -self.n2)
-
-    def height(self):
-        """Coefficient sum in the simple-root basis (weight = root lattice here)."""
-        # mu = c1*alpha1 + c2*alpha2 with alpha1 = (2,-1), alpha2 = (-3,2)
-        c1 = 2 * self.n1 + 3 * self.n2
-        c2 = self.n1 + 2 * self.n2
-        return c1 + c2
 
     def eps_triple(self):
         """Coordinates (a, b, c) with mu = a*eps1 + b*eps2 + c*eps3, min = 0."""
@@ -190,20 +185,6 @@ class WeylGroup:
                 if self._mult[a.index][b.index] is self.identity:
                     self._inv[a.index] = b
 
-        # all reduced words per element, by brute force over short words
-        self._reduced_words = {el: [] for el in self.elements}
-        for length in range(self.w0.length + 1):
-            for word in itertools.product((1, 2), repeat=length):
-                el = self.from_word(word)
-                if el.length == length:
-                    self._reduced_words[el].append(word)
-
-        # Bruhat order by the subword property on a fixed reduced word of w
-        self._leq = {}
-        for u in self.elements:
-            for w in self.elements:
-                self._leq[(u, w)] = self._subword(u, w)
-
     # -- group operations -------------------------------------------------
 
     def s(self, i):
@@ -221,27 +202,8 @@ class WeylGroup:
             el = self.product(el, self._s[i])
         return el
 
-    def reduced_words(self, el):
-        return tuple(self._reduced_words[el])
-
     def is_reduced(self, word):
         return self.from_word(word).length == len(word)
-
-    # -- Bruhat order -----------------------------------------------------
-
-    def _subword(self, u, w):
-        if u.length > w.length:
-            return False
-        word = w.word
-        for uw in self._reduced_words[u]:
-            # greedy left-to-right subsequence embedding
-            it = iter(word)
-            if all(any(x == letter for x in it) for letter in uw):
-                return True
-        return False
-
-    def bruhat_leq(self, u, w):
-        return self._leq[(u, w)]
 
 
 #: the shared G2 Weyl group instance
@@ -250,16 +212,6 @@ W = WeylGroup()
 #: the two reduced words of the longest element
 WORD_I = (1, 2, 1, 2, 1, 2)
 WORD_I_TILDE = (2, 1, 2, 1, 2, 1)
-
-
-def multiply(u, w):
-    """Group product in canonical form."""
-    return W.product(u, w)
-
-
-def bruhat_leq(u, w):
-    """True iff u <= w in Bruhat order (subword property)."""
-    return W.bruhat_leq(u, w)
 
 
 @dataclass(frozen=True)
@@ -349,10 +301,3 @@ def enumerate_distinguished(word):
 
     walk(1, [W.identity])
     return out
-
-
-def subexpression_by_name(word, name):
-    for sub in enumerate_distinguished(word):
-        if sub.name == name:
-            return sub
-    raise KeyError(name)

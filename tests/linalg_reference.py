@@ -1,13 +1,17 @@
 """Reference linear algebra that only the tests use.
 
-Fraction-free (Bareiss) rank and determinant, a dense matrix-vector
-product, and the Bruhat permutations straight from the rank-profile
+The identity matrix, Fraction-free (Bareiss) rank and determinant, a
+dense matrix-vector product, and the Bruhat permutations straight from the rank-profile
 definitions: slow, independent oracles for ``g2cells.linalg`` and the
 folded group products.
 """
 
 from fractions import Fraction
 from math import lcm
+
+
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def mat_vec(A, v):

@@ -164,8 +164,8 @@ def test_fraction_free_scan_matches_rank_profiles(A):
 
 def test_bareiss_rank_basics():
     assert linalg_reference.rank(((Fraction(1), Fraction(2)), (Fraction(2), Fraction(4)))) == 1
-    assert linalg_reference.rank(linalg.identity(5)) == 5
-    assert linalg_reference.det(linalg.identity(3)) == 1
+    assert linalg_reference.rank(linalg_reference.identity(5)) == 5
+    assert linalg_reference.det(linalg_reference.identity(3)) == 1
 
 
 def test_position_chain_example():

@@ -18,6 +18,41 @@ def test_no_assert_statements(path):
     assert lines == [], "%s has assert statements at lines %s" % (path.name, lines)
 
 
+def _imported_names(tree):
+    """(name, line) of every name an import binds, outside ``__future__``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.partition(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported_names(tree):
+    """The strings listed in a module-level ``__all__``."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in SOURCES if p.name != "__init__.py"],
+    ids=[p.name for p in SOURCES if p.name != "__init__.py"],
+)
+def test_no_unused_imports(path):
+    """Every imported name is read; ``__init__`` only re-exports, so it is left out."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= _exported_names(tree)
+    unused = [(name, line) for name, line in _imported_names(tree) if name not in read]
+    assert unused == [], "%s imports names it never reads: %s" % (path.name, unused)
+
+
 def test_benchmark_patches_resolve():
     """Every name the benchmark tracer wraps is still defined where it is patched."""
     sys.path.insert(0, str(ROOT / "benchmarks"))

@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 
@@ -10,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linalg_reference
-from g2cells import checks, deodhar, linalg, rep
-from g2cells.weyl import W, WORD_I, WORD_I_TILDE, Weight
+import weyl_reference
+from g2cells import checks, deodhar, linalg, minors, rep
+from g2cells.weyl import OMEGA, W, WORD_I, WORD_I_TILDE, Weight
 
 V7, V14 = rep.build_representations()
 
@@ -78,7 +81,7 @@ def test_triangularity_of_generators(R):
 
 def test_weights_strictly_decreasing_in_height():
     for R in (V7, V14):
-        heights = [w.height() for w in R.weights]
+        heights = [weyl_reference.height(w) for w in R.weights]
         assert heights == sorted(heights, reverse=True)
 
 
@@ -89,7 +92,7 @@ def test_nilpotency_degrees_recorded():
 
 def test_x_at_zero_is_identity():
     assert rep.x(1, 0) == rep.group_identity()
-    assert rep.y(2, 0).m14 == linalg.identity(14)
+    assert rep.y(2, 0).m14 == linalg_reference.identity(14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -195,8 +198,8 @@ def test_determinants_are_one():
 def _dense_exp(mat, t):
     """exp(t * mat) for a nilpotent mat, summed until the powers vanish."""
     n = len(mat)
-    out = linalg.identity(n)
-    term = linalg.identity(n)
+    out = linalg_reference.identity(n)
+    term = linalg_reference.identity(n)
     k = 0
     while True:
         k += 1
@@ -224,7 +227,7 @@ def _dense_atom(atom, R):
 
 
 def _dense_product(atoms, R):
-    out = linalg.identity(R.dim)
+    out = linalg_reference.identity(R.dim)
     for atom in atoms:
         out = linalg.mat_mul(out, _dense_atom(atom, R))
     return out
@@ -309,7 +312,7 @@ def test_provenance_regenerates_matrices():
     assert g.m7 == _dense_product(word, V7) and g.m14 == _dense_product(word, V14)
     inv = g.inverse()
     assert g * inv == rep.group_identity()
-    assert (g * inv).m14 == linalg.identity(14)
+    assert (g * inv).m14 == linalg_reference.identity(14)
 
 
 @settings(max_examples=25, deadline=None)
@@ -343,7 +346,7 @@ def test_prefix_points_match_dense_prefix_products():
             words = _cell_word(cell, t, m)
             prefixes = deodhar._prefix_points(cell, t, m)
             assert len(prefixes) == len(words) == 6
-            dense = linalg.identity(7)
+            dense = linalg_reference.identity(7)
             for k, g in enumerate(prefixes, start=1):
                 dense = linalg.mat_mul(dense, _dense_product(words[k - 1], V7))
                 assert g.provenance == sum(words[:k], ())
@@ -475,6 +478,71 @@ def test_v14_consistent_with_v7_on_predicates():
         m = g.m14
         lower = all(m[i][j] == 0 for i in range(14) for j in range(i + 1, 14))
         assert lower == rep.is_lower(g)
+
+
+@pytest.mark.parametrize("level, R", ((1, V7), (2, V14)), ids=("V7", "V14"))
+def test_representations_are_built_over_ints(level, R):
+    for mats in (R.e, R.f, R.h):
+        for mat in mats.values():
+            assert all(type(v) is int for row in mat for v in row)
+    for terms in R._int_terms.values():
+        assert terms and all(type(v) is int for term in terms for v in term)
+    for w in W.elements:
+        mu = w.act(OMEGA[level])
+        assert all(type(v) is int for v in minors._extremal_by_weight(level, mu.n1, mu.n2))
+
+
+def test_build_representations_constructs_no_fraction():
+    # a fresh interpreter, so that no cache of this session is cleared
+    script = "\n".join((
+        "import fractions",
+        "from g2cells import rep",
+        "made = []",
+        "new = fractions.Fraction.__new__",
+        "def counting(cls, *args, **kwargs):",
+        "    made.append(args)",
+        "    return new(cls, *args, **kwargs)",
+        "fractions.Fraction.__new__ = staticmethod(counting)",
+        "fractions.Fraction(1, 3)",
+        "probe = len(made)",
+        "rep.build_representations()",
+        "print(probe, len(made) - probe)",
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    # the probe shows that the counter is live; the build makes no Fraction
+    assert proc.stdout.split() == ["1", "0"]
+
+
+def test_divided_power_off_the_lattice_raises():
+    # E^2 has the entry 1 at (0, 2), and 1 / 2! is not an integer
+    e = ((0, 1, 0), (0, 0, 1), (0, 0, 0))
+    zero = {1: ((0, 0, 0),) * 3, 2: ((0, 0, 0),) * 3}
+    weights = (Weight(1, 0), Weight(0, 0), Weight(-1, 0))
+    with pytest.raises(ArithmeticError):
+        rep.Representation("off-lattice", weights, {1: e, 2: zero[2]}, zero)
+    doubled = tuple(tuple(2 * v for v in row) for row in e)
+    R = rep.Representation("on-lattice", weights, {1: doubled, 2: zero[2]}, zero)
+    assert R._int_terms[("x", 1)] == ((1, 0, 1, 2), (1, 1, 2, 2), (2, 0, 2, 2))
+
+
+#: a root vector at (0, 1) whose entry is 2, and two diagonal vectors
+#: read from M[0][0] and M[1][1]
+_SMALL_BASIS = ([(0, 1, 2)], [(0, 0, 1), (1, 1, -1)], [(1, 1, 1)])
+
+
+def test_coordinates_in_basis_rebuild_the_matrix():
+    assert rep._coordinates_in_basis(((3, 4), (0, 5)), _SMALL_BASIS, (1, 2)) == [2, 3, 8]
+
+
+@pytest.mark.parametrize(
+    "M", (((0, 0), (1, 0)), ((0, 3), (0, 0))), ids=("outside-the-span", "off-the-lattice")
+)
+def test_coordinates_outside_the_root_basis_raise(M):
+    with pytest.raises(ArithmeticError):
+        rep._coordinates_in_basis(M, _SMALL_BASIS, (1, 2))
 
 
 def test_generator_fixture_matches_committed_file():
