@@ -5,6 +5,11 @@ decomposition of the intersection of the two opposed big cells of the
 real flag variety of type G2, classifies every cell into its connected
 component through the Berenstein-Zelevinsky Chamber Ansatz, and tallies
 the Euler characteristic of each component.
+
+One representation carries the group: the 7-dimensional fundamental
+representation V7, over the integers.  The generalized minors of level 1
+are entries of its matrices and those of level 2 are 2x2 minors, read
+through the exterior square of V7.
 """
 
 from .weyl import (

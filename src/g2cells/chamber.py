@@ -182,7 +182,7 @@ def flag_equal_opposed(x, y):
         raise ValueError("first argument must be unipotent upper")
     if not rep.is_unipotent_lower(y):
         raise ValueError("second argument must be unipotent lower")
-    rows, _ = rep.matrix_rows(y.inverse() * x * rep.wdot(W.w0), "V7", first=1)
+    rows, _ = rep.matrix_rows(y.inverse() * x * rep.wdot(W.w0), first=1)
     return all(not any(row[:i]) for i, row in enumerate(rows, start=1))
 
 

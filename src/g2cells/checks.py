@@ -65,36 +65,35 @@ def check_distinguished_subexpressions():
 def check_representations():
     """Chevalley, Serre, braid and rank-1 factorization identities, exactly."""
     cartan = ((2, -3), (-1, 2))
-    for label in ("V7", "V14"):
-        R = rep.representation(label)
-        zero = linalg.mat_scale(R.h[1], 0)
-        for i in (1, 2):
-            for j in (1, 2):
-                lhs = linalg.commutator(R.e[i], R.f[j])
-                rhs = R.h[i] if i == j else zero
-                require(lhs == rhs, "[e%d, f%d] in %s", i, j, label)
-                require(
-                    linalg.commutator(R.h[i], R.e[j])
-                    == linalg.mat_scale(R.e[j], cartan[i - 1][j - 1]),
-                    "[h%d, e%d] in %s", i, j, label,
-                )
-                require(
-                    linalg.commutator(R.h[i], R.f[j])
-                    == linalg.mat_scale(R.f[j], -cartan[i - 1][j - 1]),
-                    "[h%d, f%d] in %s", i, j, label,
-                )
-        for mats, (a, b) in ((R.e, (1, 2)), (R.f, (1, 2))):
-            t = mats[b]
-            for _ in range(4):
-                t = linalg.commutator(mats[a], t)
-            require(linalg.is_zero_matrix(t), "quartic Serre relation in %s", label)
-            t = mats[a]
-            for _ in range(2):
-                t = linalg.commutator(mats[b], t)
-            require(linalg.is_zero_matrix(t), "quadratic Serre relation in %s", label)
+    R = rep.build_representations()
+    zero = linalg.mat_scale(R.h[1], 0)
+    for i in (1, 2):
+        for j in (1, 2):
+            lhs = linalg.commutator(R.e[i], R.f[j])
+            rhs = R.h[i] if i == j else zero
+            require(lhs == rhs, "[e%d, f%d]", i, j)
+            require(
+                linalg.commutator(R.h[i], R.e[j])
+                == linalg.mat_scale(R.e[j], cartan[i - 1][j - 1]),
+                "[h%d, e%d]", i, j,
+            )
+            require(
+                linalg.commutator(R.h[i], R.f[j])
+                == linalg.mat_scale(R.f[j], -cartan[i - 1][j - 1]),
+                "[h%d, f%d]", i, j,
+            )
+    for mats in (R.e, R.f):
+        t = mats[2]
+        for _ in range(4):
+            t = linalg.commutator(mats[1], t)
+        require(linalg.is_zero_matrix(t), "quartic Serre relation")
+        t = mats[1]
+        for _ in range(2):
+            t = linalg.commutator(mats[2], t)
+        require(linalg.is_zero_matrix(t), "quadratic Serre relation")
     w0a = rep.group_product(rep.sdot(i) for i in WORD_I)
     w0b = rep.group_product(rep.sdot(i) for i in WORD_I_TILDE)
-    require(w0a.m7 == w0b.m7 and w0a.m14 == w0b.m14, "braid identity for w0dot")
+    require(w0a == w0b, "braid identity for w0dot")
     rng = random.Random(2024)
     for _ in range(20):
         t = Fraction(rng.choice(deodhar.PRIMES), rng.choice(deodhar.PRIMES))
@@ -103,10 +102,7 @@ def check_representations():
         for i in (1, 2):
             lhs = rep.x(i, t)
             rhs = rep.y(i, 1 / t) * rep.sdot(i) * rep.coweight(i, 1 / t) * rep.y(i, 1 / t)
-            require(
-                lhs.m7 == rhs.m7 and lhs.m14 == rhs.m14,
-                "rank-1 factorization identity at t=%s, i=%d", t, i,
-            )
+            require(lhs == rhs, "rank-1 factorization identity at t=%s, i=%d", t, i)
 
 
 def check_symbolic_minors():

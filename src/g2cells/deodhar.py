@@ -159,7 +159,7 @@ def _prefix_points(cell, t, m):
 @lru_cache(maxsize=None)
 def _weight_permutations():
     """For each Weyl element, its permutation of the V7 basis lines."""
-    v7 = rep.representation("V7")
+    v7 = rep.build_representations()
     table = {}
     for w in W.elements:
         images = tuple(w.act(mu) for mu in v7.weights)

@@ -1,25 +1,36 @@
 """Generalized minors labeled by chamber weights.
 
-A chamber weight of level i is an extremal weight w*omega_i.  The minor
-Delta^{w omega_i}(g) is the coefficient of the highest weight vector
-v_{omega_i} in g . v_{w omega_i}, where v_{w omega_i} is built from the
-highest weight vector by divided powers of the f_i along a reduced word
-of w.  Delta_-^{w omega_i}(g) takes the coefficient of the lowest
-weight vector v_{-omega_i} := v_{w0 omega_i} instead.
+A chamber weight of level l is an extremal weight w*omega_l.  The minor
+Delta^{w omega_l}(g) is the coefficient of the highest weight vector
+v_{omega_l} in g . v_{w omega_l}.  Delta_-^{w omega_l}(g) takes the
+coefficient of the lowest weight vector v_{-omega_l} := v_{w0 omega_l}
+instead.
 
-Extremal weight spaces are one dimensional, so in the weight-ordered
-bases these coefficients are single coordinates.  Extremal vectors are
-built from the integral divided-power table of ``rep``, so their
-coordinates are ints, and they depend only on the weight, not on the
-reduced word used.
+Both levels live in exterior powers of V7.  V(omega1) is V7, and
+V(omega2) sits inside the exterior square of V7 with highest weight
+vector e0 ^ e1.  A vector of level l is therefore a sum of wedges
+e_{c1} ^ ... ^ e_{cl} of basis vectors, and g acts on a wedge factor by
+factor.  The coefficient of e_{r1} ^ ... ^ e_{rl} in g . (e_{c1} ^ ...
+^ e_{cl}) is the l x l minor of the V7 matrix at rows r and columns c
+(Fomin-Zelevinsky, Double Bruhat cells and total positivity, 1999).
 
-Every minor is evaluated one way: the unit covector of the highest (or
-lowest) weight is folded along the word of g once per level
-(``highest_row``/``lowest_row``), and the resulting row functional is
-contracted with an extremal vector (``pair_row_with_weight``).  All
-minors of one level then share a single fold.  The fold runs over the
-integers and returns numerators over one denominator; the contraction
-is integral too, and divides by that denominator once per minor.
+The extremal vector v_{w omega_l} is built from the highest weight
+vector by divided powers of the f_i along a reduced word of w.  On a
+wedge, f^(b) acts by the coproduct f^(b)(u ^ v) = sum_k f^(k)u ^
+f^(b-k)v.  Each f^(k) is read from the integral divided-power table of
+``rep``, so the coefficients are ints, and they depend only on the
+weight, not on the reduced word used.  Extremal weight spaces are one
+dimensional, so each extremal vector is a single wedge up to sign.
+
+Every minor, of either level, is evaluated one way.  The top l (or
+bottom l) unit rows of V7 are folded along the word of g once per level
+(``highest_row``/``lowest_row``), and the block of row functionals is
+paired with an extremal vector (``pair_row_with_weight``): the sum of
+coefficient times the l x l determinant at the wedge's columns.  All
+minors of one level share a single fold.  The fold runs over the
+integers and returns numerators over one denominator; the pairing is
+integral too, and divides by the l-th power of that denominator once
+per minor.
 """
 
 from __future__ import annotations
@@ -27,6 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations, product
+from math import prod
 
 from . import rep
 from .scalars import PolyRing
@@ -44,8 +57,6 @@ __all__ = [
     "symbolic_minors",
 ]
 
-_REP_OF_LEVEL = {1: "V7", 2: "V14"}
-
 
 @dataclass(frozen=True)
 class ChamberWeight:
@@ -61,8 +72,11 @@ class ChamberWeight:
 
 @dataclass(frozen=True)
 class ExtremalVector:
-    rep: str
-    coordinates: tuple
+    """v_{w omega_level} as ``terms``: pairs (columns, coefficient), one per
+    basis wedge e_{c1} ^ ... ^ e_{c_level} with increasing columns."""
+
+    level: int
+    terms: tuple
     weight: Weight
 
 
@@ -94,78 +108,129 @@ def weight_to_chamber(mu):
 
 @lru_cache(maxsize=None)
 def _extremal_by_weight(level, n1, n2):
-    """Integer coordinates of v_{w omega_i}, computed along the minimal word."""
+    """The wedge terms of v_{w omega_i}, computed along the minimal word."""
     cw = weight_to_chamber(Weight(n1, n2))
     if cw.level != level:
         raise ValueError("weight %r is not of level %d" % ((n1, n2), level))
     return _extremal_along_word(level, cw.w.word)
 
 
+def _sort_sign(rows):
+    """The sign of the permutation that sorts ``rows``, or 0 if two are equal."""
+    sign = 1
+    for a, b in combinations(rows, 2):
+        if a == b:
+            return 0
+        if a > b:
+            sign = -sign
+    return sign
+
+
 def _extremal_along_word(level, word):
-    """v of weight (s_{j1}...s_{jl}) omega for word (j1..jl).
+    """v of weight (s_{j1}...s_{jl}) omega_level for word (j1..jl), as wedge terms.
 
     Divided powers are applied from the right end of the word inward:
     f_{jl}^{(<a_{jl}^vee, omega>)} first, so each step moves one more
-    reflection from the right of the word onto the weight.  Each step
-    applies the entries of power b of the integral divided-power table,
-    so the coordinates are ints; a power past nilpotency has no entries.
+    reflection from the right of the word onto the weight.  f^(b) acts on
+    a wedge by the coproduct: the sum over k_1 + ... + k_level = b of
+    f^(k_1) e_{c1} ^ ... ^ f^(k_level) e_{c_level}.  Each f^(k) e_c is
+    column c of the power-k entries of the integral divided-power table
+    (f^(0) is the identity), so the coefficients are ints.
     """
-    r = rep.representation(_REP_OF_LEVEL[level])
-    vec = [1] + [0] * (r.dim - 1)
+    v7 = rep.build_representations()
+    vec = {tuple(range(level)): 1}
     mu = OMEGA[level]
     for j in reversed(word):
         b = mu.pairing(j)
         if b < 0:
             raise AssertionError("negative divided power along a reduced word")
         if b:
-            out = [0] * r.dim
-            for k, row, col, v in r._int_terms[("y", j)]:
-                if k == b and vec[col]:
-                    out[row] += v * vec[col]
-            vec = out
+            images = {}  # (k, c) -> the entries (row, value) of f_j^(k) e_c
+            for k, row, col, v in v7._int_terms[("y", j)]:
+                images.setdefault((k, col), []).append((row, v))
+            out = {}
+            for cols, coeff in vec.items():
+                for ks in product(range(b + 1), repeat=level):
+                    if sum(ks) != b:
+                        continue
+                    factors = [
+                        images.get((k, c), ()) if k else ((c, 1),) for k, c in zip(ks, cols)
+                    ]
+                    for picks in product(*factors):
+                        rows = [r for r, _ in picks]
+                        sign = _sort_sign(rows)
+                        if sign:
+                            key = tuple(sorted(rows))
+                            out[key] = out.get(key, 0) + sign * coeff * prod(v for _, v in picks)
+            vec = {cols: c for cols, c in out.items() if c}
         mu = mu.reflect(j)
-    return tuple(vec)
+    return tuple(sorted(vec.items()))
 
 
 def extremal_vector(level, w):
     """The extremal weight vector of weight w*omega_level."""
     mu = w.act(OMEGA[level])
-    vec = _extremal_by_weight(level, mu.n1, mu.n2)
-    return ExtremalVector(_REP_OF_LEVEL[level], vec, mu)
+    return ExtremalVector(level, _extremal_by_weight(level, mu.n1, mu.n2), mu)
 
 
 @lru_cache(maxsize=None)
-def _unit_covector(level, lowest):
-    """The covector reading the coefficient of v_omega, or of v_{-omega} if ``lowest``."""
-    dim = rep.representation(_REP_OF_LEVEL[level]).dim
-    idx, value = 0, Fraction(1)
+def _unit_rows(level, lowest):
+    """The int unit rows whose fold reads the coefficient of v_omega, or of
+    v_{-omega} if ``lowest``.
+
+    Rows 0..level-1 read the highest wedge e_0 ^ ... ^ e_{level-1}.  Rows
+    7-level..6 read the bottom wedge, and v_{-omega} must be +/- that
+    wedge: its sign s goes into the first row, so the determinant is the
+    bottom coefficient divided by s.
+    """
+    first, sign = 0, 1
     if lowest:
+        first = 7 - level
         mu = -OMEGA[level]
-        vec = _extremal_by_weight(level, mu.n1, mu.n2)
-        idx = dim - 1
-        if any(vec[:idx]) or abs(vec[idx]) != 1:
-            raise ArithmeticError("lowest extremal vector is not +/- the last basis vector")
-        value = 1 / Fraction(vec[idx])
-    return tuple(value if k == idx else Fraction(0) for k in range(dim))
+        terms = _extremal_by_weight(level, mu.n1, mu.n2)
+        if len(terms) != 1 or terms[0][0] != tuple(range(first, 7)) or abs(terms[0][1]) != 1:
+            raise ArithmeticError("lowest extremal vector is not +/- the bottom wedge")
+        sign = terms[0][1]
+    return tuple(
+        tuple((sign if r == first else 1) if c == r else 0 for c in range(7))
+        for r in range(first, first + level)
+    )
 
 
 def highest_row(g, level):
-    """The row functional v -> coefficient of v_omega in g.v, as a covector
-    (numerators, denominator)."""
-    return rep.apply_covector(g, _REP_OF_LEVEL[level], _unit_covector(level, False))
+    """The row functionals v -> coefficient of v_omega in g.v: the top
+    ``level`` rows of g, as (numerators, denominator)."""
+    return rep.apply_covector(g, _unit_rows(level, False))
 
 
 def lowest_row(g, level):
-    """The row functional v -> coefficient of v_{-omega} in g.v."""
-    return rep.apply_covector(g, _REP_OF_LEVEL[level], _unit_covector(level, True))
+    """The row functionals v -> coefficient of v_{-omega} in g.v."""
+    return rep.apply_covector(g, _unit_rows(level, True))
+
+
+def _det(rows, cols):
+    """The determinant of the square block rows[k][cols[j]], by expansion
+    along its first row."""
+    if len(rows) == 1:
+        return rows[0][cols[0]]
+    total, sign = 0, 1
+    for j, c in enumerate(cols):
+        a = rows[0][c]
+        if a:
+            total = total + sign * a * _det(rows[1:], cols[:j] + cols[j + 1:])
+        sign = -sign
+    return total
 
 
 def pair_row_with_weight(row, level, mu):
-    """Contract a row functional (numerators, denominator) with the extremal
-    vector of mu, dividing by the denominator once."""
-    num, den = row
-    vec = _extremal_by_weight(level, mu.n1, mu.n2)
-    return sum((a * b for a, b in zip(num, vec) if a and b), start=0) / Fraction(den)
+    """Pair row functionals (numerators, denominator) with the extremal vector
+    of mu: the sum of coefficient times the determinant at the wedge's
+    columns, divided by the denominator to the power ``level`` once."""
+    rows, den = row
+    total = 0
+    for cols, coeff in _extremal_by_weight(level, mu.n1, mu.n2):
+        total = total + coeff * _det(rows, cols)
+    return total / Fraction(den**level)
 
 
 def minor(g, cw):

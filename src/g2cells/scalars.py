@@ -2,9 +2,10 @@
 
 Every number in this package is exact: a Python ``int``, a
 ``fractions.Fraction`` or a ``Poly`` over the rationals.  The Chevalley
-matrices, divided-power tables, folds and extremal vectors are ints
-(integral numerators over one denominator where a fold divides);
-parameters and the values read out of them are ``Fraction``s or
+matrices of V7, its divided-power tables, the folds and the coefficients
+of the extremal wedges are ints (integral numerators over one
+denominator where a fold divides); parameters are ints, ``Fraction``s or
+``Poly``s, and the minors read out of them are ``Fraction``s or
 ``Poly``s.  No floating point is used anywhere.
 Quotients of polynomials are never formed symbolically; rational-function
 identities are always decided by cross-multiplying exact values.

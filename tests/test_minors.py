@@ -4,25 +4,60 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linalg_reference
-from g2cells import fixtures, linalg, minors, rep
+from dense_reference import atoms, dense_product
+from g2cells import fixtures, minors, rep
 from g2cells.weyl import W, Weight, weight_by_label
+
+V7 = rep.build_representations()
+
+#: the extremal vector of every chamber weight, by level: the columns of its
+#: one basis wedge e_{c1} ^ ... ^ e_{cl} of the exterior power of V7, each
+#: with coefficient +1
+WEDGES = {
+    1: {
+        (1, 0): (0,),
+        (-1, 1): (1,),
+        (2, -1): (2,),
+        (-2, 1): (4,),
+        (1, -1): (5,),
+        (-1, 0): (6,),
+    },
+    2: {
+        (0, 1): (0, 1),
+        (3, -1): (0, 2),
+        (-3, 2): (1, 4),
+        (3, -2): (2, 5),
+        (-3, 1): (4, 6),
+        (0, -1): (5, 6),
+    },
+}
 
 
 def test_extremal_at_identity_is_highest_vector():
     v = minors.extremal_vector(1, W.identity)
-    assert v.coordinates == (1, 0, 0, 0, 0, 0, 0)
+    assert v.terms == (((0,), 1),)
     assert v.weight == Weight(1, 0)
+    assert minors.extremal_vector(2, W.identity).terms == (((0, 1), 1),)
 
 
 def test_extremal_at_w0_has_lowest_weight():
     for level, omega in ((1, Weight(1, 0)), (2, Weight(0, 1))):
         v = minors.extremal_vector(level, W.w0)
         assert v.weight == -omega
-        nz = [k for k, c in enumerate(v.coordinates) if c != 0]
-        assert nz == [len(v.coordinates) - 1]
-        assert abs(v.coordinates[-1]) == 1
+        ((cols, coeff),) = v.terms
+        assert cols == tuple(range(7 - level, 7))
+        assert abs(coeff) == 1
+
+
+def test_extremal_vectors_are_the_pinned_wedges():
+    for level, table in WEDGES.items():
+        for w in W.elements:
+            v = minors.extremal_vector(level, w)
+            assert v.level == level
+            assert v.terms == ((table[(v.weight.n1, v.weight.n2)], 1),)
 
 
 def test_extremal_reduced_word_independence_on_w0():
@@ -39,11 +74,11 @@ def test_extremal_vectors_integral_and_primitive():
     for level in (1, 2):
         for w in W.elements:
             v = minors.extremal_vector(level, w)
-            coords = [Fraction(c) for c in v.coordinates]
-            assert all(c.denominator == 1 for c in coords)
+            coeffs = [coeff for _, coeff in v.terms]
+            assert all(type(c) is int for c in coeffs)
             content = 0
-            for c in coords:
-                content = gcd(content, int(c))
+            for c in coeffs:
+                content = gcd(content, c)
             assert content == 1
 
 
@@ -128,21 +163,67 @@ def test_minor_of_unipotents_at_fundamental_weights():
             assert minors.minor(g, cw) == 1
 
 
+def _oracle_minors(dense, level, mu):
+    """Delta and Delta_- of level ``level`` at mu from the dense matrix alone: the
+    determinants at rows 0..level-1 and 7-level..6 and the pinned wedge's
+    columns, the lowest one divided by the sign of v_{-omega}, which is +1."""
+    cols = WEDGES[level][(mu.n1, mu.n2)]
+
+    def det_at(rows):
+        return linalg_reference.det(tuple(tuple(dense[r][c] for c in cols) for r in rows))
+
+    return det_at(range(level)), det_at(range(7 - level, 7))
+
+
+def _assert_minors_match_oracle(g, dense):
+    for level in (1, 2):
+        for w in W.elements:
+            cw = minors.ChamberWeight(w, level)
+            highest, lowest = _oracle_minors(dense, level, cw.weight)
+            assert minors.minor(g, cw) == highest
+            assert minors.minor_lower(g, cw) == lowest
+
+
 def test_row_functionals_agree_with_direct_minors():
-    """Both minors against the dense matrix applied to the extremal vector."""
+    """Both minors of both levels against determinants of the dense product."""
     params = [Fraction(v) for v in (2, -3, 5, -7, 11, -13)]
-    upper = rep.group_product(
-        rep.x(i, t) for i, t in zip((2, 1, 2, 1, 2, 1), params)
-    )
-    lower = rep.group_product(
-        rep.y(i, t) for i, t in zip((1, 2, 1, 2, 1, 2), params)
-    )
-    for g in (upper, lower, upper * lower):
-        for level, label in ((1, "V7"), (2, "V14")):
-            lowest = minors.extremal_vector(level, W.w0).coordinates[-1]
-            for w in W.elements:
-                cw = minors.ChamberWeight(w, level)
-                vec = minors.extremal_vector(level, w).coordinates
-                dense = linalg_reference.mat_vec(g.matrix(label), vec)
-                assert minors.minor(g, cw) == dense[0]
-                assert minors.minor_lower(g, cw) == dense[-1] / lowest
+    upper = tuple(("x", i, t) for i, t in zip((2, 1, 2, 1, 2, 1), params))
+    lower = tuple(("y", i, t) for i, t in zip((1, 2, 1, 2, 1, 2), params))
+    for word in (upper, lower, upper + lower):
+        g = rep.GroupElement(word)
+        _assert_minors_match_oracle(g, dense_product(word, V7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(atoms, max_size=7))
+def test_minors_are_determinants_of_the_dense_product(word):
+    g = rep.group_product(rep.GroupElement([atom]) for atom in word)
+    _assert_minors_match_oracle(g, dense_product(word, V7))
+
+
+def test_lowest_rows_require_the_bottom_wedge(monkeypatch):
+    minors._unit_rows.cache_clear()
+    try:
+        assert minors._unit_rows(2, True)[0] == (0, 0, 0, 0, 0, 1, 0)
+        minors._unit_rows.cache_clear()
+        for wrong in ((((4, 6), 1),), (((5, 6), 2),), (((5, 6), 1), ((4, 6), 1))):
+            monkeypatch.setattr(minors, "_extremal_by_weight", lambda *key, terms=wrong: terms)
+            with pytest.raises(ArithmeticError):
+                minors._unit_rows(2, True)
+        # a bottom wedge of sign -1 puts its sign into the first row
+        monkeypatch.setattr(minors, "_extremal_by_weight", lambda *key: (((5, 6), -1),))
+        assert minors._unit_rows(2, True) == ((0, 0, 0, 0, 0, -1, 0), (0, 0, 0, 0, 0, 0, 1))
+        # the highest rows need no extremal vector
+        assert minors._unit_rows(2, False) == ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+    finally:
+        minors._unit_rows.cache_clear()
+
+
+def test_wedge_sign_of_unsorted_rows():
+    # e_r1 ^ ... ^ e_rl is the sign of the sorting permutation times the
+    # sorted wedge, and vanishes when a row repeats
+    assert minors._sort_sign([0, 1]) == 1
+    assert minors._sort_sign([4, 2]) == -1
+    assert minors._sort_sign([3, 3]) == 0
+    assert minors._sort_sign([2, 0, 1]) == 1
+    assert minors._sort_sign([0, 2, 1]) == -1

@@ -1,7 +1,9 @@
-"""The two exact representations and the one-parameter subgroups."""
+"""The exact representation V7 and the one-parameter subgroups."""
 
+import importlib
 import json
 import math
+import pkgutil
 import random
 import subprocess
 import sys
@@ -11,36 +13,37 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import g2cells
 import linalg_reference
 import weyl_reference
-from g2cells import checks, deodhar, linalg, minors, rep
+from dense_reference import (
+    LARGE_PRIMES,
+    atoms,
+    dense_product,
+    letters,
+    nonzero_parameters,
+    parameters,
+    rationals,
+)
+from g2cells import chamber, checks, deodhar, linalg, minors, rep
 from g2cells.weyl import OMEGA, W, WORD_I, WORD_I_TILDE, Weight
 
-V7, V14 = rep.build_representations()
+V7 = rep.build_representations()
 
-rationals = st.fractions(
-    min_value=-20, max_value=20, max_denominator=12
-)
 nonzero_rationals = rationals.filter(lambda q: q != 0)
 
 
 def test_dimensions():
     assert V7.dim == 7
-    assert V14.dim == 14
 
 
 def test_weight_multisets():
     short = {(1, 0), (-2, 1), (1, -1), (-1, 0), (2, -1), (-1, 1)}
     got7 = sorted((w.n1, w.n2) for w in V7.weights)
     assert got7 == sorted(list(short) + [(0, 0)])
-    zero_mult = sum(1 for w in V14.weights if w == Weight(0, 0))
-    assert zero_mult == 2
-    long_roots = {(0, 1), (3, -1), (-3, 2), (3, -2), (-3, 1), (0, -1)}
-    got14 = sorted((w.n1, w.n2) for w in V14.weights)
-    assert got14 == sorted(list(short) + list(long_roots) + [(0, 0), (0, 0)])
 
 
-@pytest.mark.parametrize("R", (V7, V14), ids=("V7", "V14"))
+@pytest.mark.parametrize("R", (V7,), ids=("V7",))
 def test_chevalley_relations(R):
     A = ((2, -3), (-1, 2))
     zero = linalg.mat_scale(R.h[1], Fraction(0))
@@ -55,7 +58,7 @@ def test_chevalley_relations(R):
             )
 
 
-@pytest.mark.parametrize("R", (V7, V14), ids=("V7", "V14"))
+@pytest.mark.parametrize("R", (V7,), ids=("V7",))
 def test_serre_relations(R):
     for mats in (R.e, R.f):
         t = mats[2]
@@ -68,7 +71,7 @@ def test_serre_relations(R):
         assert linalg.is_zero_matrix(t)
 
 
-@pytest.mark.parametrize("R", (V7, V14), ids=("V7", "V14"))
+@pytest.mark.parametrize("R", (V7,), ids=("V7",))
 def test_triangularity_of_generators(R):
     for i in (1, 2):
         assert all(
@@ -80,19 +83,17 @@ def test_triangularity_of_generators(R):
 
 
 def test_weights_strictly_decreasing_in_height():
-    for R in (V7, V14):
-        heights = [weyl_reference.height(w) for w in R.weights]
-        assert heights == sorted(heights, reverse=True)
+    heights = [weyl_reference.height(w) for w in V7.weights]
+    assert heights == sorted(heights, reverse=True)
 
 
 def test_nilpotency_degrees_recorded():
     assert V7.nilpotency == {("x", 1): 3, ("x", 2): 2, ("y", 1): 3, ("y", 2): 2}
-    assert V14.nilpotency == {("x", 1): 4, ("x", 2): 3, ("y", 1): 4, ("y", 2): 3}
 
 
 def test_x_at_zero_is_identity():
     assert rep.x(1, 0) == rep.group_identity()
-    assert rep.y(2, 0).m14 == linalg_reference.identity(14)
+    assert rep.y(2, 0).m7 == linalg_reference.identity(7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -114,7 +115,7 @@ def test_coweight_identity_and_inverse():
 def test_braid_identity_for_w0():
     a = rep.group_product(rep.sdot(i) for i in WORD_I)
     b = rep.group_product(rep.sdot(i) for i in WORD_I_TILDE)
-    assert a == b and a.m14 == b.m14
+    assert a == b and a.m7 == b.m7
     assert rep.wdot(W.w0) == a
 
 
@@ -140,7 +141,6 @@ def test_rank_one_factorization_identity(t, i):
     lhs = rep.x(i, t)
     rhs = rep.y(i, 1 / t) * rep.sdot(i) * rep.coweight(i, 1 / t) * rep.y(i, 1 / t)
     assert lhs.m7 == rhs.m7
-    assert lhs.m14 == rhs.m14
 
 
 def test_wdot_representatives_are_distinct():
@@ -151,21 +151,18 @@ def test_sdot_conjugation_permutes_weight_spaces():
     for i in (1, 2):
         g = rep.sdot(i)
         inv = g.inverse()
-        for R, label in ((V7, "V7"),):
-            m = g.matrix(label)
-            minv = inv.matrix(label)
-            conj = linalg.mat_mul(linalg.mat_mul(m, _diag_basis(R, 0)), minv)
-            # conjugating the projector onto a weight line lands on the
-            # reflected weight's line
-            for k, mu in enumerate(R.weights):
-                proj = _diag_basis(R, k)
-                image = linalg.mat_mul(linalg.mat_mul(m, proj), minv)
-                target = mu.reflect(i)
-                expected_index = R.weights.index(target)
-                for r in range(R.dim):
-                    for c in range(R.dim):
-                        if image[r][c] != 0:
-                            assert r == c == expected_index
+        m, minv = g.m7, inv.m7
+        # conjugating the projector onto a weight line lands on the
+        # reflected weight's line
+        for k, mu in enumerate(V7.weights):
+            proj = _diag_basis(V7, k)
+            image = linalg.mat_mul(linalg.mat_mul(m, proj), minv)
+            target = mu.reflect(i)
+            expected_index = V7.weights.index(target)
+            for r in range(V7.dim):
+                for c in range(V7.dim):
+                    if image[r][c] != 0:
+                        assert r == c == expected_index
 
 
 def _diag_basis(R, k):
@@ -185,52 +182,6 @@ def test_determinants_are_one():
     ]
     for g in samples:
         assert linalg_reference.det(g.m7) == 1
-        assert linalg_reference.det(g.m14) == 1
-
-
-# ---------------------------------------------------------------------------
-# dense oracle: every atom as a full matrix built from the Chevalley
-# generators, multiplied with linalg.mat_mul, sharing nothing with the
-# sparse fold of rep
-# ---------------------------------------------------------------------------
-
-
-def _dense_exp(mat, t):
-    """exp(t * mat) for a nilpotent mat, summed until the powers vanish."""
-    n = len(mat)
-    out = linalg_reference.identity(n)
-    term = linalg_reference.identity(n)
-    k = 0
-    while True:
-        k += 1
-        term = linalg.mat_scale(linalg.mat_mul(term, mat), Fraction(t) / k)
-        if linalg.is_zero_matrix(term):
-            return out
-        out = linalg.mat_add(out, term)
-
-
-def _dense_atom(atom, R):
-    kind, i = atom[0], atom[1]
-    if kind == "x":
-        return _dense_exp(R.e[i], atom[2])
-    if kind == "y":
-        return _dense_exp(R.f[i], atom[2])
-    if kind == "coweight":
-        t = Fraction(atom[2])
-        return tuple(
-            tuple(t ** mu.pairing(i) if r == c else Fraction(0) for c in range(R.dim))
-            for r, mu in enumerate(R.weights)
-        )
-    s = 1 if kind == "sdot" else -1
-    e, f = _dense_exp(R.e[i], s), _dense_exp(R.f[i], -s)
-    return linalg.mat_mul(linalg.mat_mul(e, f), e)
-
-
-def _dense_product(atoms, R):
-    out = linalg_reference.identity(R.dim)
-    for atom in atoms:
-        out = linalg.mat_mul(out, _dense_atom(atom, R))
-    return out
 
 
 def _singleton(atom):
@@ -240,44 +191,34 @@ def _singleton(atom):
     return rep.sdot(atom[1]) if kind == "sdot" else rep.sdot_inverse(atom[1])
 
 
-#: primes far beyond the sampling pool, so that every power of a
-#: denominator the integral rows carry is a large integer
-LARGE_PRIMES = (1000003, 998244353, 2**61 - 1)
-large_prime_rationals = st.builds(
-    Fraction, st.integers(-(10**12), 10**12), st.sampled_from(LARGE_PRIMES)
-)
-parameters = st.one_of(rationals, large_prime_rationals)
-nonzero_parameters = parameters.filter(lambda q: q != 0)
-
-letters = st.sampled_from((1, 2))
-atoms = st.one_of(
-    st.tuples(st.sampled_from(("x", "y")), letters, parameters),
-    st.tuples(st.just("coweight"), letters, nonzero_parameters),
-    st.tuples(st.sampled_from(("sdot", "sdot_inv")), letters),
-)
-
-
-def _covector_image(g, label, vec):
-    """row vec . g as Fractions, from the integral numerators and the denominator
-    of ``apply_covector``."""
-    num, den = rep.apply_covector(g, label, vec)
+def _covector_image(g, vecs):
+    """The rows vecs . g as Fractions: the denominators of vecs are cleared,
+    the int rows are folded by ``apply_covector``, and its integral
+    numerators are divided by its denominator."""
+    scale = math.lcm(*(Fraction(u).denominator for vec in vecs for u in vec))
+    rows, den = rep.apply_covector(g, [[int(u * scale) for u in vec] for vec in vecs])
     assert isinstance(den, int) and den > 0
-    assert all(isinstance(n, int) for n in num)
-    return tuple(Fraction(n, den) for n in num)
+    assert all(isinstance(n, int) for row in rows for n in row)
+    return [tuple(Fraction(n, den * scale) for n in row) for row in rows]
+
+
+def _dense_images(dense, vecs):
+    return [linalg_reference.mat_vec(tuple(zip(*dense)), vec) for vec in vecs]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(atoms, max_size=7), st.lists(rationals, min_size=14, max_size=14))
+@given(st.lists(atoms, max_size=7), st.lists(rationals, min_size=7, max_size=7))
 def test_lazy_product_matches_dense_product(word, covector):
     g = rep.group_product(_singleton(atom) for atom in word)
-    for R in (V7, V14):
-        dense = _dense_product(word, R)
-        assert g.matrix(R.label) == dense
-        for vec in (tuple(Fraction(k + 1, 2) for k in range(R.dim)), tuple(covector[: R.dim])):
-            assert _covector_image(g, R.label, vec) == linalg_reference.mat_vec(tuple(zip(*dense)), vec)
+    dense = dense_product(word, V7)
+    assert g.m7 == dense
+    vecs = (tuple(Fraction(k + 1, 2) for k in range(7)), tuple(covector))
+    assert _covector_image(g, vecs) == _dense_images(dense, vecs)
+    for vec in vecs:
+        assert _covector_image(g, [vec]) == _dense_images(dense, [vec])
 
 
-@pytest.mark.parametrize("R", (V7, V14), ids=("V7", "V14"))
+@pytest.mark.parametrize("R", (V7,), ids=("V7",))
 def test_integral_rows_at_large_prime_denominators(R):
     p, q = LARGE_PRIMES[2], LARGE_PRIMES[1]
     word = (("y", 1, Fraction(-p, q)), ("x", 2, Fraction(q, p)), ("coweight", 1, Fraction(-q, p)),
@@ -288,13 +229,13 @@ def test_integral_rows_at_large_prime_denominators(R):
         assert any(mu.pairing(i) < 0 for mu in R.weights)
         assert any(mu.pairing(i) > 0 for mu in R.weights)
     g = rep.GroupElement(word)
-    dense = _dense_product(word, R)
-    assert g.matrix(R.label) == dense
+    dense = dense_product(word, R)
+    assert g.m7 == dense
     vec = tuple(Fraction((-1) ** k * (k + 2), 3 * k + 1) for k in range(R.dim))
-    assert _covector_image(g, R.label, vec) == linalg_reference.mat_vec(tuple(zip(*dense)), vec)
+    assert _covector_image(g, [vec]) == _dense_images(dense, [vec])
 
 
-@pytest.mark.parametrize("R", (V7, V14), ids=("V7", "V14"))
+@pytest.mark.parametrize("R", (V7,), ids=("V7",))
 @pytest.mark.parametrize("t", (Fraction(-3, 7), Fraction(5, 1000003), Fraction(-(2**61 - 1), 4)))
 def test_coweight_diagonal_is_integral_over_its_lcm(R, t):
     for i in (1, 2):
@@ -309,10 +250,10 @@ def test_provenance_regenerates_matrices():
             ("coweight", 2, Fraction(5, 3)), ("sdot_inv", 1))
     g = rep.group_product(_singleton(atom) for atom in word)
     assert g.provenance == word
-    assert g.m7 == _dense_product(word, V7) and g.m14 == _dense_product(word, V14)
+    assert g.m7 == dense_product(word, V7)
     inv = g.inverse()
     assert g * inv == rep.group_identity()
-    assert (g * inv).m14 == linalg_reference.identity(14)
+    assert (g * inv).m7 == linalg_reference.identity(7)
 
 
 @settings(max_examples=25, deadline=None)
@@ -348,7 +289,7 @@ def test_prefix_points_match_dense_prefix_products():
             assert len(prefixes) == len(words) == 6
             dense = linalg_reference.identity(7)
             for k, g in enumerate(prefixes, start=1):
-                dense = linalg.mat_mul(dense, _dense_product(words[k - 1], V7))
+                dense = linalg.mat_mul(dense, dense_product(words[k - 1], V7))
                 assert g.provenance == sum(words[:k], ())
                 assert g.m7 == dense
             assert deodhar.cell_point(cell, t, m) == prefixes[-1]
@@ -363,32 +304,53 @@ def test_products_fold_without_dense_products(monkeypatch):
     g = rep.x(1, Fraction(2, 3)) * rep.sdot(2) * rep.coweight(1, Fraction(-5)) * rep.y(2, 7)
     h = g * rep.sdot_inverse(1) * g.inverse()
     for el in (g, h):
-        assert len(el.m7) == 7 and len(el.m14) == 14
-        assert len(rep.apply_covector(el, "V14", el.m14[0])[0]) == 14
+        assert len(el.m7) == 7
+        assert len(rep.apply_covector(el, el.rows[0][:2])[0]) == 2
 
 
-def _rep_caches():
-    """Size of every dict and lru_cache held by rep or by its two representations."""
-    out = {}
-    for name, obj in vars(rep).items():
-        if isinstance(obj, dict) and not name.startswith("__"):
-            out[name] = len(obj)
-        elif hasattr(obj, "cache_info"):
-            out[name] = obj.cache_info().currsize
-    for R in (V7, V14):
-        for name, obj in vars(R).items():
-            if isinstance(obj, dict):
-                out["%s.%s" % (R.label, name)] = len(obj)
+def _rep_dicts():
+    """Size of every dict held by rep or by V7."""
+    out = {name: len(obj) for name, obj in vars(rep).items()
+           if isinstance(obj, dict) and not name.startswith("__")}
+    out.update(("V7." + name, len(obj)) for name, obj in vars(V7).items() if isinstance(obj, dict))
     return out
 
 
-#: the lru_caches of rep and the most entries each may hold; none is keyed
-#: by a parameter
-CACHE_BOUNDS = {"build_representations": 1, "wdot": len(W.elements), "_weyl_rows": 8}
+def _lru_caches():
+    """Every lru_cache defined in a module of g2cells, by "module.name"."""
+    out = {}
+    for info in pkgutil.iter_modules(g2cells.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module("g2cells." + info.name)
+        for name, obj in vars(module).items():
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__:
+                out["%s.%s" % (info.name, name)] = obj
+    return out
+
+
+#: every lru_cache of the package and the most entries it may hold: the
+#: size of its key space, or its maxsize where the key space is unbounded
+CACHE_BOUNDS = {
+    "rep.build_representations": 1,
+    "rep._weyl_rows": 4,  # two kinds x two letters
+    "rep.wdot": len(W.elements),
+    "minors._orbit": 2,  # one orbit per level
+    "minors._extremal_by_weight": 12,  # six chamber weights per level
+    "minors._unit_rows": 4,  # two levels x highest or lowest
+    "minors.symbolic_minors": 1,
+    "chamber._prefixes": 2,  # the two reduced words of w0
+    "chamber._ansatz_weights": 4,  # two words x two directions
+    "deodhar.families": 1,
+    "deodhar._weight_permutations": 1,
+    "components._figure1": 4,  # (samples, seed) is unbounded: its maxsize
+}
 
 
 def test_caches_stay_bounded():
-    before = _rep_caches()
+    caches = _lru_caches()
+    assert set(caches) == set(CACHE_BOUNDS), "a cache is missing from the bound table"
+    before = _rep_dicts()
     rng = random.Random(5)
     kinds = ("x", "y", "coweight", "sdot", "sdot_inv")
     for n in range(1000):
@@ -402,20 +364,40 @@ def test_caches_stay_bounded():
         g = rep.group_product(_singleton(atom) for atom in word)
         g.m7
         if n % 10 == 0:
-            g.m14
-            rep.apply_covector(g, "V14", g.m14[0])
+            for level in (1, 2):
+                for w in W.elements:
+                    cw = minors.ChamberWeight(w, level)
+                    minors.minor(g, cw)
+                    minors.minor_lower(g, cw)
+    for word in (WORD_I, WORD_I_TILDE):
+        for _ in range(5):
+            params = [rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in word]
+            for factorization in (chamber.Factorization(word, params, "upper"),
+                                  chamber.Factorization(word, params, "lower")):
+                point = factorization.product()
+                try:
+                    if factorization.kind == "upper":
+                        chamber.epsilon_factorize(point, word)
+                    else:
+                        chamber.alpha_factorize(point, word)
+                except chamber.NotFactorizable:
+                    pass
+    # refused keys raise, and an exception is not cached
+    for bad in (lambda: chamber.epsilon_factorize(rep.x(1, 2), (1, 1, 2, 1, 2, 1)),
+                lambda: minors._extremal_by_weight(2, 1, 0),
+                lambda: minors.weight_to_chamber(Weight(2, 0))):
+        with pytest.raises(ValueError):
+            bad()
     for w in W.elements:
         rep.wdot(w).m7
-    after = _rep_caches()
-    assert set(after) == set(before)
-    for name, size in after.items():
-        if name in CACHE_BOUNDS:
-            assert size <= CACHE_BOUNDS[name], name
-        else:
-            assert size == before[name], name
-    assert {name for name in after if hasattr(getattr(rep, name, None), "cache_info")} == set(
-        CACHE_BOUNDS
-    )
+        deodhar.bruhat_position_plus(rep.wdot(w))
+    minors.symbolic_minors()
+    deodhar.families()
+    assert _rep_dicts() == before
+    for name, cache in caches.items():
+        info = cache.cache_info()
+        assert info.currsize <= CACHE_BOUNDS[name], name
+        assert info.maxsize is None or info.maxsize <= CACHE_BOUNDS[name], name
 
 
 def test_triangularity_predicates():
@@ -472,24 +454,20 @@ def test_unipotence_of_pure_words_needs_no_fold(monkeypatch):
         rep.is_unipotent_lower(lower * rep.sdot(1) * rep.sdot_inverse(1))
 
 
-def test_v14_consistent_with_v7_on_predicates():
-    for g in (rep.y(1, Fraction(5)), rep.x(2, Fraction(-3)),
-              rep.y(2, Fraction(1, 3)) * rep.y(1, Fraction(2))):
-        m = g.m14
-        lower = all(m[i][j] == 0 for i in range(14) for j in range(i + 1, 14))
-        assert lower == rep.is_lower(g)
-
-
-@pytest.mark.parametrize("level, R", ((1, V7), (2, V14)), ids=("V7", "V14"))
-def test_representations_are_built_over_ints(level, R):
-    for mats in (R.e, R.f, R.h):
+@pytest.mark.parametrize("level", (1, 2), ids=("V7", "Lambda2V7"))
+def test_representations_are_built_over_ints(level):
+    for mats in (V7.e, V7.f, V7.h):
         for mat in mats.values():
             assert all(type(v) is int for row in mat for v in row)
-    for terms in R._int_terms.values():
+    for terms in V7._int_terms.values():
         assert terms and all(type(v) is int for term in terms for v in term)
     for w in W.elements:
         mu = w.act(OMEGA[level])
-        assert all(type(v) is int for v in minors._extremal_by_weight(level, mu.n1, mu.n2))
+        terms = minors._extremal_by_weight(level, mu.n1, mu.n2)
+        assert terms
+        for cols, coeff in terms:
+            assert type(coeff) is int and len(cols) == level
+            assert all(type(c) is int for c in cols) and list(cols) == sorted(set(cols))
 
 
 def test_build_representations_constructs_no_fraction():
@@ -522,27 +500,10 @@ def test_divided_power_off_the_lattice_raises():
     zero = {1: ((0, 0, 0),) * 3, 2: ((0, 0, 0),) * 3}
     weights = (Weight(1, 0), Weight(0, 0), Weight(-1, 0))
     with pytest.raises(ArithmeticError):
-        rep.Representation("off-lattice", weights, {1: e, 2: zero[2]}, zero)
+        rep.Representation(weights, {1: e, 2: zero[2]}, zero)
     doubled = tuple(tuple(2 * v for v in row) for row in e)
-    R = rep.Representation("on-lattice", weights, {1: doubled, 2: zero[2]}, zero)
+    R = rep.Representation(weights, {1: doubled, 2: zero[2]}, zero)
     assert R._int_terms[("x", 1)] == ((1, 0, 1, 2), (1, 1, 2, 2), (2, 0, 2, 2))
-
-
-#: a root vector at (0, 1) whose entry is 2, and two diagonal vectors
-#: read from M[0][0] and M[1][1]
-_SMALL_BASIS = ([(0, 1, 2)], [(0, 0, 1), (1, 1, -1)], [(1, 1, 1)])
-
-
-def test_coordinates_in_basis_rebuild_the_matrix():
-    assert rep._coordinates_in_basis(((3, 4), (0, 5)), _SMALL_BASIS, (1, 2)) == [2, 3, 8]
-
-
-@pytest.mark.parametrize(
-    "M", (((0, 0), (1, 0)), ((0, 3), (0, 0))), ids=("outside-the-span", "off-the-lattice")
-)
-def test_coordinates_outside_the_root_basis_raise(M):
-    with pytest.raises(ArithmeticError):
-        rep._coordinates_in_basis(M, _SMALL_BASIS, (1, 2))
 
 
 def test_generator_fixture_matches_committed_file():
