@@ -16,6 +16,10 @@ for the sextuple words of w0; they are cross-checked against the minor
 formulas at random rational points, so any drift in conventions fails
 loudly.
 
+Along a reduced word of w0 the u_m omega_j take eight distinct values,
+so a factorization folds its input once and pairs that block with each
+of the eight chamber weights once (``_ansatz_weights``).
+
 A vanishing minor means the input is outside the open chart for the
 chosen word; that is a recoverable condition (``NotFactorizable``), not
 a failure, and callers resample through ``redraw``.
@@ -28,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rep
-from .minors import highest_row, lowest_row, pair_row_with_weight
+from .minors import highest_row, lowest_row, pair_row_with_weight, weight_to_chamber
 from .weyl import G2_CARTAN, OMEGA, W
 
 __all__ = [
@@ -45,7 +49,15 @@ __all__ = [
 
 
 class NotFactorizable(Exception):
-    """The point lies outside the open chart of the requested word."""
+    """The point lies outside the open chart of the requested word.
+
+    If a chamber minor vanished, ``level`` and ``weight`` name it and a_m,
+    m = ``position``, is the first parameter along ``word`` to read it.
+    """
+
+    def __init__(self, message, word=None, level=None, weight=None, position=None):
+        super().__init__(message)
+        self.word, self.level, self.weight, self.position = word, level, weight, position
 
 
 #: calls ``redraw`` makes before it gives up
@@ -97,60 +109,47 @@ class Factorization:
 
 
 @lru_cache(maxsize=None)
-def _prefixes(word):
-    """Prefix products u_0 = e, u_m = s_{j_1}..s_{j_m}; word must be reduced for w0."""
-    chain = [W.identity]
-    for i in word:
-        nxt = chain[-1] * W.s(i)
-        if nxt.length != chain[-1].length + 1:
-            raise ValueError("word %r is not reduced" % (word,))
-        chain.append(nxt)
-    if chain[-1] != W.w0:
-        raise ValueError("word %r is not a reduced word of w0" % (word,))
-    return tuple(chain)
+def _ansatz_weights(word, lowest):
+    """The chamber weights of the Ansatz along ``word``, a reduced word of w0.
 
-
-@lru_cache(maxsize=None)
-def _ansatz_weights(word, negate):
-    """Per position m: (numerator weight+exponent, two denominator weights).
-
-    Weights are u_m omega_j, negated for the alpha direction.
+    Returns (weights, steps): ``weights`` lists the distinct u_m omega_j,
+    negated if ``lowest`` (the alpha direction); ``steps`` holds per
+    position m the indices into ``weights`` of the numerator, its
+    exponent, and the indices of the two denominators.
     """
-    prefixes = _prefixes(word)
-    out = []
-    for m in range(1, len(word) + 1):
-        jm = word[m - 1]
+    index = {}
+
+    def at(u, j):
+        mu = u.act(OMEGA[j])
+        return index.setdefault(-mu if lowest else mu, len(index))
+
+    u, steps = W.identity, []
+    for jm in word:
+        nxt = u * W.s(jm)
+        if nxt.length != u.length + 1:
+            raise ValueError("word %r is not reduced" % (word,))
         jbar = 2 if jm == 1 else 1
-        exp = -G2_CARTAN[jbar - 1][jm - 1]
-        num = prefixes[m].act(OMEGA[jbar])
-        den1 = prefixes[m].act(OMEGA[jm])
-        den2 = prefixes[m - 1].act(OMEGA[jm])
-        if negate:
-            num, den1, den2 = -num, -den1, -den2
-        out.append((jbar, num, exp, jm, den1, den2))
-    return tuple(out)
+        steps.append((at(nxt, jbar), -G2_CARTAN[jbar - 1][jm - 1], at(nxt, jm), at(u, jm)))
+        u = nxt
+    if u != W.w0:
+        raise ValueError("word %r is not a reduced word of w0" % (word,))
+    return tuple(index), tuple(steps)
 
 
-def _factor_params(g, word, row_fn, negate):
-    # one covector fold per level; each minor is then a single contraction
-    rows = {1: row_fn(g, 1), 2: row_fn(g, 2)}
-    cache = {}
-
-    def value(level, mu):
-        key = (level, mu.n1, mu.n2)
-        if key not in cache:
-            cache[key] = pair_row_with_weight(rows[level], level, mu)
-        return cache[key]
-
-    params = []
-    for jbar, num_w, exp, jm, den1_w, den2_w in _ansatz_weights(word, negate):
-        num = value(jbar, num_w)
-        den1 = value(jm, den1_w)
-        den2 = value(jm, den2_w)
-        if num == 0 or den1 == 0 or den2 == 0:
-            raise NotFactorizable("a required minor vanishes")
-        params.append(num**exp / (den1 * den2))
-    return tuple(params)
+def _factor_params(g, word, lowest):
+    # one fold of g serves every chamber minor, and each is paired once
+    weights, steps = _ansatz_weights(word, lowest)
+    row = lowest_row(g) if lowest else highest_row(g)
+    values = [pair_row_with_weight(row, mu) for mu in weights]
+    if 0 in values:
+        k = values.index(0)
+        m = next(m for m, (num, _, d1, d2) in enumerate(steps, 1) if k in (num, d1, d2))
+        mu, level = weights[k], weight_to_chamber(weights[k]).level
+        raise NotFactorizable(
+            "the level-%d minor %s read by a_%d vanishes" % (level, mu.eps_label(), m),
+            word=word, level=level, weight=mu, position=m,
+        )
+    return tuple(values[num] ** exp / (values[d1] * values[d2]) for num, exp, d1, d2 in steps)
 
 
 def epsilon_factorize(x, word):
@@ -158,7 +157,7 @@ def epsilon_factorize(x, word):
     word = tuple(word)
     if not rep.is_unipotent_upper(x):
         raise ValueError("epsilon_factorize expects a unipotent upper input")
-    params = _factor_params(x, word, highest_row, negate=False)
+    params = _factor_params(x, word, lowest=False)
     return Factorization(word, params, "lower")
 
 
@@ -167,7 +166,7 @@ def alpha_factorize(y, word):
     word = tuple(word)
     if not rep.is_unipotent_lower(y):
         raise ValueError("alpha_factorize expects a unipotent lower input")
-    params = _factor_params(y, word, lowest_row, negate=True)
+    params = _factor_params(y, word, lowest=True)
     return Factorization(word, params, "upper")
 
 

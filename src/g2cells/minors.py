@@ -22,15 +22,15 @@ f^(b-k)v.  Each f^(k) is read from the integral divided-power table of
 weight, not on the reduced word used.  Extremal weight spaces are one
 dimensional, so each extremal vector is a single wedge up to sign.
 
-Every minor, of either level, is evaluated one way.  The top l (or
-bottom l) unit rows of V7 are folded along the word of g once per level
-(``highest_row``/``lowest_row``), and the block of row functionals is
-paired with an extremal vector (``pair_row_with_weight``): the sum of
-coefficient times the l x l determinant at the wedge's columns.  All
-minors of one level share a single fold.  The fold runs over the
-integers and returns numerators over one denominator; the pairing is
-integral too, and divides by the l-th power of that denominator once
-per minor.
+Every minor, of either level, is evaluated one way.  The top two (or
+bottom two) unit rows of V7 are folded along the word of g once
+(``highest_row``/``lowest_row``), and a minor of level l pairs the first
+l rows of that block with an extremal vector (``pair_row_with_weight``):
+the sum of coefficient times the l x l determinant at the wedge's
+columns.  The level is read from the weight, so all minors of a point,
+of both levels, share a single fold.  The fold runs over the integers
+and returns numerators over one denominator; the pairing is integral
+too, and divides by the l-th power of that denominator once per minor.
 """
 
 from __future__ import annotations
@@ -107,12 +107,11 @@ def weight_to_chamber(mu):
 
 
 @lru_cache(maxsize=None)
-def _extremal_by_weight(level, n1, n2):
-    """The wedge terms of v_{w omega_i}, computed along the minimal word."""
+def _extremal_by_weight(n1, n2):
+    """The wedge terms of v_{w omega_i}, computed along the minimal word;
+    the level i is the length of every wedge."""
     cw = weight_to_chamber(Weight(n1, n2))
-    if cw.level != level:
-        raise ValueError("weight %r is not of level %d" % ((n1, n2), level))
-    return _extremal_along_word(level, cw.w.word)
+    return _extremal_along_word(cw.level, cw.w.word)
 
 
 def _sort_sign(rows):
@@ -170,48 +169,50 @@ def _extremal_along_word(level, word):
 def extremal_vector(level, w):
     """The extremal weight vector of weight w*omega_level."""
     mu = w.act(OMEGA[level])
-    return ExtremalVector(level, _extremal_by_weight(level, mu.n1, mu.n2), mu)
+    return ExtremalVector(level, _extremal_by_weight(mu.n1, mu.n2), mu)
 
 
 @lru_cache(maxsize=None)
-def _unit_rows(level, lowest):
-    """The int unit rows whose fold reads the coefficient of v_omega, or of
-    v_{-omega} if ``lowest``.
+def _unit_rows(lowest):
+    """The two int unit rows whose fold reads the coefficient of v_omega,
+    or of v_{-omega} if ``lowest``; a minor of level l reads the first l.
 
-    Rows 0..level-1 read the highest wedge e_0 ^ ... ^ e_{level-1}.  Rows
-    7-level..6 read the bottom wedge, and v_{-omega} must be +/- that
-    wedge: its sign s goes into the first row, so the determinant is the
-    bottom coefficient divided by s.
+    The highest rows are e_0, e_1: their first l read the highest wedge
+    e_0 ^ ... ^ e_{l-1}.  v_{-omega_l} must be s_l times the bottom wedge
+    of level l, with s_l = +/-1.  The lowest rows are s_1 e_6 and
+    -s_1 s_2 e_5, so that the determinant of the first l of them is the
+    bottom coefficient divided by s_l.
     """
-    first, sign = 0, 1
+    rows = ((0, 1), (1, 1))
     if lowest:
-        first = 7 - level
-        mu = -OMEGA[level]
-        terms = _extremal_by_weight(level, mu.n1, mu.n2)
-        if len(terms) != 1 or terms[0][0] != tuple(range(first, 7)) or abs(terms[0][1]) != 1:
-            raise ArithmeticError("lowest extremal vector is not +/- the bottom wedge")
-        sign = terms[0][1]
-    return tuple(
-        tuple((sign if r == first else 1) if c == r else 0 for c in range(7))
-        for r in range(first, first + level)
-    )
+        signs = []
+        for level in (1, 2):
+            mu = -OMEGA[level]
+            terms = _extremal_by_weight(mu.n1, mu.n2)
+            bottom = tuple(range(7 - level, 7))
+            if len(terms) != 1 or terms[0][0] != bottom or abs(terms[0][1]) != 1:
+                raise ArithmeticError("lowest extremal vector is not +/- the bottom wedge")
+            signs.append(terms[0][1])
+        s1, s2 = signs
+        rows = ((6, s1), (5, -s1 * s2))
+    return tuple(tuple(sign * (c == r) for c in range(7)) for r, sign in rows)
 
 
-def highest_row(g, level):
-    """The row functionals v -> coefficient of v_omega in g.v: the top
-    ``level`` rows of g, as (numerators, denominator)."""
-    return rep.apply_covector(g, _unit_rows(level, False))
+def highest_row(g):
+    """The row functionals v -> coefficient of v_omega in g.v: the top two
+    rows of g, as (numerators, denominator)."""
+    return rep.apply_covector(g, _unit_rows(False))
 
 
-def lowest_row(g, level):
+def lowest_row(g):
     """The row functionals v -> coefficient of v_{-omega} in g.v."""
-    return rep.apply_covector(g, _unit_rows(level, True))
+    return rep.apply_covector(g, _unit_rows(True))
 
 
 def _det(rows, cols):
-    """The determinant of the square block rows[k][cols[j]], by expansion
-    along its first row."""
-    if len(rows) == 1:
+    """The determinant of the square block rows[k][cols[j]] of the first
+    len(cols) rows, by expansion along its first row."""
+    if len(cols) == 1:
         return rows[0][cols[0]]
     total, sign = 0, 1
     for j, c in enumerate(cols):
@@ -222,25 +223,26 @@ def _det(rows, cols):
     return total
 
 
-def pair_row_with_weight(row, level, mu):
+def pair_row_with_weight(row, mu):
     """Pair row functionals (numerators, denominator) with the extremal vector
     of mu: the sum of coefficient times the determinant at the wedge's
-    columns, divided by the denominator to the power ``level`` once."""
+    columns, divided by the denominator to the power of the level once."""
     rows, den = row
+    terms = _extremal_by_weight(mu.n1, mu.n2)
     total = 0
-    for cols, coeff in _extremal_by_weight(level, mu.n1, mu.n2):
+    for cols, coeff in terms:
         total = total + coeff * _det(rows, cols)
-    return total / Fraction(den**level)
+    return total / Fraction(den ** len(terms[0][0]))
 
 
 def minor(g, cw):
     """Delta^{w omega_i}(g): coefficient of v_{omega_i} in g . v_{w omega_i}."""
-    return pair_row_with_weight(highest_row(g, cw.level), cw.level, cw.weight)
+    return pair_row_with_weight(highest_row(g), cw.weight)
 
 
 def minor_lower(g, cw):
     """Delta_-^{w omega_i}(g): coefficient of v_{-omega_i} in g . v_{w omega_i}."""
-    return pair_row_with_weight(lowest_row(g, cw.level), cw.level, cw.weight)
+    return pair_row_with_weight(lowest_row(g), cw.weight)
 
 
 #: epsilon labels of the level-1 and level-2 chamber weights in display order
@@ -259,10 +261,6 @@ def symbolic_minors():
     ring = PolyRing("abcdef")
     a, b, c, d, e, f = ring.gens()
     factors = (("x", 2, a), ("x", 1, b), ("x", 2, c), ("x", 1, d), ("x", 2, e), ("x", 1, f))
-    g = rep.GroupElement(factors)
-    out = {}
-    for level, labels in ((1, LEVEL1_LABELS), (2, LEVEL2_LABELS)):
-        row = highest_row(g, level)
-        for label in labels:
-            out[label] = pair_row_with_weight(row, level, weight_by_label(label))
-    return out
+    row = highest_row(rep.GroupElement(factors))
+    return {label: pair_row_with_weight(row, weight_by_label(label))
+            for label in LEVEL1_LABELS + LEVEL2_LABELS}

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from g2cells import chamber, checks, deodhar, fixtures, rep
-from g2cells.weyl import WORD_I, WORD_I_TILDE, W
+from g2cells.weyl import OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
 
 
 def x_tilde(params):
@@ -267,3 +267,42 @@ def test_hot_paths_build_no_fraction_matrix(monkeypatch):
         assert rep.is_unipotent_lower(point)
         assert deodhar.bruhat_position_plus(point) is W.w0
         assert deodhar.verify_cell_chain(cell, t, m)
+
+
+def test_vanished_minor_is_named():
+    # e + c + a = 0: only Delta^{e1-e2}, read first by a_1, vanishes
+    with pytest.raises(chamber.NotFactorizable) as info:
+        chamber.epsilon_factorize(x_tilde((1, 1, 1, 1, -2, 1)), WORD_I_TILDE)
+    err = info.value
+    assert err.word == WORD_I_TILDE
+    assert err.weight == weight_by_label("e1-e2") == Weight(3, -1)
+    assert err.level == 2 and err.position == 1
+
+
+@pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
+def test_each_factorization_folds_once(monkeypatch, word):
+    params = [Fraction(v) for v in (2, -3, 5, -7, 11, -13)]
+    upper = chamber.Factorization(word, params, "upper").product()
+    lower = chamber.Factorization(word, params, "lower").product()
+    calls = []
+    fold = rep.apply_covector
+    monkeypatch.setattr(rep, "apply_covector", lambda g, rows: calls.append(rows) or fold(g, rows))
+    chamber.epsilon_factorize(upper, word)
+    assert len(calls) == 1
+    chamber.alpha_factorize(lower, word)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
+@pytest.mark.parametrize("lowest", (False, True), ids=("highest", "lowest"))
+def test_ansatz_lists_each_chamber_weight_once(word, lowest):
+    weights, steps = chamber._ansatz_weights(word, lowest)
+    prefixes = [W.identity]
+    for i in word:
+        prefixes.append(prefixes[-1] * W.s(i))
+    chamber_weights = {u.act(OMEGA[j]) for u in prefixes for j in (1, 2)}
+    assert len(weights) == len(set(weights)) == len(chamber_weights) == 8
+    assert set(weights) == {-mu if lowest else mu for mu in chamber_weights}
+    assert len(steps) == len(word)
+    # every weight is read by some step
+    assert {k for num, _, d1, d2 in steps for k in (num, d1, d2)} == set(range(8))

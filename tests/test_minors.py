@@ -201,20 +201,41 @@ def test_minors_are_determinants_of_the_dense_product(word):
     _assert_minors_match_oracle(g, dense_product(word, V7))
 
 
+def _patch_bottom_wedges(monkeypatch, level1, level2):
+    """Replace the extremal vectors of -omega_1 and -omega_2 by the given terms."""
+    patched = {(-1, 0): level1, (0, -1): level2}
+    real = minors._extremal_by_weight
+    monkeypatch.setattr(minors, "_extremal_by_weight", lambda *key: patched.get(key) or real(*key))
+    minors._unit_rows.cache_clear()
+
+
 def test_lowest_rows_require_the_bottom_wedge(monkeypatch):
     minors._unit_rows.cache_clear()
     try:
-        assert minors._unit_rows(2, True)[0] == (0, 0, 0, 0, 0, 1, 0)
-        minors._unit_rows.cache_clear()
-        for wrong in ((((4, 6), 1),), (((5, 6), 2),), (((5, 6), 1), ((4, 6), 1))):
-            monkeypatch.setattr(minors, "_extremal_by_weight", lambda *key, terms=wrong: terms)
+        # both bottom wedges have sign +1: the block is e_6, -e_5
+        assert minors._unit_rows(True) == ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1, 0))
+        # a wrong column, a coefficient of 2 or a second term, at either level
+        right1, right2 = (((6,), 1),), (((5, 6), 1),)
+        for wrong in ((((5,), 1),), (((6,), 2),), (((6,), 1), ((5,), 1))):
+            _patch_bottom_wedges(monkeypatch, wrong, right2)
             with pytest.raises(ArithmeticError):
-                minors._unit_rows(2, True)
-        # a bottom wedge of sign -1 puts its sign into the first row
-        monkeypatch.setattr(minors, "_extremal_by_weight", lambda *key: (((5, 6), -1),))
-        assert minors._unit_rows(2, True) == ((0, 0, 0, 0, 0, -1, 0), (0, 0, 0, 0, 0, 0, 1))
+                minors._unit_rows(True)
+        for wrong in ((((4, 6), 1),), (((5, 6), 2),), (((5, 6), 1), ((4, 6), 1))):
+            _patch_bottom_wedges(monkeypatch, right1, wrong)
+            with pytest.raises(ArithmeticError):
+                minors._unit_rows(True)
+        # a bottom wedge of sign -1 puts its sign into the block
+        _patch_bottom_wedges(monkeypatch, right1, (((5, 6), -1),))
+        assert minors._unit_rows(True) == ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1, 0))
         # the highest rows need no extremal vector
-        assert minors._unit_rows(2, False) == ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+        assert minors._unit_rows(False) == ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+        # whatever the signs, the lowest minors of the identity at w0 omega_l are 1
+        identity = rep.group_identity()
+        for s1 in (1, -1):
+            for s2 in (1, -1):
+                _patch_bottom_wedges(monkeypatch, (((6,), s1),), (((5, 6), s2),))
+                for level in (1, 2):
+                    assert minors.minor_lower(identity, minors.ChamberWeight(W.w0, level)) == 1
     finally:
         minors._unit_rows.cache_clear()
 
@@ -227,3 +248,13 @@ def test_wedge_sign_of_unsorted_rows():
     assert minors._sort_sign([3, 3]) == 0
     assert minors._sort_sign([2, 0, 1]) == 1
     assert minors._sort_sign([0, 2, 1]) == -1
+
+
+def test_symbolic_minors_fold_once(monkeypatch):
+    calls = []
+    fold = rep.apply_covector
+    monkeypatch.setattr(rep, "apply_covector", lambda g, rows: calls.append(rows) or fold(g, rows))
+    minors.symbolic_minors.cache_clear()
+    table = minors.symbolic_minors()
+    assert len(calls) == 1
+    assert list(table) == list(minors.LEVEL1_LABELS + minors.LEVEL2_LABELS)

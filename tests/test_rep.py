@@ -337,9 +337,8 @@ CACHE_BOUNDS = {
     "rep.wdot": len(W.elements),
     "minors._orbit": 2,  # one orbit per level
     "minors._extremal_by_weight": 12,  # six chamber weights per level
-    "minors._unit_rows": 4,  # two levels x highest or lowest
+    "minors._unit_rows": 2,  # highest or lowest
     "minors.symbolic_minors": 1,
-    "chamber._prefixes": 2,  # the two reduced words of w0
     "chamber._ansatz_weights": 4,  # two words x two directions
     "deodhar.families": 1,
     "deodhar._weight_permutations": 1,
@@ -384,7 +383,7 @@ def test_caches_stay_bounded():
                     pass
     # refused keys raise, and an exception is not cached
     for bad in (lambda: chamber.epsilon_factorize(rep.x(1, 2), (1, 1, 2, 1, 2, 1)),
-                lambda: minors._extremal_by_weight(2, 1, 0),
+                lambda: minors._extremal_by_weight(2, 0),
                 lambda: minors.weight_to_chamber(Weight(2, 0))):
         with pytest.raises(ValueError):
             bad()
@@ -463,7 +462,7 @@ def test_representations_are_built_over_ints(level):
         assert terms and all(type(v) is int for term in terms for v in term)
     for w in W.elements:
         mu = w.act(OMEGA[level])
-        terms = minors._extremal_by_weight(level, mu.n1, mu.n2)
+        terms = minors._extremal_by_weight(mu.n1, mu.n2)
         assert terms
         for cols, coeff in terms:
             assert type(coeff) is int and len(cols) == level
