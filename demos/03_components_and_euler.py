@@ -11,12 +11,7 @@ This demo recomputes everything from scratch; expect roughly half a
 minute.  Run with:  python demos/03_components_and_euler.py
 """
 
-from g2cells import (
-    classification_tables,
-    compute_figure1,
-    euler_report,
-    match_plus_components,
-)
+from g2cells import compute_figure1
 
 print("building the overlap graph (128 cells, 8 samples each)...")
 partition = compute_figure1()
@@ -24,20 +19,20 @@ print("component sizes:", partition.sizes())
 print()
 
 print("letter components of the upper side against component numbers:")
-bijection = match_plus_components()
+bijection = partition.bijection
 print("  ", "  ".join("%s->%d" % (k, v) for k, v in sorted(bijection.items())))
 print("  (note the crossing at I and J)")
 print()
 
 print("classification of the codimension-1 and -2 cells, by family:")
-tables = classification_tables()
+tables = partition.classification_tables
 for name, rows in tables.items():
     print("  family", name)
     for r in rows:
         print("    %-7s  signs %s  ->  %s (component %d)" % (r.cell, r.signs, r.letter, r.component))
 print()
 
-report = euler_report()
+report = partition.euler_report
 print("component  codim0  codim1  codim2  euler")
 for num in sorted(report.per_component):
     n0, n1, n2, chi = report.per_component[num]

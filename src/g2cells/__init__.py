@@ -73,12 +73,8 @@ from .deodhar import (
 from .components import (
     ClassificationReport,
     build_overlap_graph,
-    classification_tables,
-    classify_cell,
     compute_figure1,
     connected_components,
-    euler_report,
-    match_plus_components,
 )
 
 __version__ = "0.1.0"

@@ -20,6 +20,11 @@ from . import chamber, components, deodhar, fixtures, linalg, minors, rep
 from .weyl import W, WORD_I, WORD_I_TILDE, enumerate_distinguished
 
 
+#: points per family of check 4, fresh points per cell and chain points
+#: per family of check 9
+POINTS_PER_FAMILY, RESAMPLES, CHAIN_POINTS = 100, 10, 50
+
+
 class CheckFailed(AssertionError):
     """A computed result disagrees with its reference."""
 
@@ -142,11 +147,11 @@ def _chamber_draw(kind, rng):
     return (t, m), point, closed, chamber.alpha_factorize(point, WORD_I_TILDE)
 
 
-def check_chamber_consistency(points_per_family=100, seed=90210):
+def check_chamber_consistency():
     """Theorem factorizations match closed forms and round-trip exactly."""
-    rng = random.Random(seed)
+    rng = random.Random(90210)
     for kind in ("epsilon",) + fixtures.TABLE_ORDER:
-        for _ in range(points_per_family):
+        for _ in range(POINTS_PER_FAMILY):
             coords, point, closed, fac = chamber.redraw(
                 lambda: _chamber_draw(kind, rng), "a point of %s" % kind
             )
@@ -173,9 +178,9 @@ def check_chamber_consistency(points_per_family=100, seed=90210):
     )
 
 
-def check_component_graph(samples=8, seed=42):
+def check_component_graph():
     """The 128-cell partition equals the reference figure exactly."""
-    partition = components.compute_figure1(samples, seed)
+    partition = components.compute_figure1()
     require(
         partition.sizes() == (2, 2, 2, 2, 16, 16, 16, 16, 16, 16, 24),
         "component sizes differ: %s",
@@ -187,14 +192,14 @@ def check_component_graph(samples=8, seed=42):
     )
 
 
-def check_bijection(samples=8, seed=42):
-    got = components.match_plus_components(samples, seed)
+def check_bijection():
+    got = components.compute_figure1().bijection
     require(got == fixtures.BIJECTION, "bijection differs: %s", got)
 
 
-def check_classification(samples=8, seed=42):
+def check_classification():
     """All seven family tables, including intermediate sign vectors."""
-    tables = components.classification_tables(samples, seed)
+    tables = components.compute_figure1().classification_tables
     for name, rows in tables.items():
         got = {(r.cell, r.signs, r.letter, r.component) for r in rows}
         expected = {
@@ -207,8 +212,8 @@ def check_classification(samples=8, seed=42):
         )
 
 
-def check_euler(samples=8, seed=42):
-    report = components.euler_report(samples, seed)
+def check_euler():
+    report = components.compute_figure1().euler_report
     for num in range(1, 12):
         require(
             report.per_component[num] == fixtures.EULER_TABLE[num],
@@ -235,20 +240,19 @@ def _upper_letter(cell, rng, zero_m):
         m = tuple(Fraction(0) for _ in cell.family.K)
     else:
         m = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in cell.family.K)
-    fac = chamber.alpha_factorize(deodhar.cell_point(cell, t, m), WORD_I_TILDE)
-    return fixtures.UPPER_LETTER[fac.signs()]
+    return components._upper_signs(cell, t, m)[1]
 
 
-def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, graph_seed=42):
+def check_property_suites():
     """Point independence, chain verification, and the counting remarks."""
-    rng = random.Random(seed)
-    report = components.euler_report(samples, graph_seed)
+    rng = random.Random(777)
+    report = components.compute_figure1().euler_report
     # point independence of the classification: every cell keeps its
-    # label at `resamples` fresh interior points (zero m at the first draw)
+    # label at RESAMPLES fresh interior points (zero m at the first draw)
     for record in report.records:
         cell = deodhar.cell_by_display(record.cell)
         draws = itertools.count()
-        for _ in range(resamples):
+        for _ in range(RESAMPLES):
             letter = chamber.redraw(
                 lambda: _upper_letter(cell, rng, zero_m=next(draws) == 0),
                 "a point of cell %s" % record.cell,
@@ -259,7 +263,7 @@ def check_property_suites(resamples=10, chain_points=50, seed=777, samples=8, gr
             )
     # Deodhar chain invariants
     for fam in deodhar.families():
-        for _ in range(chain_points):
+        for _ in range(CHAIN_POINTS):
             cell, t, m = _random_family_point(fam, rng)
             point = deodhar.cell_point(cell, t, m)
             require(rep.is_unipotent_lower(point), "cell point of %s is not unipotent lower", cell)
@@ -298,8 +302,11 @@ CHECKS = (
 )
 
 
-def run_all(progress=None):
-    """Run every acceptance criterion; returns a list of CheckResult."""
+def run_all(progress):
+    """Run every acceptance criterion; returns a list of CheckResult.
+
+    Each result is also passed to ``progress`` as soon as its check ends.
+    """
     results = []
     for number, name, fn in CHECKS:
         try:
@@ -307,6 +314,5 @@ def run_all(progress=None):
             results.append(CheckResult(number, name, True, ""))
         except Exception as exc:  # report, never swallow silently
             results.append(CheckResult(number, name, False, str(exc)))
-        if progress is not None:
-            progress(results[-1])
+        progress(results[-1])
     return results

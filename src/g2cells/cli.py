@@ -21,7 +21,10 @@ from .weyl import W, WORD_I_TILDE, enumerate_distinguished
 
 
 def _parse_word(text):
-    word = tuple(int(ch) for ch in text.replace(",", ""))
+    try:
+        word = tuple(int(ch) for ch in text.replace(",", ""))
+    except ValueError:
+        raise argparse.ArgumentTypeError("words use the letters 1 and 2, got %r" % text)
     if any(i not in (1, 2) for i in word):
         raise argparse.ArgumentTypeError("words use the letters 1 and 2")
     if not W.is_reduced(word):
@@ -41,17 +44,25 @@ def _parse_w0_word(text):
 
 
 def _positive_int(text):
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer, got %r" % text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
     return value
 
 
 def _parse_params(text):
-    try:
-        return tuple(parse_rational(piece) for piece in text.split(","))
-    except ZeroDivisionError:
-        raise argparse.ArgumentTypeError("a parameter has denominator 0")
+    params = []
+    for piece in text.split(","):
+        try:
+            params.append(parse_rational(piece))
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError("a parameter has denominator 0")
+        except ValueError:
+            raise argparse.ArgumentTypeError("the parameter %r is not a rational number" % piece)
+    return tuple(params)
 
 
 def _emit(args, text):
@@ -234,16 +245,17 @@ def cmd_graph(args):
 
 
 def cmd_bijection(args):
-    bij = components.match_plus_components(args.samples, args.seed)
+    bij = components.compute_figure1(args.samples, args.seed).bijection
     rows = [(letter, number) for letter, number in sorted(bij.items())]
     _emit(args, _tabular(args, ("letter", "component"), rows))
     return 0
 
 
 def _classification_rows(args):
+    tables = components.compute_figure1(args.samples, args.seed).classification_tables
     rows = []
     for name in fixtures.TABLE_ORDER:
-        for r in components.classification_tables(args.samples, args.seed)[name]:
+        for r in tables[name]:
             rows.append((r.cell, r.family, r.signs, r.letter, r.component, r.codim))
     return rows
 
@@ -254,7 +266,7 @@ def cmd_classify(args):
             cell = deodhar.cell_by_display(args.signs)
         except (KeyError, ValueError) as exc:
             raise UsageError("--signs %r: %s" % (args.signs, exc.args[0]))
-        r = components.classify_cell(cell, args.samples, args.seed)
+        r = components.compute_figure1(args.samples, args.seed).classify(cell)
         rows = [(r.cell, r.family, r.signs, r.letter, r.component, r.codim)]
     else:
         rows = _classification_rows(args)
@@ -266,7 +278,7 @@ def cmd_classify(args):
 
 
 def cmd_euler(args):
-    report = components.euler_report(args.samples, args.seed)
+    report = components.compute_figure1(args.samples, args.seed).euler_report
     rows = [
         (num,) + report.per_component[num] for num in sorted(report.per_component)
     ]

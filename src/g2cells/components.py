@@ -6,11 +6,9 @@ the words 121212 and 212121.  Components are therefore recovered by
 sampling points in each sign cell, re-factorizing along the other word
 and recording which sign cells overlap (``build_overlap_graph``).
 Only ``compute_figure1`` samples, so only it is cached, for a few
-``(samples, seed)`` pairs.  On top of its partition, and kept on it,
-this module recomputes
+``(samples, seed)`` pairs, and its partition is the one way to every
+stage above the graph.  Kept on the partition, this module recomputes
 
-* the letter grouping of the upper-side sign cells (the mirror of the
-  graph's 212121 columns),
 * the letter-to-number bijection, found by pushing one test point per
   letter through the epsilon map, and
 * the classification of all 140 Deodhar cells, sending a sample point
@@ -41,11 +39,6 @@ __all__ = [
     "build_overlap_graph",
     "connected_components",
     "compute_figure1",
-    "upper_letter_groups",
-    "match_plus_components",
-    "classify_cell",
-    "classification_tables",
-    "euler_report",
     "ALL_SIGNS",
 ]
 
@@ -148,7 +141,7 @@ class ComponentPartition:
     @cached_property
     def bijection(self):
         out = {}
-        for letter in sorted(_upper_letter_groups(self)):
+        for letter in sorted(fixtures.UPPER_COMPONENTS):
             mags = _magnitudes(fixtures.UPPER_TEST_MAGNITUDES)
             signs = chamber.redraw(
                 lambda: _epsilon_signs(fixtures.UPPER_COMPONENTS[letter][0], next(mags)),
@@ -203,17 +196,18 @@ class PartitionTooFine(Exception):
 
 
 def connected_components(graph):
-    """Partition the graph and number the blocks to match the fixture.
+    """Partition the graph into its blocks, numbered to match the fixture.
 
     A block that meets two fixture components is a hard error carrying
-    the block.  Otherwise the blocks cover the fixture components, and
-    more blocks than components raises ``PartitionTooFine`` (more
-    sampling can only merge blocks, so retrying is sound).
+    the block.  Otherwise each block takes the number of its fixture
+    component, and more blocks than components raises
+    ``PartitionTooFine`` (more sampling can only merge blocks, so
+    retrying is sound).
     """
     expected = _fixture_partition()
     home = {node: num for num, members in expected.items() for node in members}
     adj = graph.adjacency()
-    numbers = []
+    blocks = []
     seen = set()
     for node in graph.nodes:
         if node in seen:
@@ -232,11 +226,12 @@ def connected_components(graph):
                 "component partition disagrees with the reference table: "
                 "block %s spreads over %s" % (sorted(map(repr, block)), sorted(homes))
             )
-        numbers.extend(homes)
+        blocks.append((homes.pop(), frozenset(block)))
+    numbers = [num for num, _ in blocks]
     if len(numbers) != len(expected):
         split = sorted({num for num in numbers if numbers.count(num) > 1})
         raise PartitionTooFine("components %s are split in the sampled graph" % split)
-    return ComponentPartition(expected, graph)
+    return ComponentPartition(dict(sorted(blocks)), graph)
 
 
 def compute_figure1(samples=8, seed=42):
@@ -269,31 +264,8 @@ def _magnitudes(first, used=()):
 
 
 # ---------------------------------------------------------------------------
-# upper-side letter components and the bijection
+# the bijection
 # ---------------------------------------------------------------------------
-
-
-def _upper_letter_groups(partition):
-    columns = [
-        frozenset(node.signs for node in members if node.word == "it")
-        for members in partition.components.values()
-    ]
-    groups = {letter: frozenset(cells) for letter, cells in fixtures.UPPER_COMPONENTS.items()}
-    for letter, target in groups.items():
-        if columns.count(target) != 1:
-            raise AssertionError("upper grouping for letter %s not recovered" % letter)
-    return groups
-
-
-def upper_letter_groups(samples=8, seed=42):
-    """Letter grouping of the upper sign cells along the word 212121.
-
-    By the symmetry between the two unipotent radicals, two upper cells
-    are connected exactly when the corresponding lower cells are, so the
-    grouping is the 212121 column of the component partition.  The
-    result is asserted against the fixture before letters are assigned.
-    """
-    return _upper_letter_groups(compute_figure1(samples, seed))
 
 
 def _epsilon_signs(signs, magnitudes):
@@ -308,16 +280,6 @@ def _epsilon_signs(signs, magnitudes):
     if fac.params != closed:
         raise AssertionError("closed epsilon form drifted from the minors")
     return fac.signs()
-
-
-def match_plus_components(samples=8, seed=42):
-    """The bijection letter -> component number, found via epsilon.
-
-    One representative sign pattern per letter is evaluated at the
-    magnitudes (1, 2, 3, 5, 7, 11); the epsilon image is a lower sign
-    cell along 212121 whose component number is read off the partition.
-    """
-    return compute_figure1(samples, seed).bijection
 
 
 # ---------------------------------------------------------------------------
@@ -335,42 +297,28 @@ class CellRecord:
     component: int
 
 
+def _upper_signs(cell, t, m):
+    """The six signs of alpha at the cell point (t, m) and their upper letter."""
+    signs = chamber.alpha_factorize(deodhar.cell_point(cell, t, m), WORD_I_TILDE).signs()
+    return signs, fixtures.UPPER_LETTER[signs]
+
+
 def _classify_positive_codim(cell, bijection):
     fam = cell.family
     t_mags = fixtures.CLASSIFY_T_MAGNITUDES[len(fam.I)]
     t = tuple(s * Fraction(mag) for s, mag in zip(cell.h, t_mags))
     mags = _magnitudes(fixtures.CLASSIFY_M_MAGNITUDES[len(fam.K)], used=t_mags)
-    fac = chamber.redraw(
-        lambda: chamber.alpha_factorize(
-            deodhar.cell_point(cell, t, tuple(map(Fraction, next(mags)))), WORD_I_TILDE
-        ),
+    signs, letter = chamber.redraw(
+        lambda: _upper_signs(cell, t, tuple(map(Fraction, next(mags)))),
         "the test point of cell %s" % cell.display(),
     )
-    signs = fac.signs()
-    letter = fixtures.UPPER_LETTER[signs]
     return CellRecord(cell.display(), fam.name, fam.codim, signs, letter, bijection[letter])
-
-
-def classify_cell(cell, samples=8, seed=42):
-    """The component record of one Deodhar cell.
-
-    Codimension-0 cells are located directly in the overlap graph; the
-    others go through a sample point and the alpha factorization.
-    """
-    if isinstance(cell, str):
-        cell = deodhar.cell_by_display(cell)
-    return compute_figure1(samples, seed).classify(cell)
 
 
 def _all_cells_of_family(name):
     fam = deodhar.family_by_name(name)
     for h in itertools.product((1, -1), repeat=len(fam.I)):
         yield deodhar.CellId(fam, h)
-
-
-def classification_tables(samples=8, seed=42):
-    """Records for the 76 positive-codimension cells, grouped by family."""
-    return compute_figure1(samples, seed).classification_tables
 
 
 @dataclass
@@ -380,8 +328,3 @@ class ClassificationReport:
 
     def total_euler(self):
         return sum(v[3] for v in self.per_component.values())
-
-
-def euler_report(samples=8, seed=42):
-    """Classify all 140 cells and tally Euler characteristics."""
-    return compute_figure1(samples, seed).euler_report

@@ -112,9 +112,6 @@ class WeylElement:
     def __mul__(self, other):
         return self._group.product(self, other)
 
-    def inverse(self):
-        return self._group.inverse(self)
-
     def act(self, weight):
         """Apply the reflection word to a weight (rightmost letter first)."""
         for i in reversed(self.word):
@@ -179,11 +176,6 @@ class WeylGroup:
         for a in self.elements:
             for b in self.elements:
                 self._mult[a.index][b.index] = self._by_perm[compose(a.perm, b.perm)]
-        self._inv = [None] * n
-        for a in self.elements:
-            for b in self.elements:
-                if self._mult[a.index][b.index] is self.identity:
-                    self._inv[a.index] = b
 
     # -- group operations -------------------------------------------------
 
@@ -192,9 +184,6 @@ class WeylGroup:
 
     def product(self, a, b):
         return self._mult[a.index][b.index]
-
-    def inverse(self, a):
-        return self._inv[a.index]
 
     def from_word(self, word):
         el = self.identity

@@ -1,6 +1,7 @@
 """Command line behavior: formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import re
@@ -89,6 +90,23 @@ def test_usage_errors_exit_2_without_traceback():
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("g2cells %s: error: " % argv[0])
+
+
+def test_malformed_values_name_the_token(capsys):
+    for argv, token in (
+        (["graph", "--samples", "abc"], "'abc'"),
+        (["distinguished", "--word", "1a2"], "'1a2'"),
+        (["epsilon", "--params", "1,2,3,5,7,11", "--word", "12a212"], "'12a212'"),
+        (["cell-point", "--family", "x21x12", "--params", "1,x,3,5,7,11"], "'x'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err.splitlines()[-1]
+        assert message.startswith("g2cells %s: error: argument " % argv[0]), message
+        assert token in message and not re.search(r"\b_\w", message), message
 
 
 def test_epsilon_parses_fraction_strings(capsys):
@@ -225,3 +243,22 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "b + d + f" in proc.stdout
+
+
+#: SHA-256 of the stdout of each command at its default arguments
+DEFAULT_STDOUT_SHA256 = {
+    "graph": "cf14ddd66f56d6a3e3e88b9411dc7d4c0659becdf592d7fdf388cda16772744c",
+    "bijection": "af4d44a9d67563ed132ce61fb7efb640c41509d158ba1dd2c0e7584cc18ebd0b",
+    "classify": "189cd72507ee514314be26e548cb582e75af9aff977645234e3ad8a7cf5ebab3",
+    "euler": "bcbd35bc97bb7e62fc573a655889acc4c7c250c4f636ad6f94d51b294e78aa2c",
+    "minors": "3f0dde81b52c9fd89e56b9e8c164520dca1e3e4a0036c994faf7e4b00b2fda3f",
+    "cells": "2513a2bd3b9fb653a8a947dc6b0edb87861f7dacd737ae6040dcf137d9ec50c6",
+    "distinguished": "0e71b00fc477a12e0b042d330eced9f92bcd67d39bd00d4dd41fbfa9c7d74806",
+}
+
+
+def test_default_outputs_are_pinned(capsys):
+    for command, digest in DEFAULT_STDOUT_SHA256.items():
+        code, out = run_cli([command], capsys)
+        assert code == 0, command
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command

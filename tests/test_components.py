@@ -19,8 +19,12 @@ def partition():
 
 
 @pytest.fixture(scope="module")
-def report():
-    return components.euler_report(SAMPLES, SEED)
+def report(partition):
+    return partition.euler_report
+
+
+def _classify(partition, display):
+    return partition.classify(deodhar.cell_by_display(display))
 
 
 def test_partition_sizes(partition):
@@ -94,18 +98,22 @@ def test_overlap_is_symmetric_under_reseeding(partition):
         assert back.signs() == signs
 
 
-def test_upper_letter_groups_match_reference():
-    groups = components.upper_letter_groups(SAMPLES, SEED)
+def test_upper_letter_groups_match_reference(partition):
+    # the 212121 columns of the computed partition, one per letter
+    columns = [
+        frozenset(node.signs for node in members if node.word == "it")
+        for members in partition.components.values()
+    ]
     for letter, cells in fixtures.UPPER_COMPONENTS.items():
-        assert groups[letter] == frozenset(cells)
+        assert columns.count(frozenset(cells)) == 1, letter
 
 
 def test_bijection(partition):
-    assert components.match_plus_components(SAMPLES, SEED) == fixtures.BIJECTION
+    assert partition.bijection == fixtures.BIJECTION
 
 
-def test_classification_tables_match_reference():
-    tables = components.classification_tables(SAMPLES, SEED)
+def test_classification_tables_match_reference(partition):
+    tables = partition.classification_tables
     for name, expected_rows in fixtures.CLASSIFICATION_TABLES.items():
         got = {(r.cell, r.signs, r.letter, r.component) for r in tables[name]}
         expected = {
@@ -115,21 +123,21 @@ def test_classification_tables_match_reference():
         assert got == expected, name
 
 
-def test_spec_level_classification_examples():
-    r = components.classify_cell("0+*0+*", SAMPLES, SEED)
+def test_spec_level_classification_examples(partition):
+    r = _classify(partition, "0+*0+*")
     assert (r.signs, r.letter, r.component) == ("---+++", "K", 11)
-    r = components.classify_cell("++0+*+", SAMPLES, SEED)
+    r = _classify(partition, "++0+*+")
     assert (r.signs, r.letter, r.component) == ("+-+++-", "H", 8)
-    r = components.classify_cell("+00+**", SAMPLES, SEED)
+    r = _classify(partition, "+00+**")
     assert (r.signs, r.letter, r.component) == ("-+++-+", "F", 6)
 
 
 def test_codim0_classification_uses_graph(partition):
-    record = components.classify_cell("++++++", SAMPLES, SEED)
+    record = _classify(partition, "++++++")
     assert record.component == 1 and record.codim == 0
-    record = components.classify_cell("+-+-+-", SAMPLES, SEED)
+    record = _classify(partition, "+-+-+-")
     assert record.component == 3
-    record = components.classify_cell("-+-+-+", SAMPLES, SEED)
+    record = _classify(partition, "-+-+-+")
     assert record.component == 4
 
 
@@ -164,11 +172,11 @@ def test_counting_remarks(report):
             assert comps.count(11) == 4
 
 
-def test_classification_point_independent():
+def test_classification_point_independent(partition):
     rng = random.Random(99)
     for display in ("0+*0-*", "-+0-*-", "+00-**", "---0+*"):
         cell = deodhar.cell_by_display(display)
-        base = components.classify_cell(display, SAMPLES, SEED)
+        base = _classify(partition, display)
         done = 0
         while done < 6:
             t = tuple(s * deodhar.sample_magnitude(rng) for s in cell.h)
@@ -269,7 +277,8 @@ def test_prime_fallback_magnitudes():
 def test_compute_figure1_caches_one_partition_per_arguments():
     assert components.compute_figure1() is components.compute_figure1(SAMPLES, SEED)
     assert components.compute_figure1(samples=SAMPLES, seed=SEED) is components.compute_figure1()
-    assert components.euler_report() is components.euler_report(SAMPLES, SEED)
+    report = components.compute_figure1().euler_report
+    assert report is components.compute_figure1(SAMPLES, SEED).euler_report
 
 
 def test_components_cache_is_bounded():
@@ -280,7 +289,7 @@ def test_components_cache_is_bounded():
 def test_partition_gates_on_hand_made_graphs(partition):
     graph = partition.graph
     bare = components.OverlapGraph(graph.samples, graph.seed, graph.nodes, set())
-    with pytest.raises(components.PartitionTooFine):
+    with pytest.raises(components.PartitionTooFine, match=r"\[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11\]"):
         components.connected_components(bare)
     across = frozenset((SignVector("i", "++++++"), SignVector("i", "+-+-+-")))  # 1 and 3
     crossed = components.OverlapGraph(
