@@ -7,8 +7,8 @@ overlap, hence the 11 connected components.  Classifying all 140
 Deodhar cells into these components then gives each component's Euler
 characteristic as an alternating sum over codimensions.
 
-This demo recomputes everything from scratch; expect roughly half a
-minute.  Run with:  python demos/03_components_and_euler.py
+This demo recomputes everything from scratch in about a second.  Run
+with:  python demos/03_components_and_euler.py
 """
 
 from g2cells import compute_figure1

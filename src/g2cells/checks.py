@@ -233,33 +233,34 @@ def check_euler():
             )
 
 
-def _upper_letter(cell, rng, zero_m):
-    """The upper letter of alpha at a random point of the cell, m = 0 if ``zero_m``."""
+def _random_upper_signs(cell, rng, zero_m):
+    """The upper signs of alpha at a random point of the cell, m = 0 if ``zero_m``."""
     t = tuple(s * deodhar.sample_magnitude(rng) for s in cell.h)
     if zero_m:
         m = tuple(Fraction(0) for _ in cell.family.K)
     else:
         m = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in cell.family.K)
-    return components._upper_signs(cell, t, m)[1]
+    return chamber.alpha_factorize(deodhar.cell_point(cell, t, m), WORD_I_TILDE).signs()
 
 
 def check_property_suites():
     """Point independence, chain verification, and the counting remarks."""
     rng = random.Random(777)
-    report = components.compute_figure1().euler_report
+    partition = components.compute_figure1()
+    report = partition.euler_report
     # point independence of the classification: every cell keeps its
-    # label at RESAMPLES fresh interior points (zero m at the first draw)
+    # component at RESAMPLES fresh interior points (zero m at the first draw)
     for record in report.records:
         cell = deodhar.cell_by_display(record.cell)
         draws = itertools.count()
         for _ in range(RESAMPLES):
-            letter = chamber.redraw(
-                lambda: _upper_letter(cell, rng, zero_m=next(draws) == 0),
+            signs = chamber.redraw(
+                lambda: _random_upper_signs(cell, rng, zero_m=next(draws) == 0),
                 "a point of cell %s" % record.cell,
             )
             require(
-                fixtures.BIJECTION[letter] == record.component,
-                "cell %s reclassified to %s", record.cell, letter,
+                partition.upper[signs] == record.component,
+                "cell %s reclassified at upper signs %s", record.cell, signs,
             )
     # Deodhar chain invariants
     for fam in deodhar.families():

@@ -261,7 +261,7 @@ def _classification_rows(args):
 
 
 def cmd_classify(args):
-    if args.signs:
+    if args.signs is not None:
         try:
             cell = deodhar.cell_by_display(args.signs)
         except (KeyError, ValueError) as exc:

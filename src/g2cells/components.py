@@ -7,16 +7,17 @@ sampling points in each sign cell, re-factorizing along the other word
 and recording which sign cells overlap (``build_overlap_graph``).
 Only ``compute_figure1`` samples, so only it is cached, for a few
 ``(samples, seed)`` pairs, and its partition is the one way to every
-stage above the graph.  Kept on the partition, this module recomputes
+stage above the graph.  Kept on the partition, this module computes
 
-* the letter-to-number bijection, found by pushing one test point per
-  letter through the epsilon map, and
-* the classification of all 140 Deodhar cells, sending a sample point
-  of each cell through the alpha map and reading the six signs.
+* the upper map, sending each of the 64 upper sign cells along 212121
+  to the component that epsilon sends its random points to,
+* the letter-to-number bijection, read off the upper map, and
+* the classification of all 140 Deodhar cells, looking the alpha signs
+  at one fixed point of each cell up in the upper map.
 
-A draw outside the chart is redrawn (``chamber.redraw``); a fixed test
-point moves to fresh primes.  Every result is compared against the
-reference tables in ``fixtures``; a mismatch is an error, never a
+A random draw outside the chart is redrawn (``chamber.redraw``); a
+fixed point outside it is an error.  Every result is compared against
+the reference tables in ``fixtures``; a mismatch is an error, never a
 silent renumbering.
 """
 
@@ -43,6 +44,10 @@ __all__ = [
 ]
 
 WORDS = {"i": WORD_I, "it": WORD_I_TILDE}
+
+#: random points per upper sign cell of ``ComponentPartition.upper``, drawn
+#: from a stream of their own so that the graph's samples do not move
+UPPER_DRAWS = 4
 
 #: all 64 sign strings, in a fixed display order (+ before -)
 ALL_SIGNS = tuple(
@@ -77,14 +82,26 @@ class OverlapGraph:
         return adj
 
 
-def _lower_point(word, signs, rng):
-    params = tuple(
+def _signed_params(signs, rng):
+    """Six random parameters with the given signs."""
+    return tuple(
         (1 if ch == "+" else -1) * deodhar.sample_magnitude(rng)
         for ch in signs
     )
+
+
+def _lower_point(word, signs, rng):
+    params = _signed_params(signs, rng)
     return rep.group_product(
         rep.y(i, t) for i, t in zip(WORDS[word], params)
     )
+
+
+def _upper_mate(signs, rng):
+    """Signs of epsilon at a random point of an upper sign cell along 212121."""
+    params = _signed_params(signs, rng)
+    point = chamber.Factorization(WORD_I_TILDE, params, "upper").product()
+    return chamber.epsilon_factorize(point, WORD_I_TILDE).signs()
 
 
 def _refactor_signs(point, word):
@@ -139,24 +156,51 @@ class ComponentPartition:
         )
 
     @cached_property
-    def bijection(self):
+    def upper(self):
+        """Upper sign string along 212121 -> the component epsilon sends it to."""
+        rng = random.Random(self.graph.seed)
         out = {}
-        for letter in sorted(fixtures.UPPER_COMPONENTS):
-            mags = _magnitudes(fixtures.UPPER_TEST_MAGNITUDES)
-            signs = chamber.redraw(
-                lambda: _epsilon_signs(fixtures.UPPER_COMPONENTS[letter][0], next(mags)),
-                "the test point of letter %s" % letter,
-            )
-            out[letter] = self.component_of(SignVector("it", signs))
+        for signs in ALL_SIGNS:
+            what = "upper sign cell %s" % signs
+            reached = set()
+            for _ in range(UPPER_DRAWS):
+                mate = chamber.redraw(lambda: _upper_mate(signs, rng), what)
+                reached.add(self.component_of(SignVector("it", mate)))
+            out[signs] = _sole(reached, what)
+        return out
+
+    @cached_property
+    def bijection(self):
+        """Letter -> the one component that all its upper sign cells reach."""
+        out = {
+            letter: _sole({self.upper[signs] for signs in cells}, "letter %s" % letter)
+            for letter, cells in sorted(fixtures.UPPER_COMPONENTS.items())
+        }
         if sorted(out.values()) != list(range(1, 12)):
-            raise AssertionError("letter matching is not a bijection")
+            raise AssertionError("letter matching is not a bijection: %s" % out)
         return out
 
     def classify(self, cell):
-        if cell.codim == 0:
+        """The record of a cell; one of positive codimension is read off the
+        alpha signs at its fixed point, looked up in the upper map."""
+        fam = cell.family
+        if fam.codim == 0:
             number = self.component_of(SignVector("i", cell.display()))
-            return CellRecord(cell.display(), cell.family.name, 0, "", "", number)
-        return _classify_positive_codim(cell, self.bijection)
+            return CellRecord(cell.display(), fam.name, 0, "", "", number)
+        t_mags = fixtures.CLASSIFY_T_MAGNITUDES[len(fam.I)]
+        t = tuple(s * Fraction(mag) for s, mag in zip(cell.h, t_mags))
+        m = tuple(map(Fraction, fixtures.CLASSIFY_M_MAGNITUDES[len(fam.K)]))
+        point = deodhar.cell_point(cell, t, m)
+        try:
+            signs = chamber.alpha_factorize(point, WORD_I_TILDE).signs()
+        except chamber.NotFactorizable as exc:
+            raise RuntimeError(
+                "the fixed point of cell %s is not factorizable: %s" % (cell.display(), exc)
+            ) from exc
+        return CellRecord(
+            cell.display(), fam.name, fam.codim, signs,
+            fixtures.UPPER_LETTER[signs], self.upper[signs],
+        )
 
     @cached_property
     def classification_tables(self):
@@ -180,6 +224,13 @@ class ComponentPartition:
             for num, (n0, n1, n2) in counts.items()
         }
         return ClassificationReport(tuple(records), per_component)
+
+
+def _sole(numbers, what):
+    """The one number in ``numbers``, the components ``what`` reaches; more is an error."""
+    if len(numbers) != 1:
+        raise AssertionError("%s reaches components %s" % (what, sorted(numbers)))
+    return next(iter(numbers))
 
 
 def _fixture_partition():
@@ -254,34 +305,6 @@ def _figure1(samples, seed):
             samples *= 2
 
 
-def _magnitudes(first, used=()):
-    """Magnitudes of a test point: ``first``, then the next unused primes."""
-    yield tuple(first)
-    fresh = [p for p in deodhar.PRIMES if p not in set(first) | set(used)]
-    for end in range(len(first), len(fresh) + 1, len(first)):
-        yield tuple(fresh[end - len(first):end])
-    raise RuntimeError("prime magnitude pool exhausted")
-
-
-# ---------------------------------------------------------------------------
-# the bijection
-# ---------------------------------------------------------------------------
-
-
-def _epsilon_signs(signs, magnitudes):
-    """Signs of epsilon at the upper point with these signs and magnitudes."""
-    params = tuple(
-        (1 if ch == "+" else -1) * Fraction(mag)
-        for ch, mag in zip(signs, magnitudes)
-    )
-    xel = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, params))
-    closed = chamber.closed_form_epsilon(params)
-    fac = chamber.epsilon_factorize(xel, WORD_I_TILDE)
-    if fac.params != closed:
-        raise AssertionError("closed epsilon form drifted from the minors")
-    return fac.signs()
-
-
 # ---------------------------------------------------------------------------
 # classification of the 140 Deodhar cells
 # ---------------------------------------------------------------------------
@@ -295,24 +318,6 @@ class CellRecord:
     signs: str       # six upper parameter signs ('' for codim 0)
     letter: str      # '' for codim 0
     component: int
-
-
-def _upper_signs(cell, t, m):
-    """The six signs of alpha at the cell point (t, m) and their upper letter."""
-    signs = chamber.alpha_factorize(deodhar.cell_point(cell, t, m), WORD_I_TILDE).signs()
-    return signs, fixtures.UPPER_LETTER[signs]
-
-
-def _classify_positive_codim(cell, bijection):
-    fam = cell.family
-    t_mags = fixtures.CLASSIFY_T_MAGNITUDES[len(fam.I)]
-    t = tuple(s * Fraction(mag) for s, mag in zip(cell.h, t_mags))
-    mags = _magnitudes(fixtures.CLASSIFY_M_MAGNITUDES[len(fam.K)], used=t_mags)
-    signs, letter = chamber.redraw(
-        lambda: _upper_signs(cell, t, tuple(map(Fraction, next(mags)))),
-        "the test point of cell %s" % cell.display(),
-    )
-    return CellRecord(cell.display(), fam.name, fam.codim, signs, letter, bijection[letter])
 
 
 def _all_cells_of_family(name):

@@ -209,11 +209,7 @@ def position_chain(cell, t, m):
 
 def verify_cell_chain(cell, t, m):
     """True iff every partial product sits in B- sigma_j B+."""
-    sigma = cell.family.sigma
     try:
-        for j, g in enumerate(_prefix_points(cell, t, m), start=1):
-            if bruhat_position_mixed(g) != sigma[j]:
-                return False
+        return position_chain(cell, t, m) == tuple(W.w0 * s for s in cell.family.sigma)
     except ArithmeticError:
         return False
-    return True

@@ -78,6 +78,7 @@ def test_usage_errors_exit_2_without_traceback():
         ["epsilon", "--params", "1,2,3,5,7,11", "--word", "1212"],
         ["classify", "--signs", "0+*0+"],
         ["classify", "--signs", "0+0+**"],
+        ["classify", "--signs", ""],
         ["graph", "--samples", "0"],
         ["distinguished", "--word", "1122"],
         ["epsilon", "--params", "1,2,3,5,7,11", "--out", "/nonexistent/dir/f"],

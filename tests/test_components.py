@@ -189,8 +189,7 @@ def test_classification_point_independent(partition):
                 fac = chamber.alpha_factorize(point, WORD_I_TILDE)
             except chamber.NotFactorizable:
                 continue
-            letter = fixtures.UPPER_LETTER[fac.signs()]
-            assert fixtures.BIJECTION[letter] == base.component
+            assert partition.upper[fac.signs()] == base.component
             done += 1
 
 
@@ -244,34 +243,41 @@ def _refuse_every_other_call(monkeypatch, name):
     return calls
 
 
-def test_bijection_survives_the_prime_fallback(partition, monkeypatch):
+def test_upper_survives_refused_epsilon_draws(partition, monkeypatch):
     calls = _refuse_every_other_call(monkeypatch, "epsilon_factorize")
     fresh = components.ComponentPartition(partition.components, partition.graph)
-    assert fresh.bijection == fixtures.BIJECTION
-    assert len(calls) == 2 * len(fixtures.BIJECTION)
+    assert fresh.upper == partition.upper
+    assert len(calls) == 2 * 64 * components.UPPER_DRAWS
 
 
-def test_classification_survives_the_prime_fallback(partition, monkeypatch):
-    calls = _refuse_every_other_call(monkeypatch, "alpha_factorize")
-    for name, rows in fixtures.CLASSIFICATION_TABLES.items():
-        for display, signs, letter in rows:
-            record = components._classify_positive_codim(
-                deodhar.cell_by_display(display), partition.bijection
-            )
-            # the six signs may move with the fresh magnitudes; the letter may not
-            assert (record.cell, record.letter) == (display, letter)
-            assert record.component == fixtures.BIJECTION[letter]
-    assert len(calls) == 2 * 76
+def test_upper_map_matches_the_letters(partition):
+    assert sorted(partition.upper) == sorted(components.ALL_SIGNS)
+    for signs in components.ALL_SIGNS:
+        assert partition.upper[signs] == fixtures.BIJECTION[fixtures.UPPER_LETTER[signs]], signs
 
 
-def test_prime_fallback_magnitudes():
-    mags = components._magnitudes((3, 5), used=(1, 2))
-    assert [next(mags) for _ in range(3)] == [(3, 5), (7, 11), (13, 17)]
-    mags = components._magnitudes(fixtures.UPPER_TEST_MAGNITUDES)
-    assert next(mags) == (1, 2, 3, 5, 7, 11)
-    assert next(mags) == (13, 17, 19, 23, 29, 31)
-    with pytest.raises(RuntimeError, match="exhausted"):
-        list(components._magnitudes((7,), used=(1, 2, 3, 5)))
+def test_bijection_rejects_a_wrong_letter_grouping(partition, monkeypatch):
+    fresh = components.ComponentPartition(partition.components, partition.graph)
+    reference = fixtures.UPPER_COMPONENTS
+    e, f = reference["E"], reference["F"]
+    swapped = dict(reference, E=(f[0],) + e[1:], F=(e[0],) + f[1:])
+    monkeypatch.setattr(fixtures, "UPPER_COMPONENTS", swapped)
+    with pytest.raises(AssertionError, match=r"letter E reaches components \[5, 6\]"):
+        fresh.bijection
+    merged = dict(reference, B=reference["A"])
+    monkeypatch.setattr(fixtures, "UPPER_COMPONENTS", merged)
+    with pytest.raises(AssertionError, match="not a bijection"):
+        fresh.bijection
+
+
+def test_refused_fixed_point_names_the_cell(partition, monkeypatch):
+    def refuse(*args):
+        raise chamber.NotFactorizable("the level-2 minor eps1+eps2 read by a_3 vanishes")
+
+    monkeypatch.setattr(chamber, "alpha_factorize", refuse)
+    cell = deodhar.cell_by_display("0+*0+*")
+    with pytest.raises(RuntimeError, match=r"cell 0\+\*0\+\* .*level-2 minor"):
+        partition.classify(cell)
 
 
 def test_compute_figure1_caches_one_partition_per_arguments():

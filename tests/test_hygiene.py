@@ -53,6 +53,39 @@ def test_no_unused_imports(path):
     assert unused == [], "%s imports names it never reads: %s" % (path.name, unused)
 
 
+def _defined_names(tree):
+    """(name, line) of every module-level def, class and assignment target."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name):
+                        yield sub.id, node.lineno
+
+
+def test_no_unread_module_names():
+    """Every module-level name is read somewhere in the package or exported."""
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = [
+        (name, line, filename)
+        for filename, tree in trees.items()
+        for name, line in _defined_names(tree)
+        if name not in read | _exported_names(tree)
+        and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert unread == [], "module-level names nothing reads: %s" % unread
+
+
 def test_benchmark_patches_resolve():
     """Every name the benchmark tracer wraps is still defined where it is patched."""
     sys.path.insert(0, str(ROOT / "benchmarks"))
