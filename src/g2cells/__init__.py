@@ -43,8 +43,6 @@ from .rep import (
 )
 from .minors import (
     ChamberWeight,
-    ExtremalVector,
-    extremal_vector,
     minor,
     minor_lower,
     symbolic_minors,

@@ -187,7 +187,7 @@ def check_component_graph():
         partition.sizes(),
     )
     require(
-        partition.components == components._fixture_partition(),
+        partition.components == components.fixture_partition(),
         "component membership differs",
     )
 

@@ -40,6 +40,7 @@ __all__ = [
     "build_overlap_graph",
     "connected_components",
     "compute_figure1",
+    "fixture_partition",
     "ALL_SIGNS",
 ]
 
@@ -233,7 +234,8 @@ def _sole(numbers, what):
     return next(iter(numbers))
 
 
-def _fixture_partition():
+def fixture_partition():
+    """The reference partition of ``fixtures.FIGURE1``: number -> frozenset of SignVector."""
     out = {}
     for num, (icells, itcells) in fixtures.FIGURE1.items():
         members = {SignVector("i", s) for s in icells}
@@ -255,7 +257,7 @@ def connected_components(graph):
     ``PartitionTooFine`` (more sampling can only merge blocks, so
     retrying is sound).
     """
-    expected = _fixture_partition()
+    expected = fixture_partition()
     home = {node: num for num, members in expected.items() for node in members}
     adj = graph.adjacency()
     blocks = []

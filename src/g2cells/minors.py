@@ -14,16 +14,18 @@ factor.  The coefficient of e_{r1} ^ ... ^ e_{rl} in g . (e_{c1} ^ ...
 ^ e_{cl}) is the l x l minor of the V7 matrix at rows r and columns c
 (Fomin-Zelevinsky, Double Bruhat cells and total positivity, 1999).
 
-The extremal vector v_{w omega_l} is built from the highest weight
-vector by divided powers of the f_i along a reduced word of w.  On a
-wedge, f^(b) acts by the coproduct f^(b)(u ^ v) = sum_k f^(k)u ^
-f^(b-k)v.  Each f^(k) is read from the integral divided-power table of
-``rep``, so the coefficients are ints, and they depend only on the
-weight, not on the reduced word used.  Extremal weight spaces are one
-dimensional, so each extremal vector is a single wedge up to sign.
+The extremal vector v_{w omega_l} is wbar . v_{omega_l}, where wbar is the
+product of the sdot_j^-1 along a reduced word of w (Fomin-Zelevinsky).
+sdot_j^-1 sends a vector that e_j kills, of j-weight b, to f_j^(b) of
+it, so wbar . (e_0 ^ ... ^ e_{l-1}) has the l x l minors of wbar's first
+l columns as its wedge coefficients: ints, one wedge per extremal
+weight.  v_{-omega_l} is w0bar . v_{omega_l}, and wdot(w0) = w0bar^-1
+maps weight spaces to weight spaces, so the coefficient of v_{-omega_l}
+in g.v is the coefficient of v_{omega_l} in wdot(w0).g.v: rows
+0..l-1 of wdot(w0), folded through g.
 
-Every minor, of either level, is evaluated one way.  The top two (or
-bottom two) unit rows of V7 are folded along the word of g once
+Every minor, of either level, is evaluated one way.  The top two rows of
+the identity (or of wdot(w0)) are folded along the word of g once
 (``highest_row``/``lowest_row``), and a minor of level l pairs the first
 l rows of that block with an extremal vector (``pair_row_with_weight``):
 the sum of coefficient times the l x l determinant at the wedge's
@@ -38,8 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
-from math import prod
+from itertools import combinations
 
 from . import rep
 from .scalars import PolyRing
@@ -47,8 +48,6 @@ from .weyl import OMEGA, W, Weight, weight_by_label
 
 __all__ = [
     "ChamberWeight",
-    "ExtremalVector",
-    "extremal_vector",
     "minor",
     "minor_lower",
     "weight_to_chamber",
@@ -68,16 +67,6 @@ class ChamberWeight:
     @property
     def weight(self):
         return self.w.act(OMEGA[self.level])
-
-
-@dataclass(frozen=True)
-class ExtremalVector:
-    """v_{w omega_level} as ``terms``: pairs (columns, coefficient), one per
-    basis wedge e_{c1} ^ ... ^ e_{c_level} with increasing columns."""
-
-    level: int
-    terms: tuple
-    weight: Weight
 
 
 @lru_cache(maxsize=None)
@@ -108,94 +97,24 @@ def weight_to_chamber(mu):
 
 @lru_cache(maxsize=None)
 def _extremal_by_weight(n1, n2):
-    """The wedge terms of v_{w omega_i}, computed along the minimal word;
-    the level i is the length of every wedge."""
+    """The wedge terms (columns, coefficient) of v_{w omega_l} = wbar . v_{omega_l},
+    with wbar the product of sdot_j^-1 along the minimal word of w: the
+    nonzero l x l minors of wbar's first l columns.  A word of Weyl
+    representatives folds over the denominator 1."""
     cw = weight_to_chamber(Weight(n1, n2))
-    return _extremal_along_word(cw.level, cw.w.word)
-
-
-def _sort_sign(rows):
-    """The sign of the permutation that sorts ``rows``, or 0 if two are equal."""
-    sign = 1
-    for a, b in combinations(rows, 2):
-        if a == b:
-            return 0
-        if a > b:
-            sign = -sign
-    return sign
-
-
-def _extremal_along_word(level, word):
-    """v of weight (s_{j1}...s_{jl}) omega_level for word (j1..jl), as wedge terms.
-
-    Divided powers are applied from the right end of the word inward:
-    f_{jl}^{(<a_{jl}^vee, omega>)} first, so each step moves one more
-    reflection from the right of the word onto the weight.  f^(b) acts on
-    a wedge by the coproduct: the sum over k_1 + ... + k_level = b of
-    f^(k_1) e_{c1} ^ ... ^ f^(k_level) e_{c_level}.  Each f^(k) e_c is
-    column c of the power-k entries of the integral divided-power table
-    (f^(0) is the identity), so the coefficients are ints.
-    """
-    v7 = rep.build_representations()
-    vec = {tuple(range(level)): 1}
-    mu = OMEGA[level]
-    for j in reversed(word):
-        b = mu.pairing(j)
-        if b < 0:
-            raise AssertionError("negative divided power along a reduced word")
-        if b:
-            images = {}  # (k, c) -> the entries (row, value) of f_j^(k) e_c
-            for k, row, col, v in v7._int_terms[("y", j)]:
-                images.setdefault((k, col), []).append((row, v))
-            out = {}
-            for cols, coeff in vec.items():
-                for ks in product(range(b + 1), repeat=level):
-                    if sum(ks) != b:
-                        continue
-                    factors = [
-                        images.get((k, c), ()) if k else ((c, 1),) for k, c in zip(ks, cols)
-                    ]
-                    for picks in product(*factors):
-                        rows = [r for r, _ in picks]
-                        sign = _sort_sign(rows)
-                        if sign:
-                            key = tuple(sorted(rows))
-                            out[key] = out.get(key, 0) + sign * coeff * prod(v for _, v in picks)
-            vec = {cols: c for cols, c in out.items() if c}
-        mu = mu.reflect(j)
-    return tuple(sorted(vec.items()))
-
-
-def extremal_vector(level, w):
-    """The extremal weight vector of weight w*omega_level."""
-    mu = w.act(OMEGA[level])
-    return ExtremalVector(level, _extremal_by_weight(mu.n1, mu.n2), mu)
+    rows, _ = rep.matrix_rows(rep.group_product(rep.sdot_inverse(j) for j in cw.w.word))
+    columns = [[row[c] for row in rows] for c in range(cw.level)]
+    terms = ((cols, _det(columns, cols)) for cols in combinations(range(7), cw.level))
+    return tuple((cols, coeff) for cols, coeff in terms if coeff)
 
 
 @lru_cache(maxsize=None)
 def _unit_rows(lowest):
-    """The two int unit rows whose fold reads the coefficient of v_omega,
-    or of v_{-omega} if ``lowest``; a minor of level l reads the first l.
-
-    The highest rows are e_0, e_1: their first l read the highest wedge
-    e_0 ^ ... ^ e_{l-1}.  v_{-omega_l} must be s_l times the bottom wedge
-    of level l, with s_l = +/-1.  The lowest rows are s_1 e_6 and
-    -s_1 s_2 e_5, so that the determinant of the first l of them is the
-    bottom coefficient divided by s_l.
-    """
-    rows = ((0, 1), (1, 1))
-    if lowest:
-        signs = []
-        for level in (1, 2):
-            mu = -OMEGA[level]
-            terms = _extremal_by_weight(mu.n1, mu.n2)
-            bottom = tuple(range(7 - level, 7))
-            if len(terms) != 1 or terms[0][0] != bottom or abs(terms[0][1]) != 1:
-                raise ArithmeticError("lowest extremal vector is not +/- the bottom wedge")
-            signs.append(terms[0][1])
-        s1, s2 = signs
-        rows = ((6, s1), (5, -s1 * s2))
-    return tuple(tuple(sign * (c == r) for c in range(7)) for r, sign in rows)
+    """The two int rows whose fold reads the coefficient of v_omega, or of
+    v_{-omega} if ``lowest``: rows 0 and 1 of the identity, or of wdot(w0),
+    which sends v_{-omega} to v_omega; a minor of level l reads the first l."""
+    rows, _ = rep.matrix_rows(rep.wdot(W.w0 if lowest else W.identity))
+    return rows[:2]
 
 
 def highest_row(g):

@@ -15,8 +15,8 @@ spans Kostant's Z-form, a lattice stable under every divided power.
 The k! of a divided power is an exact division and raises
 ``ArithmeticError`` on a remainder.  Each one-parameter subgroup keeps
 one divided-power table, ``Representation._int_terms``: the entries
-(k, row, col, value) of E^k/k!, which both the fold and the extremal
-vectors of ``minors`` read.
+(k, row, col, value) of E^k/k!, which only the one-parameter atoms of
+the fold read.
 
 One-parameter subgroups are exact truncated exponentials (the
 generators are nilpotent) and torus elements are diagonal in the weight
@@ -122,9 +122,10 @@ class Representation:
         self.e = dict(e)
         self.f = dict(f)
         self.h = {i: linalg.commutator(self.e[i], self.f[i]) for i in (1, 2)}
-        # the one divided-power table: the nonzero entries (k, r, c, value)
-        # of E^k / k! for k = 1, 2, ... until the powers vanish, each an
-        # exact quotient, so a power off the lattice raises ArithmeticError
+        # the one divided-power table, read only by one_parameter_rows: the
+        # nonzero entries (k, r, c, value) of E^k / k! for k = 1, 2, ...
+        # until the powers vanish, each an exact quotient, so a power off
+        # the lattice raises ArithmeticError
         self._int_terms = {}
         self.nilpotency = {}
         for kind, mats in (("x", self.e), ("y", self.f)):

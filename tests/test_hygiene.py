@@ -95,3 +95,18 @@ def test_benchmark_patches_resolve():
         sys.path.remove(str(ROOT / "benchmarks"))
     for owner, attr, span in tracing.PATCHES:
         assert callable(vars(owner).get(attr)), "%s: %r has no %s" % (span, owner, attr)
+
+
+def test_no_private_reads_across_modules():
+    """Outside ``self`` and ``cls``, no code reads a single-underscore attribute."""
+    reads = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+                and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+            ):
+                reads.append((path.name, node.lineno, node.attr))
+    assert reads == [], "private attributes read across modules: %s" % reads

@@ -1,6 +1,7 @@
 """Extremal weight vectors and generalized minors."""
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import linalg_reference
 from dense_reference import atoms, dense_product
 from g2cells import fixtures, minors, rep
-from g2cells.weyl import W, Weight, weight_by_label
+from g2cells.weyl import OMEGA, W, WORD_I, WORD_I_TILDE, Weight, weight_by_label
 
 V7 = rep.build_representations()
 
@@ -36,18 +37,24 @@ WEDGES = {
 }
 
 
+def _extremal(level, w):
+    """The wedge terms of v_{w omega_level}, and its weight."""
+    mu = w.act(OMEGA[level])
+    return minors._extremal_by_weight(mu.n1, mu.n2), mu
+
+
 def test_extremal_at_identity_is_highest_vector():
-    v = minors.extremal_vector(1, W.identity)
-    assert v.terms == (((0,), 1),)
-    assert v.weight == Weight(1, 0)
-    assert minors.extremal_vector(2, W.identity).terms == (((0, 1), 1),)
+    terms, mu = _extremal(1, W.identity)
+    assert terms == (((0,), 1),)
+    assert mu == Weight(1, 0)
+    assert _extremal(2, W.identity)[0] == (((0, 1), 1),)
 
 
 def test_extremal_at_w0_has_lowest_weight():
     for level, omega in ((1, Weight(1, 0)), (2, Weight(0, 1))):
-        v = minors.extremal_vector(level, W.w0)
-        assert v.weight == -omega
-        ((cols, coeff),) = v.terms
+        terms, mu = _extremal(level, W.w0)
+        assert mu == -omega
+        ((cols, coeff),) = terms
         assert cols == tuple(range(7 - level, 7))
         assert abs(coeff) == 1
 
@@ -55,26 +62,33 @@ def test_extremal_at_w0_has_lowest_weight():
 def test_extremal_vectors_are_the_pinned_wedges():
     for level, table in WEDGES.items():
         for w in W.elements:
-            v = minors.extremal_vector(level, w)
-            assert v.level == level
-            assert v.terms == ((table[(v.weight.n1, v.weight.n2)], 1),)
+            terms, mu = _extremal(level, w)
+            assert all(len(cols) == level for cols, _ in terms)
+            assert terms == ((table[(mu.n1, mu.n2)], 1),)
 
 
-def test_extremal_reduced_word_independence_on_w0():
-    from g2cells.minors import _extremal_along_word
-    from g2cells.weyl import WORD_I, WORD_I_TILDE
-
+def test_extremal_vector_is_independent_of_the_representative():
+    """wbar . v_omega along the word of any w, minimal or not, is the cached
+    extremal vector of w omega, and wbar0 is one element along both words."""
     for level in (1, 2):
-        assert _extremal_along_word(level, WORD_I) == _extremal_along_word(
-            level, WORD_I_TILDE
-        )
+        for w in W.elements:
+            rows, den = rep.group_product(rep.sdot_inverse(j) for j in w.word).rows
+            assert den == 1
+            terms = []
+            for cols in combinations(range(7), level):
+                d = linalg_reference.det(tuple(tuple(rows[r][c] for c in range(level)) for r in cols))
+                if d:
+                    terms.append((cols, d))
+            assert tuple(terms) == _extremal(level, w)[0], (level, w.word)
+    w0bar = [rep.group_product(map(rep.sdot_inverse, word)) for word in (WORD_I, WORD_I_TILDE)]
+    assert w0bar[0] == w0bar[1]
 
 
 def test_extremal_vectors_integral_and_primitive():
     for level in (1, 2):
         for w in W.elements:
-            v = minors.extremal_vector(level, w)
-            coeffs = [coeff for _, coeff in v.terms]
+            terms, _ = _extremal(level, w)
+            coeffs = [coeff for _, coeff in terms]
             assert all(type(c) is int for c in coeffs)
             content = 0
             for c in coeffs:
@@ -117,8 +131,6 @@ def test_symbolic_minors_match_reference():
 
 def test_minor_examples_at_rational_point():
     params = [Fraction(v) for v in (1, 2, 3, 5, 7, 11)]
-    from g2cells.weyl import WORD_I_TILDE
-
     g = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, params))
     a, b, c, d, e, f = params
 
@@ -201,53 +213,15 @@ def test_minors_are_determinants_of_the_dense_product(word):
     _assert_minors_match_oracle(g, dense_product(word, V7))
 
 
-def _patch_bottom_wedges(monkeypatch, level1, level2):
-    """Replace the extremal vectors of -omega_1 and -omega_2 by the given terms."""
-    patched = {(-1, 0): level1, (0, -1): level2}
-    real = minors._extremal_by_weight
-    monkeypatch.setattr(minors, "_extremal_by_weight", lambda *key: patched.get(key) or real(*key))
-    minors._unit_rows.cache_clear()
-
-
-def test_lowest_rows_require_the_bottom_wedge(monkeypatch):
-    minors._unit_rows.cache_clear()
-    try:
-        # both bottom wedges have sign +1: the block is e_6, -e_5
-        assert minors._unit_rows(True) == ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1, 0))
-        # a wrong column, a coefficient of 2 or a second term, at either level
-        right1, right2 = (((6,), 1),), (((5, 6), 1),)
-        for wrong in ((((5,), 1),), (((6,), 2),), (((6,), 1), ((5,), 1))):
-            _patch_bottom_wedges(monkeypatch, wrong, right2)
-            with pytest.raises(ArithmeticError):
-                minors._unit_rows(True)
-        for wrong in ((((4, 6), 1),), (((5, 6), 2),), (((5, 6), 1), ((4, 6), 1))):
-            _patch_bottom_wedges(monkeypatch, right1, wrong)
-            with pytest.raises(ArithmeticError):
-                minors._unit_rows(True)
-        # a bottom wedge of sign -1 puts its sign into the block
-        _patch_bottom_wedges(monkeypatch, right1, (((5, 6), -1),))
-        assert minors._unit_rows(True) == ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, 1, 0))
-        # the highest rows need no extremal vector
-        assert minors._unit_rows(False) == ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
-        # whatever the signs, the lowest minors of the identity at w0 omega_l are 1
-        identity = rep.group_identity()
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                _patch_bottom_wedges(monkeypatch, (((6,), s1),), (((5, 6), s2),))
-                for level in (1, 2):
-                    assert minors.minor_lower(identity, minors.ChamberWeight(W.w0, level)) == 1
-    finally:
-        minors._unit_rows.cache_clear()
-
-
-def test_wedge_sign_of_unsorted_rows():
-    # e_r1 ^ ... ^ e_rl is the sign of the sorting permutation times the
-    # sorted wedge, and vanishes when a row repeats
-    assert minors._sort_sign([0, 1]) == 1
-    assert minors._sort_sign([4, 2]) == -1
-    assert minors._sort_sign([3, 3]) == 0
-    assert minors._sort_sign([2, 0, 1]) == 1
-    assert minors._sort_sign([0, 2, 1]) == -1
+def test_lowest_rows_require_the_bottom_wedge():
+    # rows 0 and 1 of wdot(w0): the block e_6, -e_5
+    assert minors._unit_rows(True) == ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1, 0))
+    # the highest rows are those of the identity
+    assert minors._unit_rows(False) == ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+    # the lowest minors of the identity at w0 omega_l are 1
+    identity = rep.group_identity()
+    for level in (1, 2):
+        assert minors.minor_lower(identity, minors.ChamberWeight(W.w0, level)) == 1
 
 
 def test_symbolic_minors_fold_once(monkeypatch):
