@@ -95,10 +95,6 @@ class CellId:
                 chars.append("*")
         return "".join(chars)
 
-    @property
-    def codim(self):
-        return self.family.codim
-
     def __repr__(self):
         return "CellId(%s)" % self.display()
 
@@ -156,21 +152,9 @@ def _prefix_points(cell, t, m):
     return rep.prefix_products(_cell_factors(cell, t, m))
 
 
-@lru_cache(maxsize=None)
-def _weight_permutations():
-    """For each Weyl element, its permutation of the V7 basis lines."""
-    v7 = rep.build_representations()
-    table = {}
-    for w in W.elements:
-        images = tuple(w.act(mu) for mu in v7.weights)
-        perm = tuple(v7.weights.index(img) for img in images)
-        table[perm] = w
-    return table
-
-
 def _element_from_matrix_permutation(p):
     # p[j] = i means the matrix sends basis line j to basis line i
-    w = _weight_permutations().get(tuple(p))
+    w = W.by_perm.get(tuple(p))
     if w is None:
         raise ArithmeticError(
             "rank profile permutation %r is not induced by a Weyl element" % (p,)

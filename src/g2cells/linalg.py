@@ -1,7 +1,8 @@
 """Exact dense matrix arithmetic and Bruhat-position scans.
 
-Matrices are tuples of tuples of exact entries: the ints of the
-Chevalley construction, or ``Fraction`` and ``Poly`` entries.
+Matrices are tuples of tuples of exact entries.  In the package they
+are the ints of the Chevalley construction and of integral group rows;
+the tests also pass ``Fraction`` entries.
 Bruhat-position permutations are read off rank profiles by one
 fraction-free column-reduction scan, which serves the top-left profile
 directly and the bottom-left profile on the row-reversed matrix.  Scaling a row or a column moves no rank profile,

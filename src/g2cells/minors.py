@@ -43,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from . import rep
-from .scalars import PolyRing
+from .scalars import variables
 from .weyl import OMEGA, W, Weight, weight_by_label
 
 __all__ = [
@@ -74,7 +74,7 @@ def _orbit(level):
     """All weights w*omega_i with a minimal-length representative each."""
     omega = OMEGA[level]
     reps = {}
-    for w in sorted(W.elements, key=lambda el: (el.length, el.word)):
+    for w in W.elements:  # in (length, word) order
         mu = w.act(omega)
         if (mu.n1, mu.n2) not in reps:
             reps[(mu.n1, mu.n2)] = w
@@ -177,8 +177,7 @@ def symbolic_minors():
     labels first.  This is the calibration table for all sign
     conventions in the package.
     """
-    ring = PolyRing("abcdef")
-    a, b, c, d, e, f = ring.gens()
+    a, b, c, d, e, f = variables()
     factors = (("x", 2, a), ("x", 1, b), ("x", 2, c), ("x", 1, d), ("x", 2, e), ("x", 1, f))
     row = highest_row(rep.GroupElement(factors))
     return {label: pair_row_with_weight(row, weight_by_label(label))

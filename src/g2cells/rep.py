@@ -50,7 +50,7 @@ from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
-from .weyl import Weight
+from .weyl import V7_WEIGHTS
 
 __all__ = [
     "Representation",
@@ -93,19 +93,8 @@ def _madd(*ms):
     return out
 
 
-#: V7 basis weights, strictly decreasing height: eps1, -eps3, -eps2, 0, eps2, eps3, -eps1
-V7_WEIGHTS = (
-    Weight(1, 0),
-    Weight(-1, 1),
-    Weight(2, -1),
-    Weight(0, 0),
-    Weight(-2, 1),
-    Weight(1, -1),
-    Weight(-1, 0),
-)
-
 # Chevalley generators of the 7-dimensional representation in the basis
-# above, normalized so that the lattice spanned by the basis is stable
+# of V7_WEIGHTS, normalized so that the lattice spanned by the basis is stable
 # under all divided powers e_i^k / k!, f_i^k / k!.
 _E1_7 = _madd(_unit(0, 1), _unit(2, 3, 2), _unit(3, 4), _unit(5, 6))
 _F1_7 = _madd(_unit(1, 0), _unit(3, 2), _unit(4, 3, 2), _unit(6, 5))

@@ -1,8 +1,10 @@
 """Weyl group combinatorics for the rank-2 root system of type G2.
 
 The group (dihedral of order 12) is realized by its faithful permutation
-action on the six short roots, so equality and multiplication reduce to
-permutation composition.  Canonical reduced words and the multiplication
+action on the seven weights of V7 (``V7_WEIGHTS``), which are its basis
+lines.  Equality and multiplication reduce to permutation composition,
+and a permutation of the basis lines read off a matrix names its element
+through ``W.by_perm``.  Canonical reduced words and the multiplication
 table are precomputed by breadth-first closure, and distinguished
 subexpressions are enumerated depth-first, which is exact and instant at
 this size.  Bruhat order on the group is not part of the package: the
@@ -89,8 +91,17 @@ def weight_by_label(label):
     return _WEIGHT_BY_LABEL[label]
 
 
-#: the six short roots, in the fixed order used for the permutation action
-SHORT_ROOTS = (_eps(1), _eps(2), _eps(3), -_eps(1), -_eps(2), -_eps(3))
+#: V7 basis weights, strictly decreasing height: eps1, -eps3, -eps2, 0,
+#: eps2, eps3, -eps1.  The Weyl group permutes them and fixes line 3.
+V7_WEIGHTS = (
+    Weight(1, 0),
+    Weight(-1, 1),
+    Weight(2, -1),
+    Weight(0, 0),
+    Weight(-2, 1),
+    Weight(1, -1),
+    Weight(-1, 0),
+)
 
 
 class WeylElement:
@@ -103,7 +114,7 @@ class WeylElement:
     __slots__ = ("perm", "word", "length", "_group", "index")
 
     def __init__(self, group, perm, word, index):
-        self.perm = perm            # action on SHORT_ROOTS by position
+        self.perm = perm            # perm[j] = k: sends V7_WEIGHTS[j] to V7_WEIGHTS[k]
         self.word = word            # canonical (lex-least) reduced word
         self.length = len(word)
         self._group = group
@@ -137,13 +148,13 @@ class WeylGroup:
         s_perm = {}
         for i in (1, 2):
             s_perm[i] = tuple(
-                SHORT_ROOTS.index(w.reflect(i)) for w in SHORT_ROOTS
+                V7_WEIGHTS.index(mu.reflect(i)) for mu in V7_WEIGHTS
             )
-        id_perm = tuple(range(6))
+        id_perm = tuple(range(len(V7_WEIGHTS)))
 
         def compose(p, q):
             # (p after q): apply q first
-            return tuple(p[q[k]] for k in range(6))
+            return tuple(p[k] for k in q)
 
         # breadth-first closure, tracking lex-least shortest words
         elements = {id_perm: ()}
@@ -166,16 +177,16 @@ class WeylGroup:
         self.elements = tuple(
             WeylElement(self, perm, word, k) for k, (perm, word) in enumerate(order)
         )
-        self._by_perm = {el.perm: el for el in self.elements}
+        self.by_perm = {el.perm: el for el in self.elements}
         self.identity = self.elements[0]
         self.w0 = max(self.elements, key=lambda el: el.length)
-        self._s = {1: self._by_perm[s_perm[1]], 2: self._by_perm[s_perm[2]]}
+        self._s = {1: self.by_perm[s_perm[1]], 2: self.by_perm[s_perm[2]]}
 
         n = len(self.elements)
         self._mult = [[None] * n for _ in range(n)]
         for a in self.elements:
             for b in self.elements:
-                self._mult[a.index][b.index] = self._by_perm[compose(a.perm, b.perm)]
+                self._mult[a.index][b.index] = self.by_perm[compose(a.perm, b.perm)]
 
     # -- group operations -------------------------------------------------
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +91,12 @@ def test_mixed_position_examples():
     assert deodhar.bruhat_position_mixed(rep.x(1, Fraction(1))) is W.identity
     for w in W.elements:
         assert deodhar.bruhat_position_mixed(rep.wdot(w)) is w
+        assert w.perm[3] == 3  # the zero weight line is fixed
+    # no Weyl element swaps lines 0 and 1 (weights eps1 and -eps3) alone
+    swap = [[int(i == j) for j in range(7)] for i in range(7)]
+    swap[0], swap[1] = swap[1], swap[0]
+    with pytest.raises(ArithmeticError):
+        deodhar.bruhat_position_mixed(SimpleNamespace(rows=(swap, 1)))
 
 
 def test_plus_position_examples():

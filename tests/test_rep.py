@@ -341,7 +341,6 @@ CACHE_BOUNDS = {
     "minors.symbolic_minors": 1,
     "chamber._ansatz_weights": 4,  # two words x two directions
     "deodhar.families": 1,
-    "deodhar._weight_permutations": 1,
     "components._figure1": 4,  # (samples, seed) is unbounded: its maxsize
 }
 
