@@ -12,15 +12,14 @@ from fractions import Fraction
 
 from g2cells import (
     WORD_I_TILDE,
+    Factorization,
     alpha_factorize,
     cell_point,
     closed_form_epsilon,
     epsilon_factorize,
     family_by_name,
     flag_equal_opposed,
-    group_product,
     symbolic_minors,
-    x,
 )
 from g2cells.deodhar import CellId
 
@@ -34,7 +33,7 @@ print()
 # an upper unipotent element to the lower unipotent element carrying
 # the same flag.  All arithmetic is exact.
 params = tuple(Fraction(v) for v in (1, 2, 3, 5, 7, 11))
-xel = group_product(x(i, t) for i, t in zip(WORD_I_TILDE, params))
+xel = Factorization(WORD_I_TILDE, params, "upper").product()
 fac = epsilon_factorize(xel, WORD_I_TILDE)
 print("epsilon parameters at (1,2,3,5,7,11):")
 print("  theorem    :", " ".join(map(str, fac.params)))

@@ -138,7 +138,7 @@ def _chamber_draw(kind, rng):
     and the factorization, for ``kind`` "epsilon" or an alpha family name."""
     if kind == "epsilon":
         coords = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in range(6))
-        point = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, coords))
+        point = chamber.Factorization(WORD_I_TILDE, coords, "upper").product()
         closed = chamber.closed_form_epsilon(coords)
         return coords, point, closed, chamber.epsilon_factorize(point, WORD_I_TILDE)
     cell, t, m = _random_family_point(deodhar.family_by_name(kind), rng)
@@ -166,12 +166,12 @@ def check_chamber_consistency():
             require(back.product() == point, "round trip on %s", kind)
     # total positivity: all-positive input gives all-positive output
     ones = tuple(Fraction(1) for _ in range(6))
-    xel = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, ones))
+    xel = chamber.Factorization(WORD_I_TILDE, ones, "upper").product()
     require(
         all(p > 0 for p in chamber.epsilon_factorize(xel, WORD_I_TILDE).params),
         "epsilon of a totally positive point is not positive",
     )
-    yel = rep.group_product(rep.y(i, t) for i, t in zip(WORD_I_TILDE, ones))
+    yel = chamber.Factorization(WORD_I_TILDE, ones, "lower").product()
     require(
         all(p > 0 for p in chamber.alpha_factorize(yel, WORD_I_TILDE).params),
         "alpha of a totally positive point is not positive",

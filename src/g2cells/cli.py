@@ -98,47 +98,32 @@ def _tabular(args, header, rows):
     return "\n".join(lines) + "\n"
 
 
+def _subexpression_row(sub):
+    """The name, chain, index sets I, J, K, dim and codim of a subexpression."""
+    return (
+        sub.name,
+        " ".join(sub.sigma_names()),
+        ",".join(map(str, sub.I)) or "-",
+        ",".join(map(str, sub.J)) or "-",
+        ",".join(map(str, sub.K)) or "-",
+        sub.dim,
+        sub.codim,
+    )
+
+
 def cmd_distinguished(args):
-    rows = []
-    for sub in enumerate_distinguished(args.word):
-        rows.append(
-            (
-                sub.name,
-                " ".join(sub.sigma_names()),
-                ",".join(map(str, sub.I)) or "-",
-                ",".join(map(str, sub.J)) or "-",
-                ",".join(map(str, sub.K)) or "-",
-                sub.dim,
-                sub.codim,
-            )
-        )
+    rows = [_subexpression_row(sub) for sub in enumerate_distinguished(args.word)]
     _emit(args, _tabular(args, ("name", "chain", "I", "J", "K", "dim", "codim"), rows))
     return 0
 
 
 def cmd_cells(args):
-    rows = []
-    for fam in deodhar.families():
-        rows.append(
-            (
-                fam.name,
-                " ".join(repr(s) for s in fam.sigma),
-                ",".join(map(str, fam.I)) or "-",
-                ",".join(map(str, fam.J)) or "-",
-                ",".join(map(str, fam.K)) or "-",
-                fam.dim,
-                fam.codim,
-                ",".join(fam.param_signature()),
-            )
-        )
-    _emit(
-        args,
-        _tabular(
-            args,
-            ("family", "chain", "I", "J", "K", "dim", "codim", "params"),
-            rows,
-        ),
-    )
+    rows = [
+        _subexpression_row(fam) + (",".join(fam.param_signature()),)
+        for fam in deodhar.families()
+    ]
+    header = ("family", "chain", "I", "J", "K", "dim", "codim", "params")
+    _emit(args, _tabular(args, header, rows))
     return 0
 
 
@@ -200,8 +185,8 @@ def cmd_epsilon(args):
             "--params gives %d values for the %d letters of --word"
             % (len(args.params), len(args.word))
         )
-    xel = rep.group_product(rep.x(i, t) for i, t in zip(args.word, args.params))
     try:
+        xel = chamber.Factorization(args.word, args.params, "upper").product()
         values = chamber.epsilon_factorize(xel, args.word).params
     except chamber.NotFactorizable:
         _emit(args, "not-factorizable\n")
@@ -251,25 +236,17 @@ def cmd_bijection(args):
     return 0
 
 
-def _classification_rows(args):
-    tables = components.compute_figure1(args.samples, args.seed).classification_tables
-    rows = []
-    for name in fixtures.TABLE_ORDER:
-        for r in tables[name]:
-            rows.append((r.cell, r.family, r.signs, r.letter, r.component, r.codim))
-    return rows
-
-
 def cmd_classify(args):
     if args.signs is not None:
         try:
             cell = deodhar.cell_by_display(args.signs)
         except (KeyError, ValueError) as exc:
             raise UsageError("--signs %r: %s" % (args.signs, exc.args[0]))
-        r = components.compute_figure1(args.samples, args.seed).classify(cell)
-        rows = [(r.cell, r.family, r.signs, r.letter, r.component, r.codim)]
+        records = [components.compute_figure1(args.samples, args.seed).classify(cell)]
     else:
-        rows = _classification_rows(args)
+        tables = components.compute_figure1(args.samples, args.seed).classification_tables
+        records = [r for name in fixtures.TABLE_ORDER for r in tables[name]]
+    rows = [(r.cell, r.family, r.signs, r.letter, r.component, r.codim) for r in records]
     _emit(
         args,
         _tabular(args, ("cell", "family", "signs", "letter", "component", "codim"), rows),

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import chamber, deodhar, fixtures, rep
+from . import chamber, deodhar, fixtures
 from .weyl import WORD_I, WORD_I_TILDE
 
 __all__ = [
@@ -93,9 +93,7 @@ def _signed_params(signs, rng):
 
 def _lower_point(word, signs, rng):
     params = _signed_params(signs, rng)
-    return rep.group_product(
-        rep.y(i, t) for i, t in zip(WORDS[word], params)
-    )
+    return chamber.Factorization(WORDS[word], params, "lower").product()
 
 
 def _upper_mate(signs, rng):

@@ -114,7 +114,7 @@ def cell_by_display(display):
 
 
 def _cell_factors(cell, t, m):
-    """The atom words of z_1, ..., z_6 at the given coordinates."""
+    """The factors z_1, ..., z_6 at the given coordinates, as group elements."""
     fam = cell.family
     t = [Fraction(v) for v in t]
     m = [Fraction(v) for v in m]
@@ -130,11 +130,11 @@ def _cell_factors(cell, t, m):
     mi = iter(m)
     for j, letter in enumerate(fam.word, start=1):
         if j in fam.I:
-            factors.append((("y", letter, next(ti)),))
+            factors.append(rep.y(letter, next(ti)))
         elif j in fam.J:
-            factors.append((("sdot", letter),))
+            factors.append(rep.sdot(letter))
         else:
-            factors.append((("x", letter, next(mi)), ("sdot_inv", letter)))
+            factors.append(rep.x(letter, next(mi)) * rep.sdot_inverse(letter))
     return factors
 
 
@@ -144,7 +144,7 @@ def cell_point(cell, t, m):
     ``t`` lists the R*-coordinates (I positions, in order), each with
     the sign required by the cell; ``m`` lists the R-coordinates.
     """
-    return rep.GroupElement(sum(_cell_factors(cell, t, m), ()))
+    return rep.group_product(_cell_factors(cell, t, m))
 
 
 def _prefix_points(cell, t, m):

@@ -44,7 +44,7 @@ from itertools import combinations
 
 from . import rep
 from .scalars import variables
-from .weyl import OMEGA, W, Weight, weight_by_label
+from .weyl import OMEGA, W, WORD_I_TILDE, Weight, weight_by_label
 
 __all__ = [
     "ChamberWeight",
@@ -177,8 +177,7 @@ def symbolic_minors():
     labels first.  This is the calibration table for all sign
     conventions in the package.
     """
-    a, b, c, d, e, f = variables()
-    factors = (("x", 2, a), ("x", 1, b), ("x", 2, c), ("x", 1, d), ("x", 2, e), ("x", 1, f))
-    row = highest_row(rep.GroupElement(factors))
+    point = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, variables()))
+    row = highest_row(point)
     return {label: pair_row_with_weight(row, weight_by_label(label))
             for label in LEVEL1_LABELS + LEVEL2_LABELS}

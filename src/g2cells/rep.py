@@ -24,7 +24,10 @@ basis.  A group element is the word of generator atoms that produced
 it: products concatenate words, inverses reverse them, and a matrix is
 folded from the word, sparse atom by sparse atom, only when it is first
 read.  Dense matrix products run only while the representation is
-built.
+built.  Only this module writes an atom or builds a ``GroupElement``
+from a word: the rest of the package starts from ``x``, ``y``,
+``sdot``, ``sdot_inverse``, ``coweight`` and ``wdot``, and joins
+elements with ``*``, ``group_product`` or ``prefix_products``.
 
 Every atom is read one way, as integral sparse entries over a positive
 denominator (``_atom_rows``): x_i(p/q) and y_i(p/q) from the integral
@@ -47,7 +50,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 from . import linalg
 from .weyl import V7_WEIGHTS
@@ -318,12 +321,6 @@ class GroupElement:
             u * db == v * da for ra, rb in zip(a, b) for u, v in zip(ra, rb)
         )
 
-    def __hash__(self):
-        # the rows and denominator in lowest terms, so equal elements hash equal
-        rows, den = self.rows
-        g = gcd(den, *(v for row in rows for v in row))
-        return hash((den // g, tuple(tuple(v // g for v in row) for row in rows)))
-
     def __repr__(self):
         return "GroupElement(%s)" % (", ".join(map(_atom_repr, self.provenance)) or "1")
 
@@ -343,23 +340,23 @@ def group_identity():
 
 
 def group_product(elements):
-    out = group_identity()
-    for g in elements:
-        out = out * g
-    return out
+    """The product of the elements in order: one element, whose word is
+    the concatenation of their words.  The word is gathered in a list:
+    built from a generator, it kept about 0.1 MiB more memory resident."""
+    return GroupElement([atom for g in elements for atom in g.provenance])
 
 
-def prefix_products(words):
-    """The partial products of a sequence of atom words.
+def prefix_products(elements):
+    """The partial products of a sequence of group elements.
 
     Each prefix's integral V7 rows are folded on from those of the
     prefix before it, so the whole chain costs one fold of the full word.
     """
     out = []
     provenance, rows, den = (), _unit_rows(range(7)), 1
-    for atoms in words:
-        provenance += atoms
-        rows, den = _fold_rows(rows, den, atoms)
+    for g in elements:
+        provenance += g.provenance
+        rows, den = _fold_rows(rows, den, g.provenance)
         out.append(GroupElement(provenance, rows=(tuple(map(tuple, rows)), den)))
     return out
 

@@ -47,24 +47,15 @@ class Weight:
         a = ALPHA[i]
         return Weight(self.n1 - c * a.n1, self.n2 - c * a.n2)
 
-    def __add__(self, other):
-        return Weight(self.n1 + other.n1, self.n2 + other.n2)
-
     def __sub__(self, other):
         return Weight(self.n1 - other.n1, self.n2 - other.n2)
 
     def __neg__(self):
         return Weight(-self.n1, -self.n2)
 
-    def eps_triple(self):
-        """Coordinates (a, b, c) with mu = a*eps1 + b*eps2 + c*eps3, min = 0."""
-        a, b, c = self.n1 + 2 * self.n2, self.n2, 0
-        m = min(a, b, c)
-        return (a - m, b - m, c - m)
-
     def eps_label(self):
-        lbl = _EPS_LABELS.get((self.n1, self.n2))
-        return lbl if lbl is not None else str(self.eps_triple())
+        """The epsilon label, such as 'e1' or 'e3-e2', of a chamber weight."""
+        return _EPS_LABELS[(self.n1, self.n2)]
 
 
 #: simple roots and fundamental weights in fundamental-weight coordinates

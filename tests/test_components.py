@@ -287,6 +287,38 @@ def test_compute_figure1_caches_one_partition_per_arguments():
     assert report is components.compute_figure1(SAMPLES, SEED).euler_report
 
 
+def test_figure1_doubles_the_samples_until_the_partition_closes(monkeypatch):
+    built = []
+    original = components.build_overlap_graph
+
+    def recording(samples, seed):
+        built.append(samples)
+        return original(samples, seed)
+
+    monkeypatch.setattr(components, "build_overlap_graph", recording)
+    partition = components.compute_figure1(2, SEED)
+    assert built == [2, 4]
+    assert partition.graph.samples == 4
+    assert partition.components == components.fixture_partition()
+
+
+def test_figure1_gives_up_after_64_samples(monkeypatch):
+    built = []
+
+    def stub(samples, seed):
+        built.append(samples)
+        return components.OverlapGraph(samples, seed, (), set())
+
+    def too_fine(graph):
+        raise components.PartitionTooFine("split by the test")
+
+    monkeypatch.setattr(components, "build_overlap_graph", stub)
+    monkeypatch.setattr(components, "connected_components", too_fine)
+    with pytest.raises(components.PartitionTooFine, match="split by the test"):
+        components.compute_figure1(16, 1234)
+    assert built == [16, 32, 64]
+
+
 def test_components_cache_is_bounded():
     maxsize = components._figure1.cache_info().maxsize
     assert maxsize is not None and maxsize <= 8

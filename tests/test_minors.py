@@ -112,6 +112,9 @@ def test_weight_to_chamber_examples():
         not (v.act(Weight(0, 1)) == mu and v.length < cw.w.length)
         for v in W.elements
     )
+    # every chamber weight has an epsilon label, and the labels are the table's
+    labels = {w.act(OMEGA[level]).eps_label() for w in W.elements for level in (1, 2)}
+    assert labels == set(minors.LEVEL1_LABELS + minors.LEVEL2_LABELS)
 
 
 def test_weight_to_chamber_rejects_non_extremal():
