@@ -42,7 +42,6 @@ from .rep import (
     y,
 )
 from .minors import (
-    ChamberWeight,
     minor,
     minor_lower,
     symbolic_minors,

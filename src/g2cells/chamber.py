@@ -144,7 +144,7 @@ def _factor_params(g, word, lowest):
     if 0 in values:
         k = values.index(0)
         m = next(m for m, (num, _, d1, d2) in enumerate(steps, 1) if k in (num, d1, d2))
-        mu, level = weights[k], weight_to_chamber(weights[k]).level
+        mu, level = weights[k], weight_to_chamber(weights[k])[1]
         raise NotFactorizable(
             "the level-%d minor %s read by a_%d vanishes" % (level, mu.eps_label(), m),
             word=word, level=level, weight=mu, position=m,
@@ -373,14 +373,12 @@ CLOSED_FORM_FAMILIES = {
 }
 
 
-def closed_form_alpha(family, t, m):
-    """The six upper parameters of alpha on a named cell family.
+def closed_form_alpha(name, t, m):
+    """The six upper parameters of alpha on the cell family named ``name``.
 
-    ``family`` may be a family object with a ``name`` or a name string;
     ``t`` and ``m`` list the R*-coordinates and R-coordinates in
-    position order.
+    position order.  An unknown name raises ``KeyError``.
     """
-    name = getattr(family, "name", family)
     try:
         fn = CLOSED_FORM_FAMILIES[name]
     except KeyError:

@@ -37,7 +37,6 @@ too, and divides by the l-th power of that denominator once per minor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -47,7 +46,6 @@ from .scalars import variables
 from .weyl import OMEGA, W, WORD_I_TILDE, Weight, weight_by_label
 
 __all__ = [
-    "ChamberWeight",
     "minor",
     "minor_lower",
     "weight_to_chamber",
@@ -57,41 +55,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChamberWeight:
-    """A pair (w, i) naming the generalized minor Delta^{w omega_i}."""
-
-    w: object
-    level: int
-
-    @property
-    def weight(self):
-        return self.w.act(OMEGA[self.level])
-
-
-@lru_cache(maxsize=None)
-def _orbit(level):
-    """All weights w*omega_i with a minimal-length representative each."""
-    omega = OMEGA[level]
-    reps = {}
-    for w in W.elements:  # in (length, word) order
-        mu = w.act(omega)
-        if (mu.n1, mu.n2) not in reps:
-            reps[(mu.n1, mu.n2)] = w
-        else:
-            # minimal-length coset representatives are unique
-            u = reps[(mu.n1, mu.n2)]
-            if w.length == u.length and w != u:
-                raise AssertionError("tie among minimal-length representatives")
-    return reps
-
-
 def weight_to_chamber(mu):
-    """The unique (w of minimal length, i) with w*omega_i = mu."""
-    for level in (1, 2):
-        w = _orbit(level).get((mu.n1, mu.n2))
-        if w is not None:
-            return ChamberWeight(w, level)
+    """The pair (w, level) with w*omega_level = mu and w of minimal length:
+    the first such w of ``W.elements``, which is in (length, word) order."""
+    for w in W.elements:
+        for level in (1, 2):
+            if w.act(OMEGA[level]) == mu:
+                return w, level
     raise ValueError("%r is not in the Weyl orbit of a fundamental weight" % (mu,))
 
 
@@ -100,11 +70,12 @@ def _extremal_by_weight(n1, n2):
     """The wedge terms (columns, coefficient) of v_{w omega_l} = wbar . v_{omega_l},
     with wbar the product of sdot_j^-1 along the minimal word of w: the
     nonzero l x l minors of wbar's first l columns.  A word of Weyl
-    representatives folds over the denominator 1."""
-    cw = weight_to_chamber(Weight(n1, n2))
-    rows, _ = rep.matrix_rows(rep.group_product(rep.sdot_inverse(j) for j in cw.w.word))
-    columns = [[row[c] for row in rows] for c in range(cw.level)]
-    terms = ((cols, _det(columns, cols)) for cols in combinations(range(7), cw.level))
+    representatives folds over the denominator 1.  Keyed by the two ints, not
+    a slower-hashing ``Weight``: each factorization looks it up eight times."""
+    w, level = weight_to_chamber(Weight(n1, n2))
+    rows, _ = rep.matrix_rows(rep.group_product(rep.sdot_inverse(j) for j in w.word))
+    columns = [[row[c] for row in rows] for c in range(level)]
+    terms = ((cols, _det(columns, cols)) for cols in combinations(range(7), level))
     return tuple((cols, coeff) for cols, coeff in terms if coeff)
 
 
@@ -154,14 +125,14 @@ def pair_row_with_weight(row, mu):
     return total / Fraction(den ** len(terms[0][0]))
 
 
-def minor(g, cw):
-    """Delta^{w omega_i}(g): coefficient of v_{omega_i} in g . v_{w omega_i}."""
-    return pair_row_with_weight(highest_row(g), cw.weight)
+def minor(g, mu):
+    """Delta^mu(g), mu = w*omega_i: coefficient of v_{omega_i} in g . v_mu."""
+    return pair_row_with_weight(highest_row(g), mu)
 
 
-def minor_lower(g, cw):
-    """Delta_-^{w omega_i}(g): coefficient of v_{-omega_i} in g . v_{w omega_i}."""
-    return pair_row_with_weight(lowest_row(g), cw.weight)
+def minor_lower(g, mu):
+    """Delta_-^mu(g), mu = w*omega_i: coefficient of v_{-omega_i} in g . v_mu."""
+    return pair_row_with_weight(lowest_row(g), mu)
 
 
 #: epsilon labels of the level-1 and level-2 chamber weights in display order

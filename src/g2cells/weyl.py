@@ -4,10 +4,11 @@ The group (dihedral of order 12) is realized by its faithful permutation
 action on the seven weights of V7 (``V7_WEIGHTS``), which are its basis
 lines.  Equality and multiplication reduce to permutation composition,
 and a permutation of the basis lines read off a matrix names its element
-through ``W.by_perm``.  Canonical reduced words and the multiplication
-table are precomputed by breadth-first closure, and distinguished
-subexpressions are enumerated depth-first, which is exact and instant at
-this size.  Bruhat order on the group is not part of the package: the
+through ``W.by_perm``.  ``W.elements`` lists the group in (length, word)
+order with lex-least reduced words, so ``W.w0`` is its last element and a
+minimal representative is the first element that fits.  Distinguished
+subexpressions are enumerated depth-first, exact and instant at this
+size.  Bruhat order on the group is not part of the package: the
 relative positions of flags are read from rank profiles (``deodhar``).
 
 Weights are stored in fundamental-weight coordinates (n1, n2), i.e.
@@ -55,7 +56,7 @@ class Weight:
 
     def eps_label(self):
         """The epsilon label, such as 'e1' or 'e3-e2', of a chamber weight."""
-        return _EPS_LABELS[(self.n1, self.n2)]
+        return _EPS_LABELS[self]
 
 
 #: simple roots and fundamental weights in fundamental-weight coordinates
@@ -63,18 +64,15 @@ ALPHA = {1: Weight(2, -1), 2: Weight(-3, 2)}
 OMEGA = {1: Weight(1, 0), 2: Weight(0, 1)}
 
 
-def _eps(i):
-    return {1: Weight(1, 0), 2: Weight(-2, 1), 3: Weight(1, -1)}[i]
-
+_EPS = {1: Weight(1, 0), 2: Weight(-2, 1), 3: Weight(1, -1)}
 
 _EPS_LABELS = {}
 for _i in (1, 2, 3):
-    _EPS_LABELS[(_eps(_i).n1, _eps(_i).n2)] = "e%d" % _i
-    _EPS_LABELS[((-_eps(_i)).n1, (-_eps(_i)).n2)] = "-e%d" % _i
+    _EPS_LABELS[_EPS[_i]] = "e%d" % _i
+    _EPS_LABELS[-_EPS[_i]] = "-e%d" % _i
 for _i, _j in itertools.permutations((1, 2, 3), 2):
-    _w = _eps(_i) - _eps(_j)
-    _EPS_LABELS[(_w.n1, _w.n2)] = "e%d-e%d" % (_i, _j)
-_WEIGHT_BY_LABEL = {label: Weight(*key) for key, label in _EPS_LABELS.items()}
+    _EPS_LABELS[_EPS[_i] - _EPS[_j]] = "e%d-e%d" % (_i, _j)
+_WEIGHT_BY_LABEL = {label: mu for mu, label in _EPS_LABELS.items()}
 
 
 def weight_by_label(label):
@@ -147,30 +145,24 @@ class WeylGroup:
             # (p after q): apply q first
             return tuple(p[k] for k in q)
 
-        # breadth-first closure, tracking lex-least shortest words
-        elements = {id_perm: ()}
-        frontier = [id_perm]
-        while frontier:
-            new = []
-            for perm in frontier:
-                for i in (1, 2):
-                    # right multiplication by s_i appends a letter
-                    q = compose(perm, s_perm[i])
-                    word = elements[perm] + (i,)
-                    if q not in elements:
-                        elements[q] = word
-                        new.append(q)
-                    elif len(word) == len(elements[q]) and word < elements[q]:
-                        elements[q] = word
-            frontier = new
+        # breadth-first closure: the queue is in (length, word) order and each
+        # word gets letter 1 appended before letter 2, so the first word to
+        # reach a permutation is its lex-least reduced word
+        words = {id_perm: ()}
+        queue = [id_perm]
+        for perm in queue:
+            for i in (1, 2):
+                q = compose(perm, s_perm[i])  # right multiplication by s_i
+                if q not in words:
+                    words[q] = words[perm] + (i,)
+                    queue.append(q)
 
-        order = sorted(elements.items(), key=lambda kv: (len(kv[1]), kv[1]))
         self.elements = tuple(
-            WeylElement(self, perm, word, k) for k, (perm, word) in enumerate(order)
+            WeylElement(self, perm, words[perm], k) for k, perm in enumerate(queue)
         )
         self.by_perm = {el.perm: el for el in self.elements}
         self.identity = self.elements[0]
-        self.w0 = max(self.elements, key=lambda el: el.length)
+        self.w0 = self.elements[-1]
         self._s = {1: self.by_perm[s_perm[1]], 2: self.by_perm[s_perm[2]]}
 
         n = len(self.elements)

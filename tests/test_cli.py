@@ -258,8 +258,10 @@ DEFAULT_STDOUT_SHA256 = {
 }
 
 
-def test_default_outputs_are_pinned(capsys):
-    for command, digest in DEFAULT_STDOUT_SHA256.items():
-        code, out = run_cli([command], capsys)
-        assert code == 0, command
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+@pytest.mark.parametrize(
+    "command, digest", DEFAULT_STDOUT_SHA256.items(), ids=list(DEFAULT_STDOUT_SHA256)
+)
+def test_default_outputs_are_pinned(command, digest, capsys):
+    code, out = run_cli([command], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

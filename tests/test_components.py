@@ -2,7 +2,6 @@
 
 import hashlib
 import random
-from fractions import Fraction
 
 import pytest
 

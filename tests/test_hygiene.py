@@ -8,6 +8,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "g2cells").glob("*.py"))
+#: the package modules that import, and the test modules
+IMPORTERS = [p for p in SOURCES if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py")
+)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
@@ -39,13 +43,10 @@ def _exported_names(tree):
     return set()
 
 
-@pytest.mark.parametrize(
-    "path",
-    [p for p in SOURCES if p.name != "__init__.py"],
-    ids=[p.name for p in SOURCES if p.name != "__init__.py"],
-)
+@pytest.mark.parametrize("path", IMPORTERS, ids=[p.name for p in IMPORTERS])
 def test_no_unused_imports(path):
-    """Every imported name is read; ``__init__`` only re-exports, so it is left out."""
+    """Every imported name is read, in the package and in its tests;
+    ``__init__`` only re-exports, so it is left out."""
     tree = ast.parse(path.read_text(), filename=str(path))
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     read |= _exported_names(tree)

@@ -97,21 +97,21 @@ def test_extremal_vectors_integral_and_primitive():
 
 
 def test_weight_to_chamber_examples():
-    cw = minors.weight_to_chamber(Weight(1, 0))
-    assert cw.w is W.identity and cw.level == 1
+    w, level = minors.weight_to_chamber(Weight(1, 0))
+    assert w is W.identity and level == 1
     # the minimal-length element sending omega1 to -eps1 has length 5
-    cw = minors.weight_to_chamber(Weight(-1, 0))
-    assert cw.level == 1
-    assert cw.w.act(Weight(1, 0)) == Weight(-1, 0)
-    assert cw.w.length == 5
-    # e3 - e2 at level 2
-    mu = weight_by_label("e3-e2")
-    cw = minors.weight_to_chamber(mu)
-    assert cw.level == 2 and cw.w.act(Weight(0, 1)) == mu
-    assert all(
-        not (v.act(Weight(0, 1)) == mu and v.length < cw.w.length)
-        for v in W.elements
-    )
+    w, level = minors.weight_to_chamber(Weight(-1, 0))
+    assert level == 1
+    assert w.act(Weight(1, 0)) == Weight(-1, 0)
+    assert w.length == 5
+    # every chamber weight mu of level l maps to l and to the shortest w with
+    # w*omega_l = mu: mu has two such w, whose lengths differ by 1
+    for l in (1, 2):
+        for mu in {u.act(OMEGA[l]) for u in W.elements}:
+            w, level = minors.weight_to_chamber(mu)
+            assert level == l and w.act(OMEGA[l]) == mu, mu
+            shortest = min(v.length for v in W.elements if v.act(OMEGA[l]) == mu)
+            assert w.length == shortest, mu
     # every chamber weight has an epsilon label, and the labels are the table's
     labels = {w.act(OMEGA[level]).eps_label() for w in W.elements for level in (1, 2)}
     assert labels == set(minors.LEVEL1_LABELS + minors.LEVEL2_LABELS)
@@ -138,7 +138,7 @@ def test_minor_examples_at_rational_point():
     a, b, c, d, e, f = params
 
     def minor_at(label):
-        return minors.minor(g, minors.weight_to_chamber(weight_by_label(label)))
+        return minors.minor(g, weight_by_label(label))
 
     assert minor_at("e1") == 1
     assert minor_at("-e3") == f + d + b
@@ -146,10 +146,8 @@ def test_minor_examples_at_rational_point():
 
 
 def test_minor_lower_examples():
-    cw = minors.ChamberWeight(W.w0, 1)
-    assert minors.minor_lower(rep.group_identity(), cw) == 1
-    top = minors.ChamberWeight(W.identity, 1)
-    val = minors.minor_lower(rep.wdot(W.w0), top)
+    assert minors.minor_lower(rep.group_identity(), W.w0.act(OMEGA[1])) == 1
+    val = minors.minor_lower(rep.wdot(W.w0), W.identity.act(OMEGA[1]))
     assert val in (1, -1)
     # a totally positive point has every lower minor nonzero
     ones = rep.group_product(
@@ -157,8 +155,7 @@ def test_minor_lower_examples():
     )
     for level in (1, 2):
         for w in W.elements:
-            cw = minors.ChamberWeight(w, level)
-            assert minors.minor_lower(ones, cw) != 0
+            assert minors.minor_lower(ones, w.act(OMEGA[level])) != 0
 
 
 def test_minor_of_unipotents_at_fundamental_weights():
@@ -174,8 +171,7 @@ def test_minor_of_unipotents_at_fundamental_weights():
         )
         g = u_minus * u_plus
         for level in (1, 2):
-            cw = minors.ChamberWeight(W.identity, level)
-            assert minors.minor(g, cw) == 1
+            assert minors.minor(g, W.identity.act(OMEGA[level])) == 1
 
 
 def _oracle_minors(dense, level, mu):
@@ -193,10 +189,10 @@ def _oracle_minors(dense, level, mu):
 def _assert_minors_match_oracle(g, dense):
     for level in (1, 2):
         for w in W.elements:
-            cw = minors.ChamberWeight(w, level)
-            highest, lowest = _oracle_minors(dense, level, cw.weight)
-            assert minors.minor(g, cw) == highest
-            assert minors.minor_lower(g, cw) == lowest
+            mu = w.act(OMEGA[level])
+            highest, lowest = _oracle_minors(dense, level, mu)
+            assert minors.minor(g, mu) == highest
+            assert minors.minor_lower(g, mu) == lowest
 
 
 def test_row_functionals_agree_with_direct_minors():
@@ -224,7 +220,7 @@ def test_lowest_rows_require_the_bottom_wedge():
     # the lowest minors of the identity at w0 omega_l are 1
     identity = rep.group_identity()
     for level in (1, 2):
-        assert minors.minor_lower(identity, minors.ChamberWeight(W.w0, level)) == 1
+        assert minors.minor_lower(identity, W.w0.act(OMEGA[level])) == 1
 
 
 def test_symbolic_minors_fold_once(monkeypatch):

@@ -337,7 +337,6 @@ CACHE_BOUNDS = {
     "rep.build_representations": 1,
     "rep._weyl_rows": 4,  # two kinds x two letters
     "rep.wdot": len(W.elements),
-    "minors._orbit": 2,  # one orbit per level
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._unit_rows": 2,  # highest or lowest
     "minors.symbolic_minors": 1,
@@ -366,9 +365,9 @@ def test_caches_stay_bounded():
         if n % 10 == 0:
             for level in (1, 2):
                 for w in W.elements:
-                    cw = minors.ChamberWeight(w, level)
-                    minors.minor(g, cw)
-                    minors.minor_lower(g, cw)
+                    mu = w.act(OMEGA[level])
+                    minors.minor(g, mu)
+                    minors.minor_lower(g, mu)
     for word in (WORD_I, WORD_I_TILDE):
         for _ in range(5):
             params = [rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in word]

@@ -90,6 +90,10 @@ def test_canonical_words_are_lex_least_reduced():
         words = reduced_words(w)
         assert w.word == min(words)
         assert all(len(word) == w.length for word in words)
+    # the table is in (length, word) order and ends at w0
+    keys = [(w.length, w.word) for w in W.elements]
+    assert keys == sorted(keys)
+    assert W.w0 is W.elements[-1]
 
 
 def test_w0_negates_all_weights():
