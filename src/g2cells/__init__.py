@@ -28,7 +28,6 @@ from .rep import (
     Representation,
     build_representations,
     coweight,
-    generator_fixture,
     group_identity,
     group_product,
     is_lower,

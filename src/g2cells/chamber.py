@@ -18,7 +18,16 @@ loudly.
 
 Along a reduced word of w0 the u_m omega_j take eight distinct values,
 so a factorization folds its input once and pairs that block with each
-of the eight chamber weights once (``_ansatz_weights``).
+of the eight chamber weights once (``_ansatz_weights``).  The pairing
+is integral (``_pairings``): the minor at a weight of level l is its
+pairing N over den**l, with den > 0 the denominator of the fold.  That
+one step has two readers.  ``epsilon_factorize`` and ``alpha_factorize``
+divide, for the exact parameters; ``epsilon_signs`` and ``alpha_signs``
+read only their signs, and since den > 0,
+
+    sign(a_m) = sign(N_num)^exp * sign(N_d1) * sign(N_d2),
+
+so they build no ``Fraction`` at all.
 
 A vanishing minor means the input is outside the open chart for the
 chosen word; that is a recoverable condition (``NotFactorizable``), not
@@ -32,7 +41,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import rep
-from .minors import highest_row, lowest_row, pair_row_with_weight, weight_to_chamber
+from .minors import (
+    highest_row,
+    lowest_row,
+    over_denominator,
+    pair_row_with_weight,
+    weight_to_chamber,
+)
 from .weyl import G2_CARTAN, OMEGA, W
 
 __all__ = [
@@ -41,6 +56,8 @@ __all__ = [
     "Factorization",
     "epsilon_factorize",
     "alpha_factorize",
+    "epsilon_signs",
+    "alpha_signs",
     "flag_equal_opposed",
     "closed_form_epsilon",
     "closed_form_alpha",
@@ -136,8 +153,14 @@ def _ansatz_weights(word, lowest):
     return tuple(index), tuple(steps)
 
 
-def _factor_params(g, word, lowest):
-    # one fold of g serves every chamber minor, and each is paired once
+def _pairings(g, word, lowest):
+    """One fold of g, paired as integers with the chamber weights of the
+    Ansatz along ``word``: (weights, steps, den, values).
+
+    ``values[k]`` is the numerator of the minor at ``weights[k]`` over
+    den**level, den > 0.  A vanished minor raises ``NotFactorizable``
+    naming it and the first a_m that reads it.
+    """
     weights, steps = _ansatz_weights(word, lowest)
     row = lowest_row(g) if lowest else highest_row(g)
     values = [pair_row_with_weight(row, mu) for mu in weights]
@@ -149,25 +172,59 @@ def _factor_params(g, word, lowest):
             "the level-%d minor %s read by a_%d vanishes" % (level, mu.eps_label(), m),
             word=word, level=level, weight=mu, position=m,
         )
-    return tuple(values[num] ** exp / (values[d1] * values[d2]) for num, exp, d1, d2 in steps)
+    return weights, steps, row[1], values
+
+
+def _factor_params(g, word, lowest):
+    # the quotient reader: each minor exactly, then the six quotients
+    weights, steps, den, values = _pairings(g, word, lowest)
+    deltas = [over_denominator(n, den, mu) for n, mu in zip(values, weights)]
+    return tuple(deltas[num] ** exp / (deltas[d1] * deltas[d2]) for num, exp, d1, d2 in steps)
+
+
+def _factor_signs(g, word, lowest):
+    # the sign reader: a_m is negative iff an odd number of its factors,
+    # counted with their exponents, has a negative pairing
+    _, steps, _, values = _pairings(g, word, lowest)
+    negative = [n < 0 for n in values]
+    return "".join(
+        "-" if (exp * negative[num] + negative[d1] + negative[d2]) % 2 else "+"
+        for num, exp, d1, d2 in steps
+    )
+
+
+def _checked_word(g, word, lowest, name):
+    """``word`` as a tuple, once g is unipotent lower (``lowest``, the
+    alpha side) or unipotent upper (the epsilon side)."""
+    if lowest and not rep.is_unipotent_lower(g):
+        raise ValueError("%s expects a unipotent lower input" % name)
+    if not lowest and not rep.is_unipotent_upper(g):
+        raise ValueError("%s expects a unipotent upper input" % name)
+    return tuple(word)
 
 
 def epsilon_factorize(x, word):
     """Factor the flag of x in U+ as a product of y's along the word."""
-    word = tuple(word)
-    if not rep.is_unipotent_upper(x):
-        raise ValueError("epsilon_factorize expects a unipotent upper input")
-    params = _factor_params(x, word, lowest=False)
-    return Factorization(word, params, "lower")
+    word = _checked_word(x, word, False, "epsilon_factorize")
+    return Factorization(word, _factor_params(x, word, lowest=False), "lower")
 
 
 def alpha_factorize(y, word):
     """Factor the flag of y in U- as a product of x's along the word."""
-    word = tuple(word)
-    if not rep.is_unipotent_lower(y):
-        raise ValueError("alpha_factorize expects a unipotent lower input")
-    params = _factor_params(y, word, lowest=True)
-    return Factorization(word, params, "upper")
+    word = _checked_word(y, word, True, "alpha_factorize")
+    return Factorization(word, _factor_params(y, word, lowest=True), "upper")
+
+
+def epsilon_signs(x, word):
+    """``epsilon_factorize(x, word).signs()``, read without division."""
+    word = _checked_word(x, word, False, "epsilon_signs")
+    return _factor_signs(x, word, lowest=False)
+
+
+def alpha_signs(y, word):
+    """``alpha_factorize(y, word).signs()``, read without division."""
+    word = _checked_word(y, word, True, "alpha_signs")
+    return _factor_signs(y, word, lowest=True)
 
 
 def flag_equal_opposed(x, y):

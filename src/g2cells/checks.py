@@ -168,12 +168,12 @@ def check_chamber_consistency():
     ones = tuple(Fraction(1) for _ in range(6))
     xel = chamber.Factorization(WORD_I_TILDE, ones, "upper").product()
     require(
-        all(p > 0 for p in chamber.epsilon_factorize(xel, WORD_I_TILDE).params),
+        chamber.epsilon_signs(xel, WORD_I_TILDE) == "++++++",
         "epsilon of a totally positive point is not positive",
     )
     yel = chamber.Factorization(WORD_I_TILDE, ones, "lower").product()
     require(
-        all(p > 0 for p in chamber.alpha_factorize(yel, WORD_I_TILDE).params),
+        chamber.alpha_signs(yel, WORD_I_TILDE) == "++++++",
         "alpha of a totally positive point is not positive",
     )
 
@@ -240,7 +240,7 @@ def _random_upper_signs(cell, rng, zero_m):
         m = tuple(Fraction(0) for _ in cell.family.K)
     else:
         m = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in cell.family.K)
-    return chamber.alpha_factorize(deodhar.cell_point(cell, t, m), WORD_I_TILDE).signs()
+    return chamber.alpha_signs(deodhar.cell_point(cell, t, m), WORD_I_TILDE)
 
 
 def check_property_suites():

@@ -5,6 +5,9 @@ subsets swept out by the sign cells of the lower factorizations along
 the words 121212 and 212121.  Components are therefore recovered by
 sampling points in each sign cell, re-factorizing along the other word
 and recording which sign cells overlap (``build_overlap_graph``).
+Wherever only the signs of a factorization are read, they come from
+``chamber.epsilon_signs`` or ``chamber.alpha_signs``, which form no
+quotient.
 Only ``compute_figure1`` samples, so only it is cached, for a few
 ``(samples, seed)`` pairs, and its partition is the one way to every
 stage above the graph.  Kept on the partition, this module computes
@@ -100,13 +103,14 @@ def _upper_mate(signs, rng):
     """Signs of epsilon at a random point of an upper sign cell along 212121."""
     params = _signed_params(signs, rng)
     point = chamber.Factorization(WORD_I_TILDE, params, "upper").product()
-    return chamber.epsilon_factorize(point, WORD_I_TILDE).signs()
+    return chamber.epsilon_signs(point, WORD_I_TILDE)
 
 
 def _refactor_signs(point, word):
-    """Signs of the lower factorization of the point along the given word."""
+    """Signs of the lower factorization of the point along the given word;
+    the upper half is exact, since its product is formed."""
     upper = chamber.alpha_factorize(point, WORDS[word])
-    return chamber.epsilon_factorize(upper.product(), WORDS[word]).signs()
+    return chamber.epsilon_signs(upper.product(), WORDS[word])
 
 
 def build_overlap_graph(samples=8, seed=42):
@@ -191,7 +195,7 @@ class ComponentPartition:
         m = tuple(map(Fraction, fixtures.CLASSIFY_M_MAGNITUDES[len(fam.K)]))
         point = deodhar.cell_point(cell, t, m)
         try:
-            signs = chamber.alpha_factorize(point, WORD_I_TILDE).signs()
+            signs = chamber.alpha_signs(point, WORD_I_TILDE)
         except chamber.NotFactorizable as exc:
             raise RuntimeError(
                 "the fixed point of cell %s is not factorizable: %s" % (cell.display(), exc)

@@ -31,8 +31,11 @@ l rows of that block with an extremal vector (``pair_row_with_weight``):
 the sum of coefficient times the l x l determinant at the wedge's
 columns.  The level is read from the weight, so all minors of a point,
 of both levels, share a single fold.  The fold runs over the integers
-and returns numerators over one denominator; the pairing is integral
-too, and divides by the l-th power of that denominator once per minor.
+and returns numerators over one positive denominator den, and the
+pairing is integral too: it returns the numerator of the minor over
+den**l.  ``minor``, ``minor_lower`` and ``symbolic_minors`` divide by
+den**l in one place (``over_denominator``); a caller that needs only
+the sign of a minor reads it off the numerator and divides nothing.
 """
 
 from __future__ import annotations
@@ -114,25 +117,36 @@ def _det(rows, cols):
 
 
 def pair_row_with_weight(row, mu):
-    """Pair row functionals (numerators, denominator) with the extremal vector
-    of mu: the sum of coefficient times the determinant at the wedge's
-    columns, divided by the denominator to the power of the level once."""
-    rows, den = row
-    terms = _extremal_by_weight(mu.n1, mu.n2)
+    """Pair row functionals (numerators, den) with the extremal vector of mu:
+    the sum of coefficient times the determinant at the wedge's columns.
+    This is the numerator of the minor over den**level, den > 0."""
+    rows, _ = row
     total = 0
-    for cols, coeff in terms:
+    for cols, coeff in _extremal_by_weight(mu.n1, mu.n2):
         total = total + coeff * _det(rows, cols)
-    return total / Fraction(den ** len(terms[0][0]))
+    return total
+
+
+def over_denominator(total, den, mu):
+    """The minor at mu whose pairing is ``total`` over the fold's ``den``:
+    total / den**level, one ``Fraction`` for an int pairing (a ``Poly``
+    divides itself)."""
+    d = den ** len(_extremal_by_weight(mu.n1, mu.n2)[0][0])
+    return Fraction(total, d) if isinstance(total, int) else total / d
+
+
+def _minor(row, mu):
+    return over_denominator(pair_row_with_weight(row, mu), row[1], mu)
 
 
 def minor(g, mu):
     """Delta^mu(g), mu = w*omega_i: coefficient of v_{omega_i} in g . v_mu."""
-    return pair_row_with_weight(highest_row(g), mu)
+    return _minor(highest_row(g), mu)
 
 
 def minor_lower(g, mu):
     """Delta_-^mu(g), mu = w*omega_i: coefficient of v_{-omega_i} in g . v_mu."""
-    return pair_row_with_weight(lowest_row(g), mu)
+    return _minor(lowest_row(g), mu)
 
 
 #: epsilon labels of the level-1 and level-2 chamber weights in display order
@@ -150,5 +164,4 @@ def symbolic_minors():
     """
     point = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, variables()))
     row = highest_row(point)
-    return {label: pair_row_with_weight(row, weight_by_label(label))
-            for label in LEVEL1_LABELS + LEVEL2_LABELS}
+    return {label: _minor(row, weight_by_label(label)) for label in LEVEL1_LABELS + LEVEL2_LABELS}

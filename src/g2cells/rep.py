@@ -73,7 +73,6 @@ __all__ = [
     "is_lower",
     "is_unipotent_upper",
     "is_unipotent_lower",
-    "generator_fixture",
 ]
 
 
@@ -434,15 +433,3 @@ def is_unipotent_lower(g):
     rows, den = g.rows
     return is_lower(g) and all(rows[i][i] == den for i in range(7))
 
-
-def generator_fixture():
-    """The six Chevalley matrices of V7, as integer lists."""
-    v7 = build_representations()
-    mats = {"e": v7.e, "f": v7.f, "h": v7.h}
-    return {
-        "V7": {
-            name + str(i): [list(row) for row in mats[name][i]]
-            for name in ("e", "f", "h")
-            for i in (1, 2)
-        }
-    }

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from g2cells import chamber, checks, deodhar, fixtures, rep
+from g2cells import chamber, checks, components, deodhar, fixtures, minors, rep
 from g2cells.weyl import OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
 
 
@@ -91,6 +91,10 @@ def test_factorizations_reject_the_wrong_side(not_lower, not_upper):
         chamber.alpha_factorize(not_lower, WORD_I_TILDE)
     with pytest.raises(ValueError, match="epsilon_factorize"):
         chamber.epsilon_factorize(not_upper, WORD_I_TILDE)
+    with pytest.raises(ValueError, match="alpha_signs expects a unipotent lower"):
+        chamber.alpha_signs(not_lower, WORD_I_TILDE)
+    with pytest.raises(ValueError, match="epsilon_signs expects a unipotent upper"):
+        chamber.epsilon_signs(not_upper, WORD_I_TILDE)
     with pytest.raises(ValueError, match="second argument"):
         chamber.flag_equal_opposed(x_tilde((1,) * 6), not_lower)
     with pytest.raises(ValueError, match="first argument"):
@@ -264,6 +268,13 @@ def test_vanished_minor_is_named():
     assert err.word == WORD_I_TILDE
     assert err.weight == weight_by_label("e1-e2") == Weight(3, -1)
     assert err.level == 2 and err.position == 1
+    # the sign reader shares the pairing and its zero check, so it names the same minor
+    with pytest.raises(chamber.NotFactorizable) as info:
+        chamber.epsilon_signs(x_tilde((1, 1, 1, 1, -2, 1)), WORD_I_TILDE)
+    same = info.value
+    assert (same.word, same.level, same.weight, same.position) == (
+        err.word, err.level, err.weight, err.position)
+    assert str(same) == str(err)
 
 
 @pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
@@ -278,6 +289,10 @@ def test_each_factorization_folds_once(monkeypatch, word):
     assert len(calls) == 1
     chamber.alpha_factorize(lower, word)
     assert len(calls) == 2
+    chamber.epsilon_signs(upper, word)
+    assert len(calls) == 3
+    chamber.alpha_signs(lower, word)
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
@@ -293,3 +308,55 @@ def test_ansatz_lists_each_chamber_weight_once(word, lowest):
     assert len(steps) == len(word)
     # every weight is read by some step
     assert {k for num, _, d1, d2 in steps for k in (num, d1, d2)} == set(range(8))
+
+
+#: (kind of the point, the quotient map, its sign reader) per direction
+DIRECTIONS = (
+    ("upper", chamber.epsilon_factorize, chamber.epsilon_signs),
+    ("lower", chamber.alpha_factorize, chamber.alpha_signs),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(DIRECTIONS),
+    st.sampled_from((WORD_I, WORD_I_TILDE)),
+    st.lists(nonzero, min_size=6, max_size=6),
+)
+def test_sign_readers_agree_with_the_quotients(direction, word, params):
+    kind, factorize, signs = direction
+    point = chamber.Factorization(word, tuple(params), kind).product()
+    try:
+        want = factorize(point, word).signs()
+    except chamber.NotFactorizable as err:
+        with pytest.raises(chamber.NotFactorizable) as info:
+            signs(point, word)
+        got = info.value
+        assert (got.word, got.level, got.weight, got.position) == (
+            err.word, err.level, err.weight, err.position)
+        return
+    assert signs(point, word) == want
+
+
+def test_sign_paths_build_no_fraction(monkeypatch):
+    """The epsilon signs of a fixed upper point are read without a single
+    ``Fraction`` in ``chamber`` or ``minors``, and an overlap-graph
+    sample reads its epsilon half through the sign reader alone."""
+    xel = x_tilde((2, -3, 5, -7, 11, -13))
+    lower = y_word(WORD_I, (2, -3, 5, -7, 11, -13))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(chamber, "Fraction", refuse)
+    monkeypatch.setattr(minors, "Fraction", refuse)
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        chamber.epsilon_factorize(xel, WORD_I_TILDE)
+    assert chamber.epsilon_signs(xel, WORD_I_TILDE) == "+-+-+-"
+    monkeypatch.undo()
+
+    def refuse_quotients(*args):
+        raise AssertionError("epsilon quotients were formed")
+
+    monkeypatch.setattr(chamber, "epsilon_factorize", refuse_quotients)
+    assert components._refactor_signs(lower, "it") == "-+-+-+"

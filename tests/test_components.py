@@ -243,7 +243,7 @@ def _refuse_every_other_call(monkeypatch, name):
 
 
 def test_upper_survives_refused_epsilon_draws(partition, monkeypatch):
-    calls = _refuse_every_other_call(monkeypatch, "epsilon_factorize")
+    calls = _refuse_every_other_call(monkeypatch, "epsilon_signs")
     fresh = components.ComponentPartition(partition.components, partition.graph)
     assert fresh.upper == partition.upper
     assert len(calls) == 2 * 64 * components.UPPER_DRAWS
@@ -273,7 +273,7 @@ def test_refused_fixed_point_names_the_cell(partition, monkeypatch):
     def refuse(*args):
         raise chamber.NotFactorizable("the level-2 minor eps1+eps2 read by a_3 vanishes")
 
-    monkeypatch.setattr(chamber, "alpha_factorize", refuse)
+    monkeypatch.setattr(chamber, "alpha_signs", refuse)
     cell = deodhar.cell_by_display("0+*0+*")
     with pytest.raises(RuntimeError, match=r"cell 0\+\*0\+\* .*level-2 minor"):
         partition.classify(cell)
