@@ -22,8 +22,15 @@ of the eight chamber weights once (``_ansatz_weights``).  The pairing
 is integral (``_pairings``): the minor at a weight of level l is its
 pairing N over den**l, with den > 0 the denominator of the fold.  That
 one step has two readers.  ``epsilon_factorize`` and ``alpha_factorize``
-divide, for the exact parameters; ``epsilon_signs`` and ``alpha_signs``
-read only their signs, and since den > 0,
+read the exact parameters.  The level of u omega_j is j, so the powers
+of den collect into one exponent per step and
+
+    a_m = N_num^exp * den^k / (N_d1 * N_d2),   k = 2 j_m - exp * jbar_m,
+
+with jbar_m the other letter: k is 0 for j_m = 1 and 1 for j_m = 2.
+Each parameter is therefore one ``Fraction`` of two ints, one division.
+``epsilon_signs`` and ``alpha_signs`` read only the signs, and since
+den > 0,
 
     sign(a_m) = sign(N_num)^exp * sign(N_d1) * sign(N_d2),
 
@@ -44,7 +51,6 @@ from . import rep
 from .minors import (
     highest_row,
     lowest_row,
-    over_denominator,
     pair_row_with_weight,
     weight_to_chamber,
 )
@@ -132,7 +138,8 @@ def _ansatz_weights(word, lowest):
     Returns (weights, steps): ``weights`` lists the distinct u_m omega_j,
     negated if ``lowest`` (the alpha direction); ``steps`` holds per
     position m the indices into ``weights`` of the numerator, its
-    exponent, and the indices of the two denominators.
+    exponent, the indices of the two denominators, and the exponent of
+    the fold's den in the quotient of their integral pairings.
     """
     index = {}
 
@@ -146,7 +153,8 @@ def _ansatz_weights(word, lowest):
         if nxt.length != u.length + 1:
             raise ValueError("word %r is not reduced" % (word,))
         jbar = 2 if jm == 1 else 1
-        steps.append((at(nxt, jbar), -G2_CARTAN[jbar - 1][jm - 1], at(nxt, jm), at(u, jm)))
+        exp = -G2_CARTAN[jbar - 1][jm - 1]
+        steps.append((at(nxt, jbar), exp, at(nxt, jm), at(u, jm), 2 * jm - exp * jbar))
         u = nxt
     if u != W.w0:
         raise ValueError("word %r is not a reduced word of w0" % (word,))
@@ -166,7 +174,7 @@ def _pairings(g, word, lowest):
     values = [pair_row_with_weight(row, mu) for mu in weights]
     if 0 in values:
         k = values.index(0)
-        m = next(m for m, (num, _, d1, d2) in enumerate(steps, 1) if k in (num, d1, d2))
+        m = next(m for m, (num, _, d1, d2, _) in enumerate(steps, 1) if k in (num, d1, d2))
         mu, level = weights[k], weight_to_chamber(weights[k])[1]
         raise NotFactorizable(
             "the level-%d minor %s read by a_%d vanishes" % (level, mu.eps_label(), m),
@@ -176,10 +184,12 @@ def _pairings(g, word, lowest):
 
 
 def _factor_params(g, word, lowest):
-    # the quotient reader: each minor exactly, then the six quotients
-    weights, steps, den, values = _pairings(g, word, lowest)
-    deltas = [over_denominator(n, den, mu) for n, mu in zip(values, weights)]
-    return tuple(deltas[num] ** exp / (deltas[d1] * deltas[d2]) for num, exp, d1, d2 in steps)
+    # the quotient reader: one division of integral pairings per parameter
+    _, steps, den, values = _pairings(g, word, lowest)
+    return tuple(
+        Fraction(values[num] ** exp * den**k, values[d1] * values[d2])
+        for num, exp, d1, d2, k in steps
+    )
 
 
 def _factor_signs(g, word, lowest):
@@ -189,7 +199,7 @@ def _factor_signs(g, word, lowest):
     negative = [n < 0 for n in values]
     return "".join(
         "-" if (exp * negative[num] + negative[d1] + negative[d2]) % 2 else "+"
-        for num, exp, d1, d2 in steps
+        for num, exp, d1, d2, _ in steps
     )
 
 

@@ -124,10 +124,10 @@ def check_symbolic_minors():
 
 def _random_family_point(fam, rng):
     t = tuple(
-        rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in fam.I
+        deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in fam.I
     )
     m = tuple(
-        rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in fam.K
+        deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in fam.K
     )
     cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
     return cell, t, m
@@ -137,7 +137,7 @@ def _chamber_draw(kind, rng):
     """A random point of check 4: its coordinates, the point, the closed form
     and the factorization, for ``kind`` "epsilon" or an alpha family name."""
     if kind == "epsilon":
-        coords = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in range(6))
+        coords = tuple(deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in range(6))
         point = chamber.Factorization(WORD_I_TILDE, coords, "upper").product()
         closed = chamber.closed_form_epsilon(coords)
         return coords, point, closed, chamber.epsilon_factorize(point, WORD_I_TILDE)
@@ -235,11 +235,11 @@ def check_euler():
 
 def _random_upper_signs(cell, rng, zero_m):
     """The upper signs of alpha at a random point of the cell, m = 0 if ``zero_m``."""
-    t = tuple(s * deodhar.sample_magnitude(rng) for s in cell.h)
+    t = tuple(deodhar.sample_magnitude(rng, s) for s in cell.h)
     if zero_m:
         m = tuple(Fraction(0) for _ in cell.family.K)
     else:
-        m = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in cell.family.K)
+        m = tuple(deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in cell.family.K)
     return chamber.alpha_signs(deodhar.cell_point(cell, t, m), WORD_I_TILDE)
 
 

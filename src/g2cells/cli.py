@@ -264,26 +264,31 @@ def cmd_euler(args):
 
 
 def cmd_verify(args):
+    # a text report to stdout is written line by line as the checks end;
+    # any other report is written at the end, after progress on stderr
+    live = args.format == "text" and not args.out
+    stream = sys.stdout if live else sys.stderr
     lines = []
+
+    def report(line):
+        print(line, file=stream, flush=True)
+        lines.append(line)
 
     def progress(result):
         status = "PASS" if result.passed else "FAIL"
         line = "[%s] %d. %s" % (status, result.number, result.name)
         if not result.passed:
             line += "\n       %s" % result.detail
-        print(line, file=sys.stderr)
-        lines.append(line)
+        report(line)
 
     results = checks.run_all(progress)
     ok = all(r.passed for r in results)
-    summary = "verified %d/%d checks" % (sum(r.passed for r in results), len(results))
-    lines.append(summary)
-    print(summary, file=sys.stderr)
-    if args.format == "text":
-        _emit(args, "\n".join(lines) + "\n")
-    else:
+    report("verified %d/%d checks" % (sum(r.passed for r in results), len(results)))
+    if args.format != "text":
         rows = [(r.number, r.name, r.passed, r.detail) for r in results]
         _emit(args, _tabular(args, ("number", "name", "passed", "detail"), rows))
+    elif not live:
+        _emit(args, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

@@ -88,10 +88,7 @@ class OverlapGraph:
 
 def _signed_params(signs, rng):
     """Six random parameters with the given signs."""
-    return tuple(
-        (1 if ch == "+" else -1) * deodhar.sample_magnitude(rng)
-        for ch in signs
-    )
+    return tuple(deodhar.sample_magnitude(rng, 1 if ch == "+" else -1) for ch in signs)
 
 
 def _lower_point(word, signs, rng):

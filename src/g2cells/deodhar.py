@@ -46,9 +46,10 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
           53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
-def sample_magnitude(rng):
-    """A positive rational with prime numerator and denominator."""
-    return Fraction(rng.choice(PRIMES), rng.choice(PRIMES))
+def sample_magnitude(rng, sign=1):
+    """A rational of the given sign (1 or -1) with prime numerator and
+    denominator, as one ``Fraction``."""
+    return Fraction(sign * rng.choice(PRIMES), rng.choice(PRIMES))
 
 
 @lru_cache(maxsize=None)

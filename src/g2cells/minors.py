@@ -33,9 +33,10 @@ columns.  The level is read from the weight, so all minors of a point,
 of both levels, share a single fold.  The fold runs over the integers
 and returns numerators over one positive denominator den, and the
 pairing is integral too: it returns the numerator of the minor over
-den**l.  ``minor``, ``minor_lower`` and ``symbolic_minors`` divide by
-den**l in one place (``over_denominator``); a caller that needs only
-the sign of a minor reads it off the numerator and divides nothing.
+den**l.  ``over_denominator`` divides by den**l in one place, and its
+readers are ``minor``, ``minor_lower`` and ``symbolic_minors``.  The
+Chamber Ansatz reads the integral pairings themselves: it divides once
+per parameter, or not at all where it needs only the signs.
 """
 
 from __future__ import annotations

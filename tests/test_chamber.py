@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from g2cells import chamber, checks, components, deodhar, fixtures, minors, rep
-from g2cells.weyl import OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
+from g2cells.weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
 
 
 def x_tilde(params):
@@ -307,7 +307,9 @@ def test_ansatz_lists_each_chamber_weight_once(word, lowest):
     assert set(weights) == {-mu if lowest else mu for mu in chamber_weights}
     assert len(steps) == len(word)
     # every weight is read by some step
-    assert {k for num, _, d1, d2 in steps for k in (num, d1, d2)} == set(range(8))
+    assert {k for num, _, d1, d2, _ in steps for k in (num, d1, d2)} == set(range(8))
+    # the den exponent of a step is 0 on letter 1 and 1 on letter 2
+    assert [k for *_, k in steps] == [jm - 1 for jm in word]
 
 
 #: (kind of the point, the quotient map, its sign reader) per direction
@@ -360,3 +362,62 @@ def test_sign_paths_build_no_fraction(monkeypatch):
 
     monkeypatch.setattr(chamber, "epsilon_factorize", refuse_quotients)
     assert components._refactor_signs(lower, "it") == "-+-+-+"
+
+
+def _reference_params(g, word, lowest):
+    """The Ansatz parameters of g along ``word``, each minor evaluated and
+    divided on its own, as in the module docstring's formula."""
+    read = minors.minor_lower if lowest else minors.minor
+
+    def delta(u, j):
+        mu = u.act(OMEGA[j])
+        return read(g, -mu if lowest else mu)
+
+    params, u = [], W.identity
+    for jm in word:
+        nxt = u * W.s(jm)
+        jbar = 2 if jm == 1 else 1
+        exp = -G2_CARTAN[jbar - 1][jm - 1]
+        params.append(delta(nxt, jbar) ** exp / (delta(nxt, jm) * delta(u, jm)))
+        u = nxt
+    return tuple(params)
+
+
+@pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
+@pytest.mark.parametrize("kind", ("upper", "lower"), ids=("epsilon", "alpha"))
+def test_quotient_reader_matches_minor_by_minor_reference(kind, word):
+    factorize = chamber.epsilon_factorize if kind == "upper" else chamber.alpha_factorize
+    lowest = kind == "lower"
+    rng = random.Random(17)
+    dens = set()
+    done = 0
+    while done < 12:
+        along = rng.choice((WORD_I, WORD_I_TILDE))
+        params = tuple(deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in range(6))
+        point = chamber.Factorization(along, params, kind).product()
+        try:
+            got = factorize(point, word).params
+        except chamber.NotFactorizable:
+            continue
+        assert got == _reference_params(point, word, lowest)
+        dens.add(chamber._pairings(point, word, lowest)[2])
+        done += 1
+    # the den exponent 1 steps met a fold denominator that is not 1
+    assert max(dens) > 1
+
+
+@pytest.mark.parametrize("kind", ("upper", "lower"), ids=("epsilon", "alpha"))
+def test_quotient_reader_builds_one_fraction_per_parameter(monkeypatch, kind):
+    params = (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 13),
+              Fraction(-3, 17), Fraction(19, 5), Fraction(-23, 29))
+    point = chamber.Factorization(WORD_I_TILDE, params, kind).product()
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(chamber, "Fraction", counting)
+    got = chamber._factor_params(point, WORD_I, kind == "lower")
+    assert len(built) == 6
+    assert got == _reference_params(point, WORD_I, kind == "lower")

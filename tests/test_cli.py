@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from g2cells import cli, deodhar, fixtures
+from g2cells import checks, cli, deodhar, fixtures
 from g2cells.scalars import parse_rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -265,3 +265,60 @@ def test_default_outputs_are_pinned(command, digest, capsys):
     code, out = run_cli([command], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: what ``verify`` reports for two fake checks, one failing
+FAKE_CHECKS = (
+    checks.CheckResult(1, "first", True, ""),
+    checks.CheckResult(2, "second", False, "went wrong"),
+)
+FAKE_LINES = ["[PASS] 1. first", "[FAIL] 2. second\n       went wrong"]
+FAKE_REPORT = "\n".join(FAKE_LINES + ["verified 1/2 checks"]) + "\n"
+
+
+@pytest.fixture
+def fake_checks(monkeypatch, capsys):
+    """Swap in two fake checks; returns what was written as each one ended."""
+    seen = []
+
+    def run_all(progress):
+        for result in FAKE_CHECKS:
+            progress(result)
+            seen.append(capsys.readouterr())
+        return list(FAKE_CHECKS)
+
+    monkeypatch.setattr(checks, "run_all", run_all)
+    return seen
+
+
+def test_verify_text_streams_each_line_once(fake_checks, capsys):
+    code = cli.main(["verify"])
+    last = capsys.readouterr()
+    assert code == 1
+    assert [c.out for c in fake_checks] == [line + "\n" for line in FAKE_LINES]
+    assert "".join(c.out for c in fake_checks) + last.out == FAKE_REPORT
+    assert [c.err for c in fake_checks] + [last.err] == ["", "", ""]
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv"))
+def test_verify_tables_keep_progress_on_stderr(fake_checks, capsys, fmt):
+    code = cli.main(["verify", "--format", fmt])
+    last = capsys.readouterr()
+    assert code == 1
+    assert [c.err for c in fake_checks] == [line + "\n" for line in FAKE_LINES]
+    assert last.err == "verified 1/2 checks\n"
+    assert [c.out for c in fake_checks] == ["", ""]
+    if fmt == "json":
+        assert [row["passed"] for row in json.loads(last.out)] == [True, False]
+    else:
+        assert last.out.splitlines()[0] == "number,name,passed,detail"
+
+
+def test_verify_out_file_keeps_progress_on_stderr(fake_checks, capsys, tmp_path):
+    target = tmp_path / "report.txt"
+    code = cli.main(["verify", "--out", str(target)])
+    last = capsys.readouterr()
+    assert code == 1
+    assert "".join(c.err for c in fake_checks) + last.err == FAKE_REPORT
+    assert "".join(c.out for c in fake_checks) + last.out == ""
+    assert target.read_text() == FAKE_REPORT

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -334,3 +335,23 @@ def test_partition_gates_on_hand_made_graphs(partition):
     )
     with pytest.raises(AssertionError, match="spreads over"):
         components.connected_components(crossed)
+
+
+def test_one_graph_sample_builds_twelve_fractions(monkeypatch):
+    # six signed draws and six one-division Ansatz parameters; the epsilon
+    # half reads signs only
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(chamber, "Fraction", counting)
+    monkeypatch.setattr(deodhar, "Fraction", counting)
+    rng = random.Random(5)
+    for word, other, signs in (("i", "it", "+-+--+"), ("it", "i", "-++-+-")):
+        built.clear()
+        point = components._lower_point(word, signs, rng)
+        assert len(built) == 6
+        components._refactor_signs(point, other)
+        assert len(built) == 12

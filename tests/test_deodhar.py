@@ -234,3 +234,16 @@ def test_cells_of_distinct_families_have_distinct_chains():
             if other.name != fam.name:
                 assert sigma_read != other.sigma
 
+
+
+def test_signed_draw_equals_the_signed_product():
+    # a sign, then a prime numerator and a prime denominator, drawn in
+    # that order and multiplied
+    primes = deodhar.PRIMES
+    for seed in range(300):
+        old, new = random.Random(seed), random.Random(seed)
+        for _ in range(6):
+            want = old.choice((1, -1)) * Fraction(old.choice(primes), old.choice(primes))
+            got = deodhar.sample_magnitude(new, new.choice((1, -1)))
+            assert type(got) is Fraction and got == want
+        assert new.getstate() == old.getstate()
