@@ -39,6 +39,15 @@ so they build no ``Fraction`` at all.
 A vanishing minor means the input is outside the open chart for the
 chosen word; that is a recoverable condition (``NotFactorizable``), not
 a failure, and callers resample through ``redraw``.
+
+``flag_equal_opposed`` cross-checks the maps by the flag identity
+x . [B-] = y . [B+], that is y^-1 x w0dot in B+.  B+ is the meet of the
+two maximal parabolics P(omega1) and P(omega2) that contain it, the
+stabilizers of the highest weight lines of V(omega1)* and V(omega2)*:
+the two levels of the minors.  On row vectors these lines are [e_6^T]
+and [e_5^T ^ e_6^T], so an element of G2 lies in B+ iff rows 5 and 6
+of its V7 matrix vanish left of the diagonal, and only those two rows
+are folded.
 """
 
 from __future__ import annotations
@@ -241,15 +250,36 @@ def flag_equal_opposed(x, y):
     """True iff x . [B-] and y . [B+] are the same flag.
 
     [B-] = w0dot . [B+] and the stabilizer of [B+] is B+, so the test is
-    that y^-1 x w0dot is upper triangular.  Row 0 constrains nothing, so
-    only rows 1..6 of its V7 matrix are folded.
+    that y^-1 x w0dot lies in B+.  For an element of G2 that is read off
+    its two bottom rows alone (``_in_upper_borel``), so only rows 5 and 6
+    of its V7 matrix are folded.
     """
     if not rep.is_unipotent_upper(x):
         raise ValueError("first argument must be unipotent upper")
     if not rep.is_unipotent_lower(y):
         raise ValueError("second argument must be unipotent lower")
-    rows, _ = rep.matrix_rows(y.inverse() * x * rep.wdot(W.w0), first=1)
-    return all(not any(row[:i]) for i, row in enumerate(rows, start=1))
+    return _in_upper_borel(y.inverse() * x * rep.wdot(W.w0))
+
+
+def _in_upper_borel(g):
+    """True iff the G2 element g lies in B+, read from rows 5 and 6 of its
+    V7 matrix.
+
+    Row i of the matrix is e_i^T g, g acting on row vectors from the
+    right.  e_6 is the lowest weight vector of V7, of weight -omega1, and
+    e_5 ^ e_6 the lowest weight vector of V(omega2) in the exterior
+    square, of weight -omega2 (the only wedge of that weight).  So
+    [e_6^T] and [e_5^T ^ e_6^T] are the highest weight lines of
+    V(omega1)* and V(omega2)*, and their stabilizers are the maximal
+    parabolics P(omega1) and P(omega2) that contain B+; the two meet in
+    B+.  g fixes [e_6^T] iff row 6 vanishes left of column 6, and then
+    fixes [e_5^T ^ e_6^T] iff row 5 vanishes left of column 5.  Both
+    hold exactly when g is in B+, so the other five rows are not folded.
+    This needs g in G2: a 7x7 matrix outside G2 with these two rows need
+    not be upper triangular.
+    """
+    (row5, row6), _ = rep.matrix_rows(g, first=5)
+    return not any(row5[:5]) and not any(row6[:6])
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ def _parse_params(text):
         except ZeroDivisionError:
             raise argparse.ArgumentTypeError("a parameter has denominator 0")
         except ValueError:
-            raise argparse.ArgumentTypeError("the parameter %r is not a rational number" % piece)
+            raise argparse.ArgumentTypeError("the parameter %r is not an integer or p/q" % piece)
     return tuple(params)
 
 

@@ -244,8 +244,9 @@ def matrix_rows(g, first=0):
     positive common denominator.
 
     The one entry that folds a group element's matrix rather than a
-    block of covectors; ``first`` = 1 leaves out row 0, which an upper
-    triangular test does not read.
+    block of covectors; ``first`` > 0 folds only the bottom rows, as
+    ``chamber.flag_equal_opposed`` does with ``first`` = 5: rows 5 and
+    6 decide whether an element of G2 lies in B+.
     """
     rows, den = _fold_rows(_unit_rows(range(first, 7)), 1, g.provenance)
     return tuple(map(tuple, rows)), den

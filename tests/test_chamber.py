@@ -158,6 +158,52 @@ def test_flag_equal_opposed_reads_the_subdiagonal(t):
     assert not chamber.flag_equal_opposed(xel, yel * rep.y(2, t))
 
 
+def _upper_by_six_rows(g):
+    """Reference B+ test: rows 1..6 of g's V7 matrix vanish left of the diagonal."""
+    rows, _ = rep.matrix_rows(g, first=1)
+    return all(not any(row[:i]) for i, row in enumerate(rows, start=1))
+
+
+def _signed_draw(rng):
+    return deodhar.sample_magnitude(rng, rng.choice((1, -1)))
+
+
+def _borel_word(rng):
+    """A product of one to four x atoms and coweights: an element of B+."""
+    return rep.group_product(
+        (rep.x if rng.random() < 0.6 else rep.coweight)(rng.choice((1, 2)), _signed_draw(rng))
+        for _ in range(rng.randint(1, 4))
+    )
+
+
+@pytest.mark.parametrize("w", W.elements, ids=lambda w: "".join(map(str, w.word)) or "e")
+def test_two_row_borel_test_agrees_with_six_rows_on_each_double_coset(w):
+    # b wdot b' lies in B+ iff w is the identity (Bruhat decomposition)
+    rng = random.Random(w.index)
+    for _ in range(20):
+        g = _borel_word(rng) * rep.wdot(w) * _borel_word(rng)
+        assert chamber._in_upper_borel(g) == _upper_by_six_rows(g) == (w is W.identity)
+
+
+def test_two_row_borel_test_agrees_with_six_rows_on_mixed_words():
+    # b m b' with m a short word in x, y and coweight atoms; b y_i(t) b' lies
+    # in a maximal parabolic but not in B+.  Half the words are b m m^-1 b',
+    # in B+ although their fold passes through rows that are not triangular.
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(160):
+        m = rep.group_product(
+            (rep.x, rep.y, rep.coweight)[rng.randrange(3)](rng.choice((1, 2)), _signed_draw(rng))
+            for _ in range(rng.randint(1, 3))
+        )
+        middle = m * m.inverse() if rng.random() < 0.5 else m
+        g = _borel_word(rng) * middle * _borel_word(rng)
+        expected = _upper_by_six_rows(g)
+        assert chamber._in_upper_borel(g) == expected
+        seen.add(expected)
+    assert seen == {True, False}
+
+
 def test_factorization_forbids_zero_params():
     with pytest.raises(chamber.NotFactorizable):
         chamber.Factorization(WORD_I_TILDE, (Fraction(0),) * 6, "lower")

@@ -69,7 +69,7 @@ def test_alpha_rejects_wrong_parameter_count(capsys):
     ]
 
 
-def test_usage_errors_exit_2_without_traceback():
+def test_usage_errors_exit_2_without_traceback(child_env):
     for argv in (
         ["cell-point", "--family", "x21x12", "--params", "1,2,3,5,7"],
         ["alpha", "--family", "nosuch", "--params", "1,2,3,5"],
@@ -85,7 +85,7 @@ def test_usage_errors_exit_2_without_traceback():
     ):
         proc = subprocess.run(
             [sys.executable, "-m", "g2cells"] + argv,
-            capture_output=True, text=True, timeout=120,
+            env=child_env, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 2, argv
         assert proc.stdout == ""
@@ -108,6 +108,20 @@ def test_malformed_values_name_the_token(capsys):
         message = captured.err.splitlines()[-1]
         assert message.startswith("g2cells %s: error: argument " % argv[0]), message
         assert token in message and not re.search(r"\b_\w", message), message
+
+
+@pytest.mark.parametrize("token", ("1.5", "1e3", "2/3/4"))
+def test_params_error_names_the_accepted_forms(token, capsys):
+    # 1.5 and 1e3 are rationals too, so the message names the forms it reads
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["epsilon", "--params", "1,2,3,5,7," + token])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "g2cells epsilon: error: argument --params: "
+        "the parameter %r is not an integer or p/q" % token
+    )
 
 
 def test_epsilon_parses_fraction_strings(capsys):
@@ -237,10 +251,10 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text().startswith("component,")
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "g2cells", "minors"],
-        capture_output=True, text=True, timeout=120,
+        env=child_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0
     assert "b + d + f" in proc.stdout

@@ -1,7 +1,6 @@
 """The demo scripts run to completion and print their headline results."""
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,11 +35,10 @@ def test_every_demo_is_listed():
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.name for p in DEMOS])
-def test_demo_runs_cleanly(path):
-    paths = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+def test_demo_runs_cleanly(path, child_env):
     proc = subprocess.run(
-        [sys.executable, str(path)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, str(path)],
+        cwd=ROOT, env=child_env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -469,7 +469,7 @@ def test_representations_are_built_over_ints(level):
             assert all(type(c) is int for c in cols) and list(cols) == sorted(set(cols))
 
 
-def test_build_representations_constructs_no_fraction():
+def test_build_representations_constructs_no_fraction(child_env):
     # a fresh interpreter, so that no cache of this session is cleared
     script = "\n".join((
         "import fractions",
@@ -486,7 +486,7 @@ def test_build_representations_constructs_no_fraction():
         "print(probe, len(made) - probe)",
     ))
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", script], env=child_env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
     # the probe shows that the counter is live; the build makes no Fraction
