@@ -13,9 +13,26 @@ or '-' at I positions, '0' at J positions and '*' at K positions, so
 the number of zeros is the codimension.
 
 Flags are always carried as coset representative matrices, and relative
-positions reduce to rank profiles of exact matrices: the permutation of
-g in B- w B+ is read off top-left ranks, the one in B+ w B+ off
-bottom-left ranks (row index reversed).
+positions reduce to rank profiles of two rows of exact matrices: the w
+of g in B- w B+ is read off the top-left rank profile of rows 0 and 1,
+the one in B+ w B+ off the bottom-left rank profile of rows 6 and 5
+(``linalg``), and ``W.by_top_preimages`` and ``W.by_bottom_preimages``
+name the element.
+
+Two rows suffice for g in G2.  Row 0 of g is e_0^T g, and rows 0 and 1
+span e_0^T ^ e_1^T g; the lines [e_0^T] and [e_0^T ^ e_1^T] of
+V(omega1)* and V(omega2)* are B- -stable.  So for g = b wdot b' with b
+in B- and b' in B+, row 0 leads in the column of weight w^-1 omega1,
+and rows 0 and 1 lead in two columns whose weights add up to
+w^-1 omega2.  Since omega1 + omega2 is regular, these two weights fix
+w.  Rows 6 and 5 read w^-1 (-omega1) and w^-1 (-omega2) the same way,
+with B+ in place of B-.  Outside G2 the argument fails: a matrix that
+swaps lines 0 and 1 lies in no double coset of a Weyl element, yet its
+two top rows read as s1.  So the positions take only a
+``rep.GroupElement``, which lies in G2 because ``rep`` builds one only
+from G2 atoms, and refuse any other input with ``TypeError``.  A
+position chain folds only the unit rows e_0 and e_1, factor by factor,
+and drops the common denominator: a row scale moves no pivot.
 """
 
 from __future__ import annotations
@@ -148,35 +165,49 @@ def cell_point(cell, t, m):
     return rep.group_product(_cell_factors(cell, t, m))
 
 
-def _prefix_points(cell, t, m):
-    """The partial products z_1 ... z_j for j = 1..6."""
-    return rep.prefix_products(_cell_factors(cell, t, m))
+#: the unit rows e_0 and e_1 of V7, which a position chain folds
+_TOP_ROWS = ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
 
 
-def _element_from_matrix_permutation(p):
-    # p[j] = i means the matrix sends basis line j to basis line i
-    w = W.by_perm.get(tuple(p))
+def _named(table, key):
+    w = table.get(key)
     if w is None:
-        raise ArithmeticError(
-            "rank profile permutation %r is not induced by a Weyl element" % (p,)
-        )
+        raise ArithmeticError("pivot columns %r are not those of a Weyl element" % (key,))
     return w
 
 
+def _mixed_from_top_rows(rows):
+    # p[j] = i < 2: row i leads in column j once row 1 is reduced against row 0
+    p = linalg.bruhat_permutation_topleft(rows)
+    return _named(W.by_top_preimages, (p.index(0), p.index(1)))
+
+
+def _plus_from_bottom_rows(rows):
+    # rows 5 and 6 are block rows 0 and 1; the key lists row 6 first
+    p = linalg.bruhat_permutation_bottomleft(rows)
+    return _named(W.by_bottom_preimages, (p.index(1), p.index(0)))
+
+
+def _integral_rows(g):
+    if not isinstance(g, rep.GroupElement):
+        raise TypeError(
+            "a Bruhat position takes a rep.GroupElement, not %s" % type(g).__name__
+        )
+    return g.rows[0]
+
+
 def bruhat_position_mixed(g):
-    """The w with g in B- wdot B+, from the top-left rank profile of its
-    integral V7 rows (the common denominator scales no rank)."""
-    return _element_from_matrix_permutation(
-        linalg.bruhat_permutation_topleft(g.rows[0])
-    )
+    """The w with g in B- wdot B+, from the top-left rank profile of rows 0
+    and 1 of its integral V7 matrix (the common denominator scales no
+    rank).  ``g`` must be a ``rep.GroupElement``."""
+    return _mixed_from_top_rows(_integral_rows(g)[:2])
 
 
 def bruhat_position_plus(g):
-    """The w with g in B+ wdot B+, from the bottom-left rank profile of its
-    integral V7 rows."""
-    return _element_from_matrix_permutation(
-        linalg.bruhat_permutation_bottomleft(g.rows[0])
-    )
+    """The w with g in B+ wdot B+, from the bottom-left rank profile of rows
+    6 and 5 of its integral V7 matrix.  ``g`` must be a
+    ``rep.GroupElement``."""
+    return _plus_from_bottom_rows(_integral_rows(g)[5:])
 
 
 def position_chain(cell, t, m):
@@ -184,11 +215,15 @@ def position_chain(cell, t, m):
 
     Returns the Weyl elements w with B- -> B_j in position w for
     j = 0..6; membership of the point in the cell is equivalent to this
-    chain equalling (w0 sigma_j).
+    chain equalling (w0 sigma_j).  Rows 0 and 1 of each partial product
+    are folded on from those of the one before, without the common
+    denominator.
     """
     chain = [W.w0]
-    for g in _prefix_points(cell, t, m):
-        chain.append(W.w0 * bruhat_position_mixed(g))
+    rows = _TOP_ROWS
+    for z in _cell_factors(cell, t, m):
+        rows, _ = rep.apply_covector(z, rows)
+        chain.append(W.w0 * _mixed_from_top_rows(rows))
     return tuple(chain)
 
 

@@ -5,11 +5,14 @@ are the ints of the Chevalley construction and of integral group rows;
 the tests also pass ``Fraction`` entries.
 Bruhat-position permutations are read off rank profiles by one
 fraction-free column-reduction scan, which serves the top-left profile
-directly and the bottom-left profile on the row-reversed matrix.  Scaling a row or a column moves no rank profile,
-so the scan takes a group element's integral rows as they are, without
-their common denominator, and eliminates over the integers.  The
-per-submatrix rank definitions it is checked against live with the
-tests.
+directly and the bottom-left profile on the row-reversed block.  The
+scan takes a block of k <= n rows of full row rank: k = n gives the
+whole permutation, and a smaller k the part of it that lands in the
+block's rows, which is all ``deodhar`` reads.  Scaling a row or a
+column moves no rank profile, so the scan takes a group element's
+integral rows as they are, without their common denominator, and
+eliminates over the integers.  The per-submatrix rank definitions it
+is checked against live with the tests.
 """
 
 from __future__ import annotations
@@ -55,33 +58,45 @@ def is_zero_matrix(A):
     return all(all(x == 0 for x in row) for row in A)
 
 
+def _topmost(v):
+    """The index of the first nonzero entry of v, or None."""
+    for i, x in enumerate(v):
+        if x:
+            return i
+    return None
+
+
 def _column_reduction_scan(A):
     """The topmost nonzero index of each column after column reduction.
 
-    Columns are reduced left to right against previously kept columns,
-    so that kept columns have pairwise distinct topmost nonzero
-    positions; column j contributes the topmost index of its reduced
-    vector.  The reduction is fraction-free, v <- u[top] v - v[top] u:
-    it scales v by a nonzero factor, which moves no topmost index, so
-    integer entries stay integers.
+    ``A`` is a block of k rows of full row rank.  Columns are reduced
+    left to right against previously kept columns, so that kept columns
+    have pairwise distinct topmost nonzero positions; column j
+    contributes the topmost index of its reduced vector, or None when it
+    reduces to zero.  Once k columns are kept they span every column, so
+    the scan stops there and the rest read None; a square block keeps
+    every column.  The reduction is fraction-free,
+    v <- u[top] v - v[top] u: it scales v by a nonzero factor, which
+    moves no topmost index, so integer entries stay integers.  A block
+    of lower row rank raises ``ValueError``.
     """
-    n = len(A)
+    k, n = len(A), len(A[0])
     kept = {}  # topmost index -> reduced column vector
-    p = []
+    p = [None] * n
     for j in range(n):
-        v = [A[i][j] for i in range(n)]
-        while True:
-            top = next((i for i in range(n) if v[i] != 0), None)
-            if top is None:
-                raise ValueError("singular matrix has no Bruhat permutation")
-            if top not in kept:
-                break
+        v = [row[j] for row in A]
+        top = _topmost(v)
+        while top in kept:
             u = kept[top]
             a, b = u[top], v[top]
             v = [a * s - b * t for s, t in zip(v, u)]
-        kept[top] = v
-        p.append(top)
-    return p
+            top = _topmost(v)
+        if top is not None:
+            kept[top] = v
+            p[j] = top
+            if len(kept) == k:
+                return p
+    raise ValueError("a block of lower row rank has no Bruhat permutation")
 
 
 def bruhat_permutation_topleft(A):
@@ -89,7 +104,9 @@ def bruhat_permutation_topleft(A):
 
     Returns a tuple p with p[j] = i meaning P has its 1 of column j in row i.
     Characterized by the top-left rank profile r(i,j) = rank A[:i, :j]:
-    p[j] = i exactly when r gains at (i,j) in both directions.
+    p[j] = i exactly when r gains at (i,j) in both directions.  On the
+    top k rows of such a matrix it returns p with every index i >= k
+    replaced by None: those ranks are ranks of the k-row block.
     """
     return tuple(_column_reduction_scan(A))
 
@@ -99,7 +116,9 @@ def bruhat_permutation_bottomleft(A):
 
     The bottom-left rank profile r(i,j) = rank A[i:, :j] is the
     invariant: the top-left scan of A with its rows reversed, with each
-    row index mapped back.
+    row index mapped back.  On the bottom k rows of such a matrix the
+    indices are those of the block, and columns whose 1 lies above it
+    read None.
     """
-    n = len(A)
-    return tuple(n - 1 - i for i in _column_reduction_scan(A[::-1]))
+    k = len(A)
+    return tuple(None if i is None else k - 1 - i for i in _column_reduction_scan(A[::-1]))

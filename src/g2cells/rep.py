@@ -27,7 +27,7 @@ read.  Dense matrix products run only while the representation is
 built.  Only this module writes an atom or builds a ``GroupElement``
 from a word: the rest of the package starts from ``x``, ``y``,
 ``sdot``, ``sdot_inverse``, ``coweight`` and ``wdot``, and joins
-elements with ``*``, ``group_product`` or ``prefix_products``.
+elements with ``*`` or ``group_product``.
 
 Every atom is read one way, as integral sparse entries over a positive
 denominator (``_atom_rows``): x_i(p/q) and y_i(p/q) from the integral
@@ -67,7 +67,6 @@ __all__ = [
     "wdot",
     "group_identity",
     "group_product",
-    "prefix_products",
     "matrix_rows",
     "is_upper",
     "is_lower",
@@ -280,16 +279,15 @@ class GroupElement:
     ``provenance`` is the word of generator atoms that produced the
     element.  Products concatenate words.  ``rows`` is the V7 matrix as
     integral rows over one common denominator, folded from the word when
-    it is first read, and kept; ``rows`` may be given when the caller has
-    already folded it.  ``m7`` is a ``Fraction`` view, built only when
-    read.
+    it is first read, and kept.  ``m7`` is a ``Fraction`` view, built
+    only when read.
     """
 
     __slots__ = ("provenance", "_rows", "_m7")
 
-    def __init__(self, provenance, rows=None):
+    def __init__(self, provenance):
         self.provenance = tuple(provenance)
-        self._rows = rows
+        self._rows = None
         self._m7 = None
 
     @property
@@ -344,21 +342,6 @@ def group_product(elements):
     the concatenation of their words.  The word is gathered in a list:
     built from a generator, it kept about 0.1 MiB more memory resident."""
     return GroupElement([atom for g in elements for atom in g.provenance])
-
-
-def prefix_products(elements):
-    """The partial products of a sequence of group elements.
-
-    Each prefix's integral V7 rows are folded on from those of the
-    prefix before it, so the whole chain costs one fold of the full word.
-    """
-    out = []
-    provenance, rows, den = (), _unit_rows(range(7)), 1
-    for g in elements:
-        provenance += g.provenance
-        rows, den = _fold_rows(rows, den, g.provenance)
-        out.append(GroupElement(provenance, rows=(tuple(map(tuple, rows)), den)))
-    return out
 
 
 def x(i, t):

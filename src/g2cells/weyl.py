@@ -4,12 +4,15 @@ The group (dihedral of order 12) is realized by its faithful permutation
 action on the seven weights of V7 (``V7_WEIGHTS``), which are its basis
 lines.  Equality and multiplication reduce to permutation composition,
 and a permutation of the basis lines read off a matrix names its element
-through ``W.by_perm``.  ``W.elements`` lists the group in (length, word)
-order with lex-least reduced words, so ``W.w0`` is its last element and a
-minimal representative is the first element that fits.  Distinguished
-subexpressions are enumerated depth-first, exact and instant at this
-size.  Bruhat order on the group is not part of the package: the
-relative positions of flags are read from rank profiles (``deodhar``).
+through ``W.by_perm``; so do the two lines it sends to lines 0 and 1
+(``W.by_top_preimages``) and the two it sends to lines 6 and 5
+(``W.by_bottom_preimages``).  ``W.elements`` lists the group in
+(length, word) order with lex-least reduced words, so ``W.w0`` is its
+last element and a minimal representative is the first element that
+fits.  Distinguished subexpressions are enumerated depth-first, exact
+and instant at this size.  Bruhat order on the group is not part of the
+package: the relative positions of flags are read from rank profiles
+of two rows (``deodhar``).
 
 Weights are stored in fundamental-weight coordinates (n1, n2), i.e.
 mu = n1*omega1 + n2*omega2, with the conventions
@@ -130,6 +133,18 @@ class WeylElement:
         return "*".join("s%d" % i for i in self.word)
 
 
+def _by_preimages(elements, lines):
+    """Each element keyed by the lines its permutation sends to ``lines``;
+    a key shared by two elements raises ``RuntimeError``."""
+    table = {}
+    for el in elements:
+        key = tuple(el.perm.index(i) for i in lines)
+        if key in table:
+            raise RuntimeError("lines %s do not tell %r from %r" % (lines, table[key], el))
+        table[key] = el
+    return table
+
+
 class WeylGroup:
     """The Weyl group of type G2 with all tables precomputed."""
 
@@ -161,6 +176,11 @@ class WeylGroup:
             WeylElement(self, perm, words[perm], k) for k, perm in enumerate(queue)
         )
         self.by_perm = {el.perm: el for el in self.elements}
+        # the lines that w sends to lines 0 and 1, and to lines 6 and 5: the
+        # pivots of two rows of a matrix in B- wdot B+, or in B+ wdot B+
+        # (``deodhar``)
+        self.by_top_preimages = _by_preimages(self.elements, (0, 1))
+        self.by_bottom_preimages = _by_preimages(self.elements, (6, 5))
         self.identity = self.elements[0]
         self.w0 = self.elements[-1]
         self._s = {1: self.by_perm[s_perm[1]], 2: self.by_perm[s_perm[2]]}

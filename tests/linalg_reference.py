@@ -95,14 +95,18 @@ def submatrix_rank(A, rows, cols):
 
 
 def bruhat_permutation_topleft_by_ranks(A):
-    """Reference implementation straight from the rank-profile definition."""
-    n = len(A)
-    r = [[0] * (n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
+    """Reference implementation straight from the rank-profile definition.
+
+    ``A`` may be a block of k rows of any width; a column whose rank
+    never gains inside the block reads None.
+    """
+    k, n = len(A), len(A[0])
+    r = [[0] * (n + 1) for _ in range(k + 1)]
+    for i in range(1, k + 1):
         for j in range(1, n + 1):
             r[i][j] = submatrix_rank(A, range(i), range(j))
     p = [None] * n
-    for i in range(1, n + 1):
+    for i in range(1, k + 1):
         for j in range(1, n + 1):
             if r[i][j] - r[i - 1][j] - r[i][j - 1] + r[i - 1][j - 1] == 1:
                 p[j - 1] = i - 1
@@ -110,13 +114,14 @@ def bruhat_permutation_topleft_by_ranks(A):
 
 
 def bruhat_permutation_bottomleft_by_ranks(A):
-    n = len(A)
-    r = [[0] * (n + 2) for _ in range(n + 2)]
-    for i in range(n, 0, -1):
+    """The bottom-left profile r(i,j) = rank A[i:, :j], on a block of k rows."""
+    k, n = len(A), len(A[0])
+    r = [[0] * (n + 1) for _ in range(k + 2)]
+    for i in range(k, 0, -1):
         for j in range(1, n + 1):
-            r[i][j] = submatrix_rank(A, range(i - 1, n), range(j))
+            r[i][j] = submatrix_rank(A, range(i - 1, k), range(j))
     p = [None] * n
-    for i in range(1, n + 1):
+    for i in range(1, k + 1):
         for j in range(1, n + 1):
             if r[i][j] - r[i + 1][j] - r[i][j - 1] + r[i + 1][j - 1] == 1:
                 p[j - 1] = i - 1

@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import linalg_reference
+from dense_reference import dense_product
 from g2cells import deodhar, linalg, rep
 from g2cells.weyl import W, WORD_I
+
+V7 = rep.build_representations()
 
 
 def test_families_geometry():
@@ -95,8 +98,13 @@ def test_mixed_position_examples():
     # no Weyl element swaps lines 0 and 1 (weights eps1 and -eps3) alone
     swap = [[int(i == j) for j in range(7)] for i in range(7)]
     swap[0], swap[1] = swap[1], swap[0]
-    with pytest.raises(ArithmeticError):
-        deodhar.bruhat_position_mixed(SimpleNamespace(rows=(swap, 1)))
+    assert linalg.bruhat_permutation_topleft(swap) not in W.by_perm
+    # yet its two top rows read as s1, so the positions refuse any matrix
+    # that is not a group element, which lies in G2 by construction
+    assert W.by_top_preimages[(1, 0)] is W.s(1)
+    for position in (deodhar.bruhat_position_mixed, deodhar.bruhat_position_plus):
+        with pytest.raises(TypeError, match="SimpleNamespace"):
+            position(SimpleNamespace(rows=(swap, 1)))
 
 
 def test_plus_position_examples():
@@ -126,6 +134,49 @@ def test_rank_profile_permutation_against_subranks():
                 linalg_reference.bruhat_permutation_bottomleft_by_ranks(mat)
 
 
+def _sample_parameter(rng):
+    # zero now and then, so that some factors are the identity
+    return rng.choice((0, 1)) * rng.choice((1, -1)) * deodhar.sample_magnitude(rng)
+
+
+def _random_borel(rng, kind):
+    """A random element of B+ (kind 'x') or B- (kind 'y'): a torus element
+    times one-parameter factors along the reduced word 121212 of w0."""
+    torus = [rep.coweight(i, rng.choice((1, -1)) * deodhar.sample_magnitude(rng)) for i in (1, 2)]
+    one = rep.x if kind == "x" else rep.y
+    return rep.group_product(torus + [one(i, _sample_parameter(rng)) for i in WORD_I])
+
+
+@pytest.mark.parametrize("w", W.elements, ids=repr)
+def test_positions_agree_with_rank_profiles_on_double_cosets(w):
+    """b wdot(w) b' is in B- w B+ for b in B-, and in B+ w B+ for b in B+;
+    both two-row positions read w, as the seven-row rank profiles do."""
+    rng = random.Random(2000 + w.index)
+    for _ in range(20):
+        mixed = _random_borel(rng, "y") * rep.wdot(w) * _random_borel(rng, "x")
+        assert deodhar.bruhat_position_mixed(mixed) is w
+        assert W.by_perm[linalg_reference.bruhat_permutation_topleft_by_ranks(mixed.m7)] is w
+        plus = _random_borel(rng, "x") * rep.wdot(w) * _random_borel(rng, "x")
+        assert deodhar.bruhat_position_plus(plus) is w
+        assert W.by_perm[linalg_reference.bruhat_permutation_bottomleft_by_ranks(plus.m7)] is w
+
+
+def test_position_chains_agree_with_dense_prefix_products():
+    rng = random.Random(47)
+    for fam in deodhar.families():
+        for _ in range(3):
+            t = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in fam.I)
+            m = tuple(rng.choice((1, -1)) * deodhar.sample_magnitude(rng) for _ in fam.K)
+            cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
+            chain = deodhar.position_chain(cell, t, m)
+            assert len(chain) == 7 and chain[0] is W.w0
+            dense = linalg_reference.identity(7)
+            for z, w in zip(deodhar._cell_factors(cell, t, m), chain[1:]):
+                dense = linalg.mat_mul(dense, dense_product(z.provenance, V7))
+                p = linalg_reference.bruhat_permutation_topleft_by_ranks(dense)
+                assert w is W.w0 * W.by_perm[p]
+
+
 small_entries = st.integers(-3, 3)
 dense_matrices = st.lists(st.lists(small_entries, min_size=7, max_size=7), min_size=7, max_size=7)
 # mostly zeros, so the permutations vary and many matrices are singular
@@ -153,20 +204,39 @@ lpu_matrices = st.tuples(
 ).map(_lpu)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(dense_matrices, sparse_matrices, lpu_matrices))
-def test_fraction_free_scan_matches_rank_profiles(A):
-    A = tuple(map(tuple, A))
-    if linalg_reference.rank(A) < 7:
+def _check_scans(A):
+    """Both scans of the block A match the rank profiles, or A, of lower
+    row rank, is refused."""
+    if linalg_reference.rank(A) < len(A):
         with pytest.raises(ValueError):
             linalg.bruhat_permutation_topleft(A)
         with pytest.raises(ValueError):
             linalg.bruhat_permutation_bottomleft(A)
-        return
+        return False
     assert linalg.bruhat_permutation_topleft(A) == \
         linalg_reference.bruhat_permutation_topleft_by_ranks(A)
     assert linalg.bruhat_permutation_bottomleft(A) == \
         linalg_reference.bruhat_permutation_bottomleft_by_ranks(A)
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(dense_matrices, sparse_matrices, lpu_matrices))
+def test_fraction_free_scan_matches_rank_profiles(A):
+    A = tuple(map(tuple, A))
+    top, bottom = A[:2], A[5:]
+    _check_scans(top)
+    _check_scans(bottom)
+    if not _check_scans(A):
+        return
+    # on the top or bottom two rows the scan reads the part of the
+    # seven-row permutation that lands in them
+    full_top = linalg.bruhat_permutation_topleft(A)
+    assert linalg.bruhat_permutation_topleft(top) == \
+        tuple(i if i < 2 else None for i in full_top)
+    full_bottom = linalg.bruhat_permutation_bottomleft(A)
+    assert linalg.bruhat_permutation_bottomleft(bottom) == \
+        tuple(i - 5 if i >= 5 else None for i in full_bottom)
 
 
 def test_bareiss_rank_basics():
@@ -214,8 +284,9 @@ def test_chain_invariants_random_points():
             assert deodhar.bruhat_position_plus(point) is W.w0
             assert deodhar.verify_cell_chain(cell, t, m)
             # every partial product lies in U- sigma_j dot
-            prefixes = deodhar._prefix_points(cell, t, m)
-            for j, g in enumerate(prefixes, start=1):
+            factors = deodhar._cell_factors(cell, t, m)
+            for j in range(1, len(factors) + 1):
+                g = rep.group_product(factors[:j])
                 shifted = g * rep.wdot(fam.sigma[j]).inverse()
                 assert rep.is_unipotent_lower(shifted)
 

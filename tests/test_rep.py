@@ -287,7 +287,8 @@ def test_prefix_points_match_dense_prefix_products():
         for _ in range(3):
             cell, t, m = checks._random_family_point(fam, rng)
             words = _cell_word(cell, t, m)
-            prefixes = deodhar._prefix_points(cell, t, m)
+            factors = deodhar._cell_factors(cell, t, m)
+            prefixes = [rep.group_product(factors[:k]) for k in range(1, len(factors) + 1)]
             assert len(prefixes) == len(words) == 6
             dense = linalg_reference.identity(7)
             for k, g in enumerate(prefixes, start=1):
