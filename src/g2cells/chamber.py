@@ -41,13 +41,9 @@ chosen word; that is a recoverable condition (``NotFactorizable``), not
 a failure, and callers resample through ``redraw``.
 
 ``flag_equal_opposed`` cross-checks the maps by the flag identity
-x . [B-] = y . [B+], that is y^-1 x w0dot in B+.  B+ is the meet of the
-two maximal parabolics P(omega1) and P(omega2) that contain it, the
-stabilizers of the highest weight lines of V(omega1)* and V(omega2)*:
-the two levels of the minors.  On row vectors these lines are [e_6^T]
-and [e_5^T ^ e_6^T], so an element of G2 lies in B+ iff rows 5 and 6
-of its V7 matrix vanish left of the diagonal, and only those two rows
-are folded.
+x . [B-] = y . [B+], that is y^-1 x w0dot in B+.  Since B+ e B+ = B+,
+that is the plus Bruhat position of ``deodhar`` at the identity, which
+reads rows 6 and 5 of the V7 matrix alone.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import rep
+from . import deodhar, rep
 from .minors import (
     highest_row,
     lowest_row,
@@ -250,36 +246,14 @@ def flag_equal_opposed(x, y):
     """True iff x . [B-] and y . [B+] are the same flag.
 
     [B-] = w0dot . [B+] and the stabilizer of [B+] is B+, so the test is
-    that y^-1 x w0dot lies in B+.  For an element of G2 that is read off
-    its two bottom rows alone (``_in_upper_borel``), so only rows 5 and 6
-    of its V7 matrix are folded.
+    that y^-1 x w0dot lies in B+ = B+ e B+: that its plus position is
+    the identity.
     """
     if not rep.is_unipotent_upper(x):
         raise ValueError("first argument must be unipotent upper")
     if not rep.is_unipotent_lower(y):
         raise ValueError("second argument must be unipotent lower")
-    return _in_upper_borel(y.inverse() * x * rep.wdot(W.w0))
-
-
-def _in_upper_borel(g):
-    """True iff the G2 element g lies in B+, read from rows 5 and 6 of its
-    V7 matrix.
-
-    Row i of the matrix is e_i^T g, g acting on row vectors from the
-    right.  e_6 is the lowest weight vector of V7, of weight -omega1, and
-    e_5 ^ e_6 the lowest weight vector of V(omega2) in the exterior
-    square, of weight -omega2 (the only wedge of that weight).  So
-    [e_6^T] and [e_5^T ^ e_6^T] are the highest weight lines of
-    V(omega1)* and V(omega2)*, and their stabilizers are the maximal
-    parabolics P(omega1) and P(omega2) that contain B+; the two meet in
-    B+.  g fixes [e_6^T] iff row 6 vanishes left of column 6, and then
-    fixes [e_5^T ^ e_6^T] iff row 5 vanishes left of column 5.  Both
-    hold exactly when g is in B+, so the other five rows are not folded.
-    This needs g in G2: a 7x7 matrix outside G2 with these two rows need
-    not be upper triangular.
-    """
-    (row5, row6), _ = rep.matrix_rows(g, first=5)
-    return not any(row5[:5]) and not any(row6[:6])
+    return deodhar.bruhat_position_plus(y.inverse() * x * rep.wdot(W.w0)) is W.identity
 
 
 # ---------------------------------------------------------------------------

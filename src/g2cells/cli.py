@@ -4,7 +4,8 @@ Rational parameters are given as comma-separated ``p/q`` or integer
 strings and are parsed losslessly.  Output is deterministic: identical
 inputs and seed produce byte-identical output.  Data goes to stdout,
 diagnostics to stderr; ``--out FILE`` redirects the data stream.  Bad
-input ends the run with a one-line message on stderr and exit code 2.
+input ends the run with a one-line message on stderr and exit code 2,
+and a reader that closes stdout early ends it with exit code 1.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import chamber, checks, components, deodhar, fixtures, minors, rep
@@ -368,10 +370,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(_bind_params(sys.argv[1:] if argv is None else argv))
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except UsageError as exc:
         print("g2cells %s: error: %s" % (args.command, exc), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout is gone: drop what is left unwritten
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,9 +30,13 @@ with B+ in place of B-.  Outside G2 the argument fails: a matrix that
 swaps lines 0 and 1 lies in no double coset of a Weyl element, yet its
 two top rows read as s1.  So the positions take only a
 ``rep.GroupElement``, which lies in G2 because ``rep`` builds one only
-from G2 atoms, and refuse any other input with ``TypeError``.  A
-position chain folds only the unit rows e_0 and e_1, factor by factor,
-and drops the common denominator: a row scale moves no pivot.
+from G2 atoms, and refuse any other input with ``TypeError``.
+
+Both positions read their two rows through ``rep.apply_covector``, so
+an element whose matrix is kept folds nothing more, and drop the common
+denominator: a row scale moves no pivot.  A position chain folds e_0
+and e_1 factor by factor.  The flag identity of ``chamber`` is the plus
+position at the identity, since B+ e B+ = B+.
 """
 
 from __future__ import annotations
@@ -165,10 +169,6 @@ def cell_point(cell, t, m):
     return rep.group_product(_cell_factors(cell, t, m))
 
 
-#: the unit rows e_0 and e_1 of V7, which a position chain folds
-_TOP_ROWS = ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
-
-
 def _named(table, key):
     w = table.get(key)
     if w is None:
@@ -188,26 +188,28 @@ def _plus_from_bottom_rows(rows):
     return _named(W.by_bottom_preimages, (p.index(1), p.index(0)))
 
 
-def _integral_rows(g):
+def _folded(g, block):
+    """The numerators of block . g, for the ``rep.GroupElement`` g; the
+    common denominator scales no rank, so it is dropped."""
     if not isinstance(g, rep.GroupElement):
         raise TypeError(
             "a Bruhat position takes a rep.GroupElement, not %s" % type(g).__name__
         )
-    return g.rows[0]
+    return rep.apply_covector(g, block)[0]
 
 
 def bruhat_position_mixed(g):
     """The w with g in B- wdot B+, from the top-left rank profile of rows 0
-    and 1 of its integral V7 matrix (the common denominator scales no
-    rank).  ``g`` must be a ``rep.GroupElement``."""
-    return _mixed_from_top_rows(_integral_rows(g)[:2])
+    and 1 of its integral V7 matrix.  ``g`` must be a
+    ``rep.GroupElement``."""
+    return _mixed_from_top_rows(_folded(g, rep.UNIT_ROWS[:2]))
 
 
 def bruhat_position_plus(g):
     """The w with g in B+ wdot B+, from the bottom-left rank profile of rows
     6 and 5 of its integral V7 matrix.  ``g`` must be a
     ``rep.GroupElement``."""
-    return _plus_from_bottom_rows(_integral_rows(g)[5:])
+    return _plus_from_bottom_rows(_folded(g, rep.UNIT_ROWS[5:]))
 
 
 def position_chain(cell, t, m):
@@ -220,7 +222,7 @@ def position_chain(cell, t, m):
     denominator.
     """
     chain = [W.w0]
-    rows = _TOP_ROWS
+    rows = rep.UNIT_ROWS[:2]
     for z in _cell_factors(cell, t, m):
         rows, _ = rep.apply_covector(z, rows)
         chain.append(W.w0 * _mixed_from_top_rows(rows))

@@ -77,30 +77,29 @@ def _extremal_by_weight(n1, n2):
     representatives folds over the denominator 1.  Keyed by the two ints, not
     a slower-hashing ``Weight``: each factorization looks it up eight times."""
     w, level = weight_to_chamber(Weight(n1, n2))
-    rows, _ = rep.matrix_rows(rep.group_product(rep.sdot_inverse(j) for j in w.word))
+    rows, _ = rep.apply_covector(rep.group_product(map(rep.sdot_inverse, w.word)), rep.UNIT_ROWS)
     columns = [[row[c] for row in rows] for c in range(level)]
     terms = ((cols, _det(columns, cols)) for cols in combinations(range(7), level))
     return tuple((cols, coeff) for cols, coeff in terms if coeff)
 
 
 @lru_cache(maxsize=None)
-def _unit_rows(lowest):
-    """The two int rows whose fold reads the coefficient of v_omega, or of
-    v_{-omega} if ``lowest``: rows 0 and 1 of the identity, or of wdot(w0),
-    which sends v_{-omega} to v_omega; a minor of level l reads the first l."""
-    rows, _ = rep.matrix_rows(rep.wdot(W.w0 if lowest else W.identity))
-    return rows[:2]
+def _lowest_rows():
+    """Rows 0 and 1 of wdot(w0), which sends v_{-omega} to v_omega: their
+    fold reads the coefficient of v_{-omega}, as rows 0 and 1 of the
+    identity read that of v_omega; a minor of level l reads the first l."""
+    return tuple(map(tuple, rep.apply_covector(rep.wdot(W.w0), rep.UNIT_ROWS[:2])[0]))
 
 
 def highest_row(g):
     """The row functionals v -> coefficient of v_omega in g.v: the top two
     rows of g, as (numerators, denominator)."""
-    return rep.apply_covector(g, _unit_rows(False))
+    return rep.apply_covector(g, rep.UNIT_ROWS[:2])
 
 
 def lowest_row(g):
     """The row functionals v -> coefficient of v_{-omega} in g.v."""
-    return rep.apply_covector(g, _unit_rows(True))
+    return rep.apply_covector(g, _lowest_rows())
 
 
 def _det(rows, cols):

@@ -35,15 +35,18 @@ divided-power tables scaled by q^K, a torus element over the least
 common denominator of its eigenvalues, and the Weyl representatives
 with denominator 1.  There is one fold, ``_fold_rows``: it carries a
 block of row vectors as Python int numerators over one common
-denominator along the word, and builds no ``Fraction``.  A block of
-int covectors (``apply_covector``, which the minors read) and a matrix
-(``matrix_rows``, the block of unit rows) are both such blocks.  A
-group element keeps its matrix as integral rows; equality
-cross-multiplies them, the triangularity predicates read them (a unit
-diagonal entry equals the denominator), and ``m7`` is a ``Fraction``
-view built only for callers that read it.  A word made only of x atoms
-lies in U+ and one made only of y atoms in U-, so the unipotence
-predicates read such words without folding a matrix.
+denominator along the word, and builds no ``Fraction``.
+
+There is one reader of rows of an element, ``apply_covector``: a block
+of int covectors times g.  Every block of unit covectors is a slice of
+``UNIT_ROWS``: the minors fold rows 0 and 1 (of the identity or of
+wdot(w0)), the Bruhat positions rows 0 and 1 or 5 and 6.  The whole
+matrix, ``GroupElement.rows``, is the seven unit rows folded once and
+kept; only the unipotence predicates, ``==`` and the ``Fraction`` view
+``m7`` read it.  Once it is kept, ``apply_covector`` multiplies its
+block into it instead of walking the word again.  A word made only of
+x atoms lies in U+ and one made only of y atoms in U-, so the
+unipotence predicates read such words without folding a matrix.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ __all__ = [
     "wdot",
     "group_identity",
     "group_product",
-    "matrix_rows",
+    "apply_covector",
+    "UNIT_ROWS",
     "is_upper",
     "is_lower",
     "is_unipotent_upper",
@@ -219,9 +223,9 @@ def _fold_rows(rows, den, atoms):
     return rows, den
 
 
-def _unit_rows(indices):
-    """The unit row vectors e_i of V7, i in ``indices``, as lists of ints."""
-    return [[1 if j == i else 0 for j in range(7)] for i in indices]
+#: the unit rows e_0, ..., e_6 of V7: every block of unit covectors that is
+#: folded is a slice of it
+UNIT_ROWS = tuple(tuple(int(j == i) for j in range(7)) for i in range(7))
 
 
 @lru_cache(maxsize=4)
@@ -232,23 +236,10 @@ def _weyl_rows(kind, i):
     never exceeds its four entries.
     """
     s = 1 if kind == "sdot" else -1
-    rows, den = _fold_rows(_unit_rows(range(7)), 1, (("x", i, s), ("y", i, -s), ("x", i, s)))
+    rows, den = _fold_rows(UNIT_ROWS, 1, (("x", i, s), ("y", i, -s), ("x", i, s)))
     if den != 1:
         raise ArithmeticError("Weyl representative of %s%d is not integral" % (kind, i))
     return tuple((r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
-
-
-def matrix_rows(g, first=0):
-    """Rows first..6 of g's matrix: (rows, den), integral rows over one
-    positive common denominator.
-
-    The one entry that folds a group element's matrix rather than a
-    block of covectors; ``first`` > 0 folds only the bottom rows, as
-    ``chamber.flag_equal_opposed`` does with ``first`` = 5: rows 5 and
-    6 decide whether an element of G2 lies in B+.
-    """
-    rows, den = _fold_rows(_unit_rows(range(first, 7)), 1, g.provenance)
-    return tuple(map(tuple, rows)), den
 
 
 def _fraction_view(rows, den):
@@ -278,9 +269,9 @@ class GroupElement:
 
     ``provenance`` is the word of generator atoms that produced the
     element.  Products concatenate words.  ``rows`` is the V7 matrix as
-    integral rows over one common denominator, folded from the word when
-    it is first read, and kept.  ``m7`` is a ``Fraction`` view, built
-    only when read.
+    integral rows over one common denominator, the unit rows folded
+    along the word when it is first read, and kept.  ``m7`` is a
+    ``Fraction`` view, built only when read.
     """
 
     __slots__ = ("provenance", "_rows", "_m7")
@@ -294,8 +285,26 @@ class GroupElement:
     def rows(self):
         """The V7 matrix as (rows, den): integral rows over a positive int."""
         if self._rows is None:
-            self._rows = matrix_rows(self)
+            rows, den = _fold_rows(UNIT_ROWS, 1, self.provenance)
+            self._rows = tuple(map(tuple, rows)), den
         return self._rows
+
+    def left_multiply(self, rows):
+        """The body of ``apply_covector``: the block is multiplied into the
+        kept matrix once ``rows`` has been read, and folded along the word
+        before.  The fold is linear in the block, so both give the same
+        numerators over the same den."""
+        if self._rows is None:
+            return _fold_rows([list(row) for row in rows], 1, self.provenance)
+        matrix, den = self._rows
+        out = []
+        for row in rows:
+            acc = [0] * 7
+            for u, line in zip(row, matrix):
+                if u:
+                    acc = [a + u * v for a, v in zip(acc, line)]
+            out.append(acc)
+        return out, den
 
     @property
     def m7(self):
@@ -378,12 +387,10 @@ def wdot(w):
 
 
 def apply_covector(g, rows):
-    """rows . g for a block of int row vectors, through the provenance chain.
-
-    Returns (numerators, den): entry j of row k of rows . g is
-    numerators[k][j] / den, with den a positive int.
-    """
-    return _fold_rows([list(row) for row in rows], 1, g.provenance)
+    """rows . g for a block of int row vectors, the one reader of rows of an
+    element: (numerators, den), entry j of row k of rows . g being
+    numerators[k][j] / den with den a positive int."""
+    return g.left_multiply(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from dense_reference import dense_product
 from g2cells import chamber, checks, components, deodhar, fixtures, minors, rep
 from g2cells.weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
 
@@ -160,8 +161,19 @@ def test_flag_equal_opposed_reads_the_subdiagonal(t):
 
 def _upper_by_six_rows(g):
     """Reference B+ test: rows 1..6 of g's V7 matrix vanish left of the diagonal."""
-    rows, _ = rep.matrix_rows(g, first=1)
-    return all(not any(row[:i]) for i, row in enumerate(rows, start=1))
+    rows, _ = g.rows
+    return all(not any(row[:i]) for i, row in enumerate(rows[1:], start=1))
+
+
+def _upper_by_dense_product(g):
+    """Dense B+ test: the dense product of g's word is upper triangular."""
+    dense = dense_product(g.provenance, rep.build_representations())
+    return all(not any(row[:i]) for i, row in enumerate(dense))
+
+
+def _in_upper_borel(g):
+    """The B+ test of the flag identity: B+ e B+ = B+."""
+    return deodhar.bruhat_position_plus(g) is W.identity
 
 
 def _signed_draw(rng):
@@ -182,7 +194,8 @@ def test_two_row_borel_test_agrees_with_six_rows_on_each_double_coset(w):
     rng = random.Random(w.index)
     for _ in range(20):
         g = _borel_word(rng) * rep.wdot(w) * _borel_word(rng)
-        assert chamber._in_upper_borel(g) == _upper_by_six_rows(g) == (w is W.identity)
+        assert _in_upper_borel(g) == (w is W.identity)
+        assert _upper_by_six_rows(g) == _upper_by_dense_product(g) == (w is W.identity)
 
 
 def test_two_row_borel_test_agrees_with_six_rows_on_mixed_words():
@@ -199,9 +212,18 @@ def test_two_row_borel_test_agrees_with_six_rows_on_mixed_words():
         middle = m * m.inverse() if rng.random() < 0.5 else m
         g = _borel_word(rng) * middle * _borel_word(rng)
         expected = _upper_by_six_rows(g)
-        assert chamber._in_upper_borel(g) == expected
+        assert _in_upper_borel(g) == expected
         seen.add(expected)
     assert seen == {True, False}
+
+
+@pytest.mark.parametrize("t", (Fraction(3, 5), Fraction(-7)))
+def test_flag_identity_agrees_with_the_dense_product(t):
+    xel = x_tilde((1, 2, 3, 5, 7, 11))
+    yel = chamber.epsilon_factorize(xel, WORD_I_TILDE).product()
+    for y, expected in ((yel, True), (yel * rep.y(1, t), False), (yel * rep.y(2, t), False)):
+        assert chamber.flag_equal_opposed(xel, y) is expected
+        assert _upper_by_dense_product(y.inverse() * xel * rep.wdot(W.w0)) is expected
 
 
 def test_factorization_forbids_zero_params():

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -91,6 +92,24 @@ def test_usage_errors_exit_2_without_traceback(child_env):
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines()[-1].startswith("g2cells %s: error: " % argv[0])
+
+
+@pytest.mark.parametrize("command", ("cells", "verify"))
+def test_closed_stdout_exits_1_without_traceback(child_env, command):
+    # the read end is closed before the child starts, so its first write to
+    # stdout meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "g2cells", command],
+            env=child_env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_malformed_values_name_the_token(capsys):

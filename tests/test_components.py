@@ -61,7 +61,7 @@ def test_overlap_samples_fold_no_matrix(partition, monkeypatch):
     def refuse(*args):
         raise AssertionError("a 7x7 matrix was folded")
 
-    monkeypatch.setattr(rep, "matrix_rows", refuse)
+    monkeypatch.setattr(rep.GroupElement, "rows", property(refuse))
     rng = random.Random(11)
     for word, other in (("i", "it"), ("it", "i")):
         for signs in ("++++++", "+-+-+-", "--+-++"):

@@ -111,3 +111,23 @@ def test_no_private_reads_across_modules():
             ):
                 reads.append((path.name, node.lineno, node.attr))
     assert reads == [], "private attributes read across modules: %s" % reads
+
+
+#: the names through which only ``rep`` reads rows of an element: the kept
+#: matrix, its ``Fraction`` view, the body of ``apply_covector`` and the fold
+ROW_READERS = {"rows", "m7", "left_multiply", "_fold_rows"}
+
+
+def test_rows_of_an_element_are_read_only_through_apply_covector():
+    """Outside ``rep``, the package reads rows of an element through
+    ``rep.apply_covector`` alone: one row reader."""
+    reads = []
+    for path in SOURCES:
+        if path.name == "rep.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ROW_READERS:
+                reads.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, ast.Name) and node.id == "_fold_rows":
+                reads.append((path.name, node.lineno, node.id))
+    assert reads == [], "rows of an element read outside rep: %s" % reads

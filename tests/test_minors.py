@@ -214,9 +214,9 @@ def test_minors_are_determinants_of_the_dense_product(word):
 
 def test_lowest_rows_require_the_bottom_wedge():
     # rows 0 and 1 of wdot(w0): the block e_6, -e_5
-    assert minors._unit_rows(True) == ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1, 0))
+    assert minors._lowest_rows() == ((0, 0, 0, 0, 0, 0, 1), (0, 0, 0, 0, 0, -1, 0))
     # the highest rows are those of the identity
-    assert minors._unit_rows(False) == ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
+    assert rep.UNIT_ROWS[:2] == ((1, 0, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0, 0))
     # the lowest minors of the identity at w0 omega_l are 1
     identity = rep.group_identity()
     for level in (1, 2):

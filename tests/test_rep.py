@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,6 +221,41 @@ def test_lazy_product_matches_dense_product(word, covector):
         assert _covector_image(g, [vec]) == _dense_images(dense, [vec])
 
 
+covector_blocks = st.lists(
+    st.lists(st.integers(-6, 6), min_size=7, max_size=7), min_size=1, max_size=3
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(atoms, max_size=6), covector_blocks)
+def test_covectors_read_the_same_before_and_after_the_matrix_is_kept(word, block):
+    g = rep.GroupElement(word)
+    walked = rep.apply_covector(g, block)  # folded along the word
+    g.rows
+    kept = rep.apply_covector(g, block)  # multiplied into the kept matrix
+    assert kept == walked
+    rows, den = kept
+    assert isinstance(den, int) and den > 0
+    images = [tuple(Fraction(n, den) for n in row) for row in rows]
+    assert images == _dense_images(dense_product(word, V7), block)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(atoms, max_size=6))
+def test_a_kept_matrix_serves_every_row_reader_without_a_fold(word):
+    readers = (minors.highest_row, minors.lowest_row,
+               deodhar.bruhat_position_mixed, deodhar.bruhat_position_plus)
+    walked = [read(rep.GroupElement(word)) for read in readers]  # warms minors._lowest_rows
+    g = rep.GroupElement(word)
+    g.rows
+
+    def refuse(*args):
+        raise AssertionError("a row block was folded along the word")
+
+    with mock.patch.object(rep, "_fold_rows", refuse):
+        assert [read(g) for read in readers] == walked
+
+
 @pytest.mark.parametrize("R", (V7,), ids=("V7",))
 def test_integral_rows_at_large_prime_denominators(R):
     p, q = LARGE_PRIMES[2], LARGE_PRIMES[1]
@@ -339,7 +375,7 @@ CACHE_BOUNDS = {
     "rep._weyl_rows": 4,  # two kinds x two letters
     "rep.wdot": len(W.elements),
     "minors._extremal_by_weight": 12,  # six chamber weights per level
-    "minors._unit_rows": 2,  # highest or lowest
+    "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
     "minors.symbolic_minors": 1,
     "chamber._ansatz_weights": 4,  # two words x two directions
     "deodhar.families": 1,
@@ -444,7 +480,7 @@ def test_unipotence_of_pure_words_needs_no_fold(monkeypatch):
     def refuse(*args):
         raise AssertionError("a 7x7 matrix was folded")
 
-    monkeypatch.setattr(rep, "matrix_rows", refuse)
+    monkeypatch.setattr(rep.GroupElement, "rows", property(refuse))
     lower = rep.y(1, Fraction(2, 3)) * rep.y(2, Fraction(-5)) * rep.y(1, Fraction(-2, 3))
     upper = rep.x(2, Fraction(7, 11)) * rep.x(1, Fraction(-1))
     assert rep.is_unipotent_lower(lower) and rep.is_unipotent_upper(upper)
