@@ -266,13 +266,16 @@ def check_property_suites():
     for fam in deodhar.families():
         for _ in range(CHAIN_POINTS):
             cell, t, m = _random_family_point(fam, rng)
-            point = deodhar.cell_point(cell, t, m)
+            factors = deodhar.cell_factors(cell, t, m)
+            point = rep.group_product(factors)
             require(rep.is_unipotent_lower(point), "cell point of %s is not unipotent lower", cell)
             require(
                 deodhar.bruhat_position_plus(point) is W.w0,
                 "cell point of %s is not in B+ w0 B+", cell,
             )
-            require(deodhar.verify_cell_chain(cell, t, m), "chain of %s at %s %s fails", cell, t, m)
+            require(
+                deodhar.verify_factor_chain(cell, factors), "chain of %s at %s %s fails", cell, t, m
+            )
     # counting remarks on the computed report
     pair_components = {frozenset((5, 6)), frozenset((7, 8)), frozenset((9, 10))}
     for fam in deodhar.families():

@@ -143,7 +143,8 @@ def _split_params(fam, params):
 
 
 def _cell_point(args):
-    """The cell, its coordinates t and m, and the point named by --family and --params."""
+    """The cell, its coordinates t and m, its factors and the point named by
+    --family and --params."""
     try:
         fam = deodhar.family_by_name(args.family)
     except KeyError:
@@ -155,12 +156,13 @@ def _cell_point(args):
     if any(v == 0 for v in t):
         raise UsageError("the t parameters of family %s must be nonzero" % fam.name)
     cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
-    return cell, t, m, deodhar.cell_point(cell, t, m)
+    factors = deodhar.cell_factors(cell, t, m)
+    return cell, t, m, factors, rep.group_product(factors)
 
 
 def cmd_cell_point(args):
-    cell, t, m, point = _cell_point(args)
-    chain = deodhar.position_chain(cell, t, m)
+    cell, t, m, factors, point = _cell_point(args)
+    chain = deodhar.factor_chain(factors)
     lines = [
         "cell             %s" % cell.display(),
         "unipotent-lower  %s" % rep.is_unipotent_lower(point),
@@ -203,7 +205,7 @@ def cmd_epsilon(args):
 
 
 def cmd_alpha(args):
-    cell, t, m, point = _cell_point(args)
+    cell, t, m, _, point = _cell_point(args)
     fam = cell.family
     try:
         values = chamber.alpha_factorize(point, args.word).params

@@ -53,11 +53,14 @@ __all__ = [
     "families",
     "family_by_name",
     "cell_by_display",
+    "cell_factors",
     "cell_point",
     "bruhat_position_mixed",
     "bruhat_position_plus",
     "verify_cell_chain",
+    "verify_factor_chain",
     "position_chain",
+    "factor_chain",
     "sample_magnitude",
     "PRIMES",
 ]
@@ -135,8 +138,10 @@ def cell_by_display(display):
     raise KeyError("no cell family matches %r" % (display,))
 
 
-def _cell_factors(cell, t, m):
-    """The factors z_1, ..., z_6 at the given coordinates, as group elements."""
+def cell_factors(cell, t, m):
+    """The factors z_1, ..., z_6 at the given coordinates, as group elements:
+    ``cell_point`` is their product, and ``factor_chain`` reads the
+    position chain of their partial products."""
     fam = cell.family
     t = [Fraction(v) for v in t]
     m = [Fraction(v) for v in m]
@@ -166,7 +171,7 @@ def cell_point(cell, t, m):
     ``t`` lists the R*-coordinates (I positions, in order), each with
     the sign required by the cell; ``m`` lists the R-coordinates.
     """
-    return rep.group_product(_cell_factors(cell, t, m))
+    return rep.group_product(cell_factors(cell, t, m))
 
 
 def _named(table, key):
@@ -212,8 +217,9 @@ def bruhat_position_plus(g):
     return _plus_from_bottom_rows(_folded(g, rep.UNIT_ROWS[5:]))
 
 
-def position_chain(cell, t, m):
-    """Relative positions of B- to the flags of the partial products.
+def factor_chain(factors):
+    """Relative positions of B- to the flags of the partial products of
+    ``factors``, as from ``cell_factors``.
 
     Returns the Weyl elements w with B- -> B_j in position w for
     j = 0..6; membership of the point in the cell is equivalent to this
@@ -223,15 +229,26 @@ def position_chain(cell, t, m):
     """
     chain = [W.w0]
     rows = rep.UNIT_ROWS[:2]
-    for z in _cell_factors(cell, t, m):
+    for z in factors:
         rows, _ = rep.apply_covector(z, rows)
         chain.append(W.w0 * _mixed_from_top_rows(rows))
     return tuple(chain)
 
 
-def verify_cell_chain(cell, t, m):
-    """True iff every partial product sits in B- sigma_j B+."""
+def position_chain(cell, t, m):
+    """The ``factor_chain`` of the cell's factors at the given coordinates."""
+    return factor_chain(cell_factors(cell, t, m))
+
+
+def verify_factor_chain(cell, factors):
+    """True iff every partial product of the cell's ``factors`` sits in
+    B- sigma_j B+."""
     try:
-        return position_chain(cell, t, m) == tuple(W.w0 * s for s in cell.family.sigma)
+        return factor_chain(factors) == tuple(W.w0 * s for s in cell.family.sigma)
     except ArithmeticError:
         return False
+
+
+def verify_cell_chain(cell, t, m):
+    """True iff every partial product sits in B- sigma_j B+."""
+    return verify_factor_chain(cell, cell_factors(cell, t, m))

@@ -28,8 +28,11 @@ Every minor, of either level, is evaluated one way.  The top two rows of
 the identity (or of wdot(w0)) are folded along the word of g once
 (``highest_row``/``lowest_row``), and a minor of level l pairs the first
 l rows of that block with an extremal vector (``pair_row_with_weight``):
-the sum of coefficient times the l x l determinant at the wedge's
-columns.  The level is read from the weight, so all minors of a point,
+the sum of coefficient times the wedge's entry of row 0 (level 1) or
+2x2 determinant of rows 0 and 1 (level 2), read directly.  Every
+chamber weight's vector is one wedge; the general determinant ``_det``
+is read only when the extremal vectors are built, once per weight.
+The level is read from the weight, so all minors of a point,
 of both levels, share a single fold.  The fold runs over the integers
 and returns numerators over one positive denominator den, and the
 pairing is integral too: it returns the numerator of the minor over
@@ -118,12 +121,20 @@ def _det(rows, cols):
 
 def pair_row_with_weight(row, mu):
     """Pair row functionals (numerators, den) with the extremal vector of mu:
-    the sum of coefficient times the determinant at the wedge's columns.
-    This is the numerator of the minor over den**level, den > 0."""
+    the sum of coefficient times the wedge's entry of row 0 (level 1) or
+    2x2 determinant of rows 0 and 1 (level 2).  This is the numerator of
+    the minor over den**level, den > 0.  The sign of a determinant is an
+    int factor, since a ``Poly`` has no subtraction."""
     rows, _ = row
+    top = rows[0]
     total = 0
     for cols, coeff in _extremal_by_weight(mu.n1, mu.n2):
-        total = total + coeff * _det(rows, cols)
+        if len(cols) == 1:
+            total = total + coeff * top[cols[0]]
+        else:
+            a, b = cols
+            low = rows[1]
+            total = total + coeff * (top[a] * low[b]) + -coeff * (top[b] * low[a])
     return total
 
 

@@ -15,27 +15,30 @@ spans Kostant's Z-form, a lattice stable under every divided power.
 The k! of a divided power is an exact division and raises
 ``ArithmeticError`` on a remainder.  Each one-parameter subgroup keeps
 one divided-power table, ``Representation._int_terms``: the entries
-(k, row, col, value) of E^k/k!, which only the one-parameter atoms of
-the fold read.
+(k, row, col, value) of E^k/k!, from which its fold kernel is compiled.
 
 One-parameter subgroups are exact truncated exponentials (the
 generators are nilpotent) and torus elements are diagonal in the weight
 basis.  A group element is the word of generator atoms that produced
 it: products concatenate words, inverses reverse them, and a matrix is
-folded from the word, sparse atom by sparse atom, only when it is first
-read.  Dense matrix products run only while the representation is
+folded from the word, atom by atom, only when it is first read.  Dense matrix products run only while the representation is
 built.  Only this module writes an atom or builds a ``GroupElement``
 from a word: the rest of the package starts from ``x``, ``y``,
 ``sdot``, ``sdot_inverse``, ``coweight`` and ``wdot``, and joins
 elements with ``*`` or ``group_product``.
 
-Every atom is read one way, as integral sparse entries over a positive
-denominator (``_atom_rows``): x_i(p/q) and y_i(p/q) from the integral
-divided-power tables scaled by q^K, a torus element over the least
-common denominator of its eigenvalues, and the Weyl representatives
-with denominator 1.  There is one fold, ``_fold_rows``: it carries a
-block of row vectors as Python int numerators over one common
-denominator along the word, and builds no ``Fraction``.
+Every atom kind is folded by one kernel per letter (``_kernel``): a
+straight-line function, compiled once from the atom's integral table,
+that computes every column of a folded row as one unrolled sum of
+int-scaled entries.  x_i(p/q) and y_i(p/q) come from the divided-power
+tables scaled by q^K, with the scales p^k q^(K-k) computed once per
+atom, and the Weyl representatives from their signed-permutation
+tables, with denominator 1.  A torus element multiplies each column by
+its eigenvalue's numerator over the least common denominator of its
+eigenvalues.  There is one fold, ``_fold_rows``: it carries a block of
+row vectors as Python int numerators over one common denominator along
+the word, dispatching each atom to its kernel, and builds no
+``Fraction``.
 
 There is one reader of rows of an element, ``apply_covector``: a block
 of int covectors times g.  Every block of unit covectors is a slice of
@@ -116,7 +119,7 @@ class Representation:
         self.e = dict(e)
         self.f = dict(f)
         self.h = {i: linalg.commutator(self.e[i], self.f[i]) for i in (1, 2)}
-        # the one divided-power table, read only by one_parameter_rows: the
+        # the one divided-power table, read only by one_parameter_source: the
         # nonzero entries (k, r, c, value) of E^k / k! for k = 1, 2, ...
         # until the powers vanish, each an exact quotient, so a power off
         # the lattice raises ArithmeticError
@@ -139,20 +142,28 @@ class Representation:
                 self._int_terms[(kind, i)] = tuple(terms)
                 self.nilpotency[(kind, i)] = k
 
-    def one_parameter_rows(self, kind, i, t):
-        """Integral entries of exp(t e_i) - 1 / exp(t f_i) - 1, and their denominator.
+    def one_parameter_source(self, kind, i):
+        """The source of the kernel of exp(t e_i) / exp(t f_i), from its
+        divided-power table alone.
 
-        For t = p/q and top power K = nilpotency - 1, the entries
-        (row, col, value) are those of sum_k p^k q^(K-k) E^k/k!, so the
-        atom is 1 + entries / q^K; a parameter that is not a ``Fraction``
-        (an int, or a ``Poly``) counts as p/1.  The unit diagonal is left
-        out, so that folding a unipotent atom never multiplies by 1.
-        Returns (entries, q^K).
+        For t = p/q and top power K = nilpotency - 1, the atom is
+        (q^K + sum_k p^k q^(K-k) E^k/k!) / q^K.  The kernel ``kernel(rows,
+        p, q)`` computes each scale v p^k q^(K-k) of the table once and
+        every column of a folded row as one unrolled sum, and returns the
+        folded rows and q^K.
         """
-        p, q = (t.numerator, t.denominator) if isinstance(t, Fraction) else (t, 1)
         top = self.nilpotency[(kind, i)] - 1
-        scales = [p**k * q ** (top - k) for k in range(top + 1)]
-        return [(r, c, v * scales[k]) for k, r, c, v in self._int_terms[(kind, i)]], q**top
+        # one name per distinct scale (k, v); d = q^K scales the unit diagonal
+        scales = {(0, 1): "d"}
+        columns = [["u%d*d" % c] for c in range(self.dim)]
+        for k, r, c, v in self._int_terms[(kind, i)]:
+            name = scales.setdefault((k, v), "s%d" % len(scales))
+            columns[c].append("u%d*%s" % (r, name))
+        lines = []
+        for (k, v), name in scales.items():
+            factors = ["%d" % v] * (v != 1) + ["p"] * k + ["q"] * (top - k)
+            lines.append("    %s = %s" % (name, "*".join(factors) or "1"))
+        return _kernel_text("rows, p, q", lines, columns, "d")
 
     def coweight_diagonal(self, i, t):
         """Eigenvalues t^<alpha_i^vee, mu> of the torus element, basis by basis,
@@ -176,50 +187,69 @@ def build_representations():
 # ---------------------------------------------------------------------------
 
 
-def _atom_rows(atom):
-    """(unit, entries, den): the atom's matrix as its nonzero integral
-    entries (row, col, value) over the positive denominator den.
+def _kernel_text(params, lines, columns, den=None):
+    """The source of ``kernel(params)``: the statements ``lines``, then
+    each row u0, u1, ... of ``rows`` folded to the row of sums
+    ``columns[c]``, returned with ``den`` when one is named."""
+    unpack = ", ".join("u%d" % c for c in range(len(columns)))
+    folded = "[[%s] for %s in rows]" % (", ".join(" + ".join(col) for col in columns), unpack)
+    body = lines + ["    return %s%s" % (folded, ", " + den if den else "")]
+    return "\n".join(["def kernel(%s):" % params] + body) + "\n"
 
-    When ``unit`` is true the matrix is 1 + entries / den: the unit
-    diagonal of x and y is implied, not listed.  Otherwise it is
-    entries / den.  The fold reads every atom through here.
-    """
-    kind = atom[0]
+
+def _weyl_source(kind, i):
+    """The source of the kernel of sdot_i or its inverse, a signed
+    permutation with denominator 1: ``kernel(rows)`` returns the folded
+    rows.  A sign is an int factor, since a ``Poly`` has no negation."""
+    columns = [[] for _ in range(7)]
+    for r, c, v in _weyl_rows(kind, i):
+        columns[c].append("u%d" % r if v == 1 else "%d*u%d" % (v, r))
+    return _kernel_text("rows", [], columns)
+
+
+@lru_cache(maxsize=8)
+def _kernel(kind, i):
+    """The straight-line fold of the atoms (kind, i, ...), compiled on first
+    use from the integral table of the kind and letter alone.  Keyed by
+    four kinds and two letters, so the cache never exceeds its eight
+    entries.  This is the package's one ``exec``."""
     if kind in ("x", "y"):
-        entries, den = build_representations().one_parameter_rows(kind, atom[1], atom[2])
-        return True, entries, den
-    if kind == "coweight":
-        diagonal, den = build_representations().coweight_diagonal(atom[1], atom[2])
-        return False, [(k, k, v) for k, v in enumerate(diagonal)], den
-    if kind in ("sdot", "sdot_inv"):
-        return False, _weyl_rows(kind, atom[1]), 1
-    raise ValueError("unknown atom %r" % (atom,))
+        source = build_representations().one_parameter_source(kind, i)
+    elif kind in ("sdot", "sdot_inv"):
+        source = _weyl_source(kind, i)
+    else:
+        raise ValueError("unknown atom kind %r" % (kind,))
+    namespace = {}
+    exec(compile(source, "<kernel %s%d>" % (kind, i), "exec"), namespace)
+    return namespace["kernel"]
 
 
 def _fold_rows(rows, den, atoms):
     """(rows . (product of the atoms' matrices), den'), over the integers.
 
     ``rows`` is a block of row vectors, each entry a numerator over the
-    common positive denominator ``den``.  Each atom multiplies its own
-    denominator into ``den`` and into the rows it leaves in place, so
-    the rows stay integral (or ``Poly``s with integral coefficients) and
-    no ``Fraction`` is built.  This is the package's only fold.
+    common positive denominator ``den``.  Each atom is folded by its
+    kernel: x_i(p/q) and y_i(p/q) multiply the rows by q^K times their
+    matrix and ``den`` by q^K, and sdot_i and its inverse permute the
+    rows' entries with signs.  A torus element multiplies each column by
+    its numerator over the common denominator of its eigenvalues.  So the
+    rows stay integral (or ``Poly``s with integral coefficients) and no
+    ``Fraction`` is built.  This is the package's only fold.
     """
     for atom in atoms:
-        unit, entries, d = _atom_rows(atom)
-        folded = []
-        for row in rows:
-            if unit:
-                out = [u * d for u in row] if d != 1 else list(row)
-            else:
-                out = [0] * len(row)
-            for r, c, v in entries:
-                u = row[r]
-                if u:
-                    out[c] = out[c] + u * v
-            folded.append(out)
-        rows = folded
-        den *= d
+        kind = atom[0]
+        if kind == "x" or kind == "y":
+            t = atom[2]
+            # an int, or a ``Poly``, counts as p/1
+            p, q = (t.numerator, t.denominator) if isinstance(t, Fraction) else (t, 1)
+            rows, d = _kernel(kind, atom[1])(rows, p, q)
+            den *= d
+        elif kind == "coweight":
+            diagonal, d = build_representations().coweight_diagonal(atom[1], atom[2])
+            rows = [[u * v for u, v in zip(row, diagonal)] for row in rows]
+            den *= d
+        else:
+            rows = _kernel(kind, atom[1])(rows)
     return rows, den
 
 
@@ -228,13 +258,9 @@ def _fold_rows(rows, den, atoms):
 UNIT_ROWS = tuple(tuple(int(j == i) for j in range(7)) for i in range(7))
 
 
-@lru_cache(maxsize=4)
 def _weyl_rows(kind, i):
-    """Integral entries of sdot_i = x_i(1) y_i(-1) x_i(1), or of its inverse, folded once.
-
-    The key holds no parameter: two kinds and two letters, so the table
-    never exceeds its four entries.
-    """
+    """Integral entries (row, col, value) of sdot_i = x_i(1) y_i(-1) x_i(1),
+    or of its inverse, folded once for its kernel."""
     s = 1 if kind == "sdot" else -1
     rows, den = _fold_rows(UNIT_ROWS, 1, (("x", i, s), ("y", i, -s), ("x", i, s)))
     if den != 1:

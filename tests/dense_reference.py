@@ -1,7 +1,7 @@
 """The dense oracle for folded group products, and random words to test it on.
 
 Every atom is a full matrix built from the Chevalley generators and
-multiplied with ``linalg.mat_mul``, sharing nothing with the sparse fold
+multiplied with ``linalg.mat_mul``, sharing nothing with the kernel fold
 of ``rep``.  The strategies draw words over all five atom kinds, with
 parameters from a small rational range and from large prime
 denominators.

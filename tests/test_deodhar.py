@@ -171,7 +171,7 @@ def test_position_chains_agree_with_dense_prefix_products():
             chain = deodhar.position_chain(cell, t, m)
             assert len(chain) == 7 and chain[0] is W.w0
             dense = linalg_reference.identity(7)
-            for z, w in zip(deodhar._cell_factors(cell, t, m), chain[1:]):
+            for z, w in zip(deodhar.cell_factors(cell, t, m), chain[1:]):
                 dense = linalg.mat_mul(dense, dense_product(z.provenance, V7))
                 p = linalg_reference.bruhat_permutation_topleft_by_ranks(dense)
                 assert w is W.w0 * W.by_perm[p]
@@ -284,7 +284,7 @@ def test_chain_invariants_random_points():
             assert deodhar.bruhat_position_plus(point) is W.w0
             assert deodhar.verify_cell_chain(cell, t, m)
             # every partial product lies in U- sigma_j dot
-            factors = deodhar._cell_factors(cell, t, m)
+            factors = deodhar.cell_factors(cell, t, m)
             for j in range(1, len(factors) + 1):
                 g = rep.group_product(factors[:j])
                 shifted = g * rep.wdot(fam.sigma[j]).inverse()

@@ -1,10 +1,15 @@
 """Source-level guards on the package."""
 
 import ast
+import io
+import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
+
+from g2cells import rep
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "g2cells").glob("*.py"))
@@ -131,3 +136,59 @@ def test_rows_of_an_element_are_read_only_through_apply_covector():
             elif isinstance(node, ast.Name) and node.id == "_fold_rows":
                 reads.append((path.name, node.lineno, node.id))
     assert reads == [], "rows of an element read outside rep: %s" % reads
+
+
+def _calls_by_owner(tree, names):
+    """(enclosing def, line) of every call of a builtin in ``names``; None
+    stands for module level."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id in names:
+                found.append((owner, child.lineno))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_the_kernel_compiler_runs_generated_source():
+    """``exec``, ``eval`` and ``compile`` are called only by ``rep._kernel``."""
+    calls = {
+        (path.name, owner)
+        for path in SOURCES
+        for owner, _ in _calls_by_owner(
+            ast.parse(path.read_text(), filename=str(path)), {"exec", "eval", "compile"}
+        )
+    }
+    assert calls == {("rep.py", "_kernel")}
+
+
+#: every name a kernel's source may spell: four keywords, its parameters,
+#: the unpacked entries u<c>, and the scales d and s<j>
+KERNEL_NAME = re.compile(r"def|for|in|return|kernel|rows|p|q|d|u\d+|s\d+")
+KERNEL_OPS = {"(", ")", "[", "]", ",", ":", "=", "*", "+", "-"}
+
+
+@pytest.mark.parametrize("kind", ("x", "y", "sdot", "sdot_inv"))
+@pytest.mark.parametrize("letter", (1, 2))
+def test_kernel_source_is_built_from_integer_tables(kind, letter):
+    """A kernel's source is integer literals and arithmetic on its rows and
+    its parameter's numerator and denominator, and nothing else."""
+    if kind in ("x", "y"):
+        source = rep.build_representations().one_parameter_source(kind, letter)
+    else:
+        source = rep._weyl_source(kind, letter)
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert KERNEL_NAME.fullmatch(tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit(), tok
+        elif tok.type == tokenize.OP:
+            assert tok.string in KERNEL_OPS, tok
+        else:
+            assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER), tok

@@ -27,6 +27,7 @@ from dense_reference import (
     rationals,
 )
 from g2cells import chamber, checks, deodhar, linalg, minors, rep
+from g2cells.scalars import Poly, variables
 from g2cells.weyl import OMEGA, W, WORD_I, WORD_I_TILDE, Weight
 
 V7 = rep.build_representations()
@@ -256,6 +257,51 @@ def test_a_kept_matrix_serves_every_row_reader_without_a_fold(word):
         assert [read(g) for read in readers] == walked
 
 
+#: x, y and coweight atoms with int parameters, which fold as p/1
+int_atoms = st.one_of(
+    st.tuples(st.sampled_from(("x", "y")), letters, st.integers(-30, 30)),
+    st.tuples(st.just("coweight"), letters, st.integers(-30, 30).filter(bool)),
+)
+row_blocks = st.lists(
+    st.lists(st.integers(-9, 9), min_size=7, max_size=7), min_size=1, max_size=7
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.one_of(atoms, int_atoms), max_size=7), row_blocks)
+def test_fold_kernels_match_the_dense_product(word, block):
+    rows, den = rep._fold_rows(block, 1, word)
+    assert isinstance(den, int) and den > 0
+    assert all(type(n) is int for row in rows for n in row)
+    images = [tuple(Fraction(n, den) for n in row) for row in rows]
+    assert images == _dense_images(dense_product(word, V7), block)
+
+
+def _evaluate(value, point):
+    """A ``Poly`` (or an int) at the rational values ``point`` of a, ..., f."""
+    if isinstance(value, int):
+        return Fraction(value)
+    return sum(
+        (c * math.prod(Fraction(v) ** e for v, e in zip(point, exps))
+         for exps, c in value.coeffs.items()),
+        Fraction(0),
+    )
+
+
+def test_fold_kernels_carry_polynomial_parameters():
+    a, b, c, d, e, f = variables()
+    word = (("x", 1, a), ("y", 2, b), ("sdot", 1), ("x", 2, c * d), ("sdot_inv", 2),
+            ("y", 1, e), ("coweight", 2, Fraction(-3, 5)), ("x", 1, f), ("sdot", 2))
+    point = (2, Fraction(-1, 3), Fraction(5, 7), -4, Fraction(3, 2), 7)
+    numeric = [atom[:2] + (_evaluate(atom[2], point),) if atom[0] in ("x", "y") else atom
+               for atom in word]
+    block = [[(-1) ** j * (j + k) for j in range(7)] for k in range(3)]
+    rows, den = rep._fold_rows(block, 1, word)
+    assert all(isinstance(n, (int, Poly)) for row in rows for n in row)
+    images = [tuple(_evaluate(n, point) / den for n in row) for row in rows]
+    assert images == _dense_images(dense_product(numeric, V7), block)
+
+
 @pytest.mark.parametrize("R", (V7,), ids=("V7",))
 def test_integral_rows_at_large_prime_denominators(R):
     p, q = LARGE_PRIMES[2], LARGE_PRIMES[1]
@@ -323,7 +369,7 @@ def test_prefix_points_match_dense_prefix_products():
         for _ in range(3):
             cell, t, m = checks._random_family_point(fam, rng)
             words = _cell_word(cell, t, m)
-            factors = deodhar._cell_factors(cell, t, m)
+            factors = deodhar.cell_factors(cell, t, m)
             prefixes = [rep.group_product(factors[:k]) for k in range(1, len(factors) + 1)]
             assert len(prefixes) == len(words) == 6
             dense = linalg_reference.identity(7)
@@ -338,7 +384,7 @@ def test_products_fold_without_dense_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense matrix product ran after set-up")
 
-    rep._weyl_rows.cache_clear()  # the Weyl rows too are folded, not multiplied
+    rep._kernel.cache_clear()  # the Weyl rows too are folded, not multiplied
     monkeypatch.setattr(linalg, "mat_mul", refuse)
     g = rep.x(1, Fraction(2, 3)) * rep.sdot(2) * rep.coweight(1, Fraction(-5)) * rep.y(2, 7)
     h = g * rep.sdot_inverse(1) * g.inverse()
@@ -372,7 +418,7 @@ def _lru_caches():
 #: size of its key space, or its maxsize where the key space is unbounded
 CACHE_BOUNDS = {
     "rep.build_representations": 1,
-    "rep._weyl_rows": 4,  # two kinds x two letters
+    "rep._kernel": 8,  # four kinds (x, y, sdot, sdot_inv) x two letters
     "rep.wdot": len(W.elements),
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
