@@ -27,26 +27,22 @@ in g.v is the coefficient of v_{omega_l} in wdot(w0).g.v: rows
 Every minor, of either level, is evaluated one way.  The top two rows of
 the identity (or of wdot(w0)) are folded along the word of g once
 (``highest_row``/``lowest_row``), and a minor of level l pairs the first
-l rows of that block with an extremal vector (``pair_row_with_weight``):
-the sum of coefficient times the wedge's entry of row 0 (level 1) or
-2x2 determinant of rows 0 and 1 (level 2), read directly.  Every
-chamber weight's vector is one wedge; the general determinant ``_det``
-is read only when the extremal vectors are built, once per weight.
-The level is read from the weight, so all minors of a point,
-of both levels, share a single fold.  The fold runs over the integers
-and returns numerators over one positive denominator den, and the
-pairing is integral too: it returns the numerator of the minor over
-den**l.  ``over_denominator`` divides by den**l in one place, and its
-readers are ``minor``, ``minor_lower`` and ``symbolic_minors``.  The
-Chamber Ansatz reads the integral pairings themselves: it divides once
-per parameter, or not at all where it needs only the signs.
+l rows of that block with the one wedge of its extremal vector
+(``pair_row_with_weight``): its coefficient times an entry of row 0
+(level 1) or a 2x2 minor of rows 0 and 1 (level 2).  The wedge is read
+off the signed permutation wbar once per weight, with no determinant.
+The level is read from the weight, so all minors of a point, of both
+levels, share a single fold.  The fold runs over the integers and
+returns numerators over one positive denominator den, and the pairing
+is integral too: the numerator of the minor over den**l.  ``minor``,
+``minor_lower`` and ``symbolic_minors`` divide by den**l; the Chamber
+Ansatz divides once per parameter, or not at all for the signs alone.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from . import rep
 from .scalars import variables
@@ -74,16 +70,24 @@ def weight_to_chamber(mu):
 
 @lru_cache(maxsize=None)
 def _extremal_by_weight(n1, n2):
-    """The wedge terms (columns, coefficient) of v_{w omega_l} = wbar . v_{omega_l},
-    with wbar the product of sdot_j^-1 along the minimal word of w: the
-    nonzero l x l minors of wbar's first l columns.  A word of Weyl
-    representatives folds over the denominator 1.  Keyed by the two ints, not
-    a slower-hashing ``Weight``: each factorization looks it up eight times."""
+    """The one wedge (columns, coefficient) of v_{w omega_l} = wbar . v_{omega_l},
+    with wbar the product of sdot_j^-1 along the minimal word of w, a
+    signed permutation: each of its first l columns holds one nonzero
+    entry, in a row of its own, or ``ArithmeticError`` is raised.  The
+    sorted rows are the columns, and the coefficient is the product of the
+    entries, negated if sorting swapped them.  Keyed by the two ints, not a
+    slower-hashing ``Weight``: each factorization looks it up eight times."""
     w, level = weight_to_chamber(Weight(n1, n2))
     rows, _ = rep.apply_covector(rep.group_product(map(rep.sdot_inverse, w.word)), rep.UNIT_ROWS)
-    columns = [[row[c] for row in rows] for c in range(level)]
-    terms = ((cols, _det(columns, cols)) for cols in combinations(range(7), level))
-    return tuple((cols, coeff) for cols, coeff in terms if coeff)
+    wedge, coeff = [], 1
+    for c in range(level):
+        entries = [(r, row[c]) for r, row in enumerate(rows) if row[c]]
+        if len(entries) != 1 or entries[0][0] in wedge:
+            raise ArithmeticError("column %d of the representative of %s is no signed unit" % (c, w))
+        wedge.append(entries[0][0])
+        coeff *= entries[0][1]
+    columns = tuple(sorted(wedge))
+    return columns, coeff if wedge == list(columns) else -coeff
 
 
 @lru_cache(maxsize=None)
@@ -105,49 +109,29 @@ def lowest_row(g):
     return rep.apply_covector(g, _lowest_rows())
 
 
-def _det(rows, cols):
-    """The determinant of the square block rows[k][cols[j]] of the first
-    len(cols) rows, by expansion along its first row."""
-    if len(cols) == 1:
-        return rows[0][cols[0]]
-    total, sign = 0, 1
-    for j, c in enumerate(cols):
-        a = rows[0][c]
-        if a:
-            total = total + sign * a * _det(rows[1:], cols[:j] + cols[j + 1:])
-        sign = -sign
-    return total
-
-
 def pair_row_with_weight(row, mu):
-    """Pair row functionals (numerators, den) with the extremal vector of mu:
-    the sum of coefficient times the wedge's entry of row 0 (level 1) or
-    2x2 determinant of rows 0 and 1 (level 2).  This is the numerator of
-    the minor over den**level, den > 0.  The sign of a determinant is an
-    int factor, since a ``Poly`` has no subtraction."""
+    """Pair row functionals (numerators, den) with the one wedge of the
+    extremal vector of mu: its coefficient times the entry of row 0 at its
+    column (level 1), or times the 2x2 minor of rows 0 and 1 at its two
+    columns (level 2).  This is the numerator of the minor over
+    den**level, den > 0.  The sign of the minor's second term is an int
+    factor, since a ``Poly`` has no subtraction."""
     rows, _ = row
+    columns, coeff = _extremal_by_weight(mu.n1, mu.n2)
     top = rows[0]
-    total = 0
-    for cols, coeff in _extremal_by_weight(mu.n1, mu.n2):
-        if len(cols) == 1:
-            total = total + coeff * top[cols[0]]
-        else:
-            a, b = cols
-            low = rows[1]
-            total = total + coeff * (top[a] * low[b]) + -coeff * (top[b] * low[a])
-    return total
-
-
-def over_denominator(total, den, mu):
-    """The minor at mu whose pairing is ``total`` over the fold's ``den``:
-    total / den**level, one ``Fraction`` for an int pairing (a ``Poly``
-    divides itself)."""
-    d = den ** len(_extremal_by_weight(mu.n1, mu.n2)[0][0])
-    return Fraction(total, d) if isinstance(total, int) else total / d
+    if len(columns) == 1:
+        return coeff * top[columns[0]]
+    a, b = columns
+    low = rows[1]
+    return coeff * (top[a] * low[b]) + -coeff * (top[b] * low[a])
 
 
 def _minor(row, mu):
-    return over_denominator(pair_row_with_weight(row, mu), row[1], mu)
+    """The minor at mu from the fold ``row``: the pairing over den**level,
+    one ``Fraction`` for an int pairing (a ``Poly`` divides itself)."""
+    total = pair_row_with_weight(row, mu)
+    d = row[1] ** len(_extremal_by_weight(mu.n1, mu.n2)[0])
+    return Fraction(total, d) if isinstance(total, int) else total / d
 
 
 def minor(g, mu):

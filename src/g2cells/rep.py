@@ -25,7 +25,9 @@ folded from the word, atom by atom, only when it is first read.  Dense matrix pr
 built.  Only this module writes an atom or builds a ``GroupElement``
 from a word: the rest of the package starts from ``x``, ``y``,
 ``sdot``, ``sdot_inverse``, ``coweight`` and ``wdot``, and joins
-elements with ``*`` or ``group_product``.
+elements with ``*`` or ``group_product``.  They refuse a letter outside
+{1, 2} (``ValueError``) and a parameter that is not an int, ``Fraction``
+or, for x and y, ``Poly`` (``TypeError``) where the atom is built.
 
 Every atom kind is folded by one kernel per letter (``_kernel``): a
 straight-line function, compiled once from the atom's integral table,
@@ -59,6 +61,7 @@ from functools import lru_cache
 from math import lcm
 
 from . import linalg
+from .scalars import Poly
 from .weyl import V7_WEIGHTS
 
 __all__ = [
@@ -168,8 +171,6 @@ class Representation:
     def coweight_diagonal(self, i, t):
         """Eigenvalues t^<alpha_i^vee, mu> of the torus element, basis by basis,
         as integral numerators over their least common denominator."""
-        if t == 0:
-            raise ValueError("coweight argument must be nonzero")
         t = Fraction(t)
         vals = [t ** mu.pairing(i) for mu in self.weights]
         den = lcm(*(v.denominator for v in vals))
@@ -297,15 +298,14 @@ class GroupElement:
     element.  Products concatenate words.  ``rows`` is the V7 matrix as
     integral rows over one common denominator, the unit rows folded
     along the word when it is first read, and kept.  ``m7`` is a
-    ``Fraction`` view, built only when read.
+    ``Fraction`` view of it, built anew each time it is read.
     """
 
-    __slots__ = ("provenance", "_rows", "_m7")
+    __slots__ = ("provenance", "_rows")
 
     def __init__(self, provenance):
         self.provenance = tuple(provenance)
         self._rows = None
-        self._m7 = None
 
     @property
     def rows(self):
@@ -334,9 +334,7 @@ class GroupElement:
 
     @property
     def m7(self):
-        if self._m7 is None:
-            self._m7 = _fraction_view(*self.rows)
-        return self._m7
+        return _fraction_view(*self.rows)
 
     def __mul__(self, other):
         return GroupElement(self.provenance + other.provenance)
@@ -379,30 +377,41 @@ def group_product(elements):
     return GroupElement([atom for g in elements for atom in g.provenance])
 
 
+def _atom(kind, i, *t, exact=(int, Fraction, Poly)):
+    """The element of the one atom (kind, i, *t): a letter outside {1, 2}
+    raises ``ValueError``, a parameter of no ``exact`` type ``TypeError``."""
+    if i not in (1, 2):
+        raise ValueError("letter must be 1 or 2, not %r" % (i,))
+    if t and not isinstance(t[0], exact):
+        raise TypeError("parameter must be an exact scalar, not %r" % (t[0],))
+    return GroupElement(((kind, i) + t,))
+
+
 def x(i, t):
-    """One-parameter subgroup exp(t e_i)."""
-    return GroupElement((("x", i, t),))
+    """One-parameter subgroup exp(t e_i), t an int, ``Fraction`` or ``Poly``."""
+    return _atom("x", i, t)
 
 
 def y(i, t):
-    """One-parameter subgroup exp(t f_i)."""
-    return GroupElement((("y", i, t),))
+    """One-parameter subgroup exp(t f_i), t an int, ``Fraction`` or ``Poly``."""
+    return _atom("y", i, t)
 
 
 def sdot(i):
     """The Weyl representative x_i(1) y_i(-1) x_i(1)."""
-    return GroupElement((("sdot", i),))
+    return _atom("sdot", i)
 
 
 def sdot_inverse(i):
-    return GroupElement((("sdot_inv", i),))
+    return _atom("sdot_inv", i)
 
 
 def coweight(i, t):
-    """The torus element with eigenvalue t^<alpha_i^vee, mu> on weight mu."""
+    """The torus element with eigenvalue t^<alpha_i^vee, mu> on weight mu,
+    t a nonzero int or ``Fraction``."""
     if t == 0:
         raise ValueError("coweight argument must be nonzero")
-    return GroupElement((("coweight", i, t),))
+    return _atom("coweight", i, t, exact=(int, Fraction))
 
 
 @lru_cache(maxsize=None)

@@ -43,8 +43,12 @@ class Weight:
     n2: int
 
     def pairing(self, i):
-        """<alpha_i^vee, self>."""
-        return self.n1 if i == 1 else self.n2
+        """<alpha_i^vee, self>, for the letter i in {1, 2}."""
+        if i == 1:
+            return self.n1
+        if i == 2:
+            return self.n2
+        raise ValueError("letter must be 1 or 2, not %r" % (i,))
 
     def reflect(self, i):
         c = self.pairing(i)

@@ -38,23 +38,22 @@ WEDGES = {
 
 
 def _extremal(level, w):
-    """The wedge terms of v_{w omega_level}, and its weight."""
+    """The one wedge (columns, coefficient) of v_{w omega_level}, and its weight."""
     mu = w.act(OMEGA[level])
     return minors._extremal_by_weight(mu.n1, mu.n2), mu
 
 
 def test_extremal_at_identity_is_highest_vector():
-    terms, mu = _extremal(1, W.identity)
-    assert terms == (((0,), 1),)
+    wedge, mu = _extremal(1, W.identity)
+    assert wedge == ((0,), 1)
     assert mu == Weight(1, 0)
-    assert _extremal(2, W.identity)[0] == (((0, 1), 1),)
+    assert _extremal(2, W.identity)[0] == ((0, 1), 1)
 
 
 def test_extremal_at_w0_has_lowest_weight():
     for level, omega in ((1, Weight(1, 0)), (2, Weight(0, 1))):
-        terms, mu = _extremal(level, W.w0)
+        (cols, coeff), mu = _extremal(level, W.w0)
         assert mu == -omega
-        ((cols, coeff),) = terms
         assert cols == tuple(range(7 - level, 7))
         assert abs(coeff) == 1
 
@@ -62,14 +61,15 @@ def test_extremal_at_w0_has_lowest_weight():
 def test_extremal_vectors_are_the_pinned_wedges():
     for level, table in WEDGES.items():
         for w in W.elements:
-            terms, mu = _extremal(level, w)
-            assert all(len(cols) == level for cols, _ in terms)
-            assert terms == ((table[(mu.n1, mu.n2)], 1),)
+            (cols, coeff), mu = _extremal(level, w)
+            assert len(cols) == level
+            assert (cols, coeff) == (table[(mu.n1, mu.n2)], 1)
 
 
 def test_extremal_vector_is_independent_of_the_representative():
     """wbar . v_omega along the word of any w, minimal or not, is the cached
-    extremal vector of w omega, and wbar0 is one element along both words."""
+    extremal vector of w omega: its determinants over all column sets
+    vanish but at the one wedge.  wbar0 is one element along both words."""
     for level in (1, 2):
         for w in W.elements:
             rows, den = rep.group_product(rep.sdot_inverse(j) for j in w.word).rows
@@ -79,7 +79,7 @@ def test_extremal_vector_is_independent_of_the_representative():
                 d = linalg_reference.det(tuple(tuple(rows[r][c] for c in range(level)) for r in cols))
                 if d:
                     terms.append((cols, d))
-            assert tuple(terms) == _extremal(level, w)[0], (level, w.word)
+            assert tuple(terms) == (_extremal(level, w)[0],), (level, w.word)
     w0bar = [rep.group_product(map(rep.sdot_inverse, word)) for word in (WORD_I, WORD_I_TILDE)]
     assert w0bar[0] == w0bar[1]
 
@@ -87,13 +87,31 @@ def test_extremal_vector_is_independent_of_the_representative():
 def test_extremal_vectors_integral_and_primitive():
     for level in (1, 2):
         for w in W.elements:
-            terms, _ = _extremal(level, w)
-            coeffs = [coeff for _, coeff in terms]
-            assert all(type(c) is int for c in coeffs)
-            content = 0
-            for c in coeffs:
-                content = gcd(content, c)
-            assert content == 1
+            (_, coeff), _ = _extremal(level, w)
+            assert type(coeff) is int
+            # the content of the one coefficient
+            assert gcd(0, coeff) == 1
+
+
+def test_extremal_vector_needs_a_signed_permutation(monkeypatch):
+    """A Weyl table whose first columns are not signed unit vectors, one by one
+    in distinct rows, raises instead of giving a wedge."""
+    unit = [list(row) for row in rep.UNIT_ROWS]
+    two_entries = [row[:] for row in unit]
+    two_entries[3][0] = 1
+    no_entry = [row[:] for row in unit]
+    no_entry[1][1] = 0
+    one_row = [[1, 1, 0, 0, 0, 0, 0]] + [[0, 0] + row[2:] for row in unit[1:]]
+    for table, weights in ((two_entries, ((1, 0), (0, 1))), (no_entry, ((0, 1),)),
+                           (one_row, ((0, 1),))):
+        monkeypatch.setattr(rep, "apply_covector", lambda g, rows, table=table: (table, 1))
+        for n1, n2 in weights:
+            minors._extremal_by_weight.cache_clear()
+            with pytest.raises(ArithmeticError):
+                minors._extremal_by_weight(n1, n2)
+    monkeypatch.undo()
+    minors._extremal_by_weight.cache_clear()
+    assert minors._extremal_by_weight(0, 1) == ((0, 1), 1)
 
 
 def test_weight_to_chamber_examples():

@@ -482,6 +482,38 @@ def test_caches_stay_bounded():
         assert info.maxsize is None or info.maxsize <= CACHE_BOUNDS[name], name
 
 
+@pytest.mark.parametrize("make", (rep.x, rep.y, rep.coweight), ids=("x", "y", "coweight"))
+def test_parametric_atoms_refuse_bad_letters_and_inexact_parameters(make):
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="letter"):
+            make(i, Fraction(2, 3))
+    with pytest.raises(TypeError):
+        make(1, 0.5)
+    with pytest.raises(TypeError):
+        make(2, 2.0)
+    for t in (2, Fraction(2, 3)):
+        assert make(2, t).provenance == ((make.__name__, 2, t),)
+
+
+def test_parameter_types_of_each_constructor():
+    a = variables()[0]
+    assert rep.x(1, a).provenance == (("x", 1, a),)
+    assert rep.y(2, a).provenance == (("y", 2, a),)
+    # a torus element is folded as a Fraction: no polynomial parameter
+    with pytest.raises(TypeError):
+        rep.coweight(1, a)
+    with pytest.raises(ValueError, match="nonzero"):
+        rep.coweight(1, 0)
+
+
+@pytest.mark.parametrize("make", (rep.sdot, rep.sdot_inverse), ids=("sdot", "sdot_inverse"))
+def test_weyl_representatives_refuse_bad_letters(make):
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="letter"):
+            make(i)
+    assert make(1).provenance == (("sdot" if make is rep.sdot else "sdot_inv", 1),)
+
+
 def test_triangularity_predicates():
     assert rep.is_unipotent_lower(rep.y(1, Fraction(5)))
     assert rep.is_unipotent_upper(rep.x(2, Fraction(-3)))
@@ -545,11 +577,10 @@ def test_representations_are_built_over_ints(level):
         assert terms and all(type(v) is int for term in terms for v in term)
     for w in W.elements:
         mu = w.act(OMEGA[level])
-        terms = minors._extremal_by_weight(mu.n1, mu.n2)
-        assert terms
-        for cols, coeff in terms:
-            assert type(coeff) is int and len(cols) == level
-            assert all(type(c) is int for c in cols) and list(cols) == sorted(set(cols))
+        cols, coeff = minors._extremal_by_weight(mu.n1, mu.n2)
+        assert coeff
+        assert type(coeff) is int and len(cols) == level
+        assert all(type(c) is int for c in cols) and list(cols) == sorted(set(cols))
 
 
 def test_build_representations_constructs_no_fraction(child_env):

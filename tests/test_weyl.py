@@ -240,6 +240,10 @@ def test_root_datum_tables():
         for j in (1, 2):
             assert ALPHA[j].pairing(i) == G2_CARTAN[i - 1][j - 1]
             assert OMEGA[j].pairing(i) == (1 if i == j else 0)
+    # only the two letters pair: 3 is not read as 2
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="letter"):
+            OMEGA[2].pairing(i)
 
 
 def test_weight_by_label_inverts_eps_label():
