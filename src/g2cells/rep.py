@@ -15,7 +15,7 @@ spans Kostant's Z-form, a lattice stable under every divided power.
 The k! of a divided power is an exact division and raises
 ``ArithmeticError`` on a remainder.  Each one-parameter subgroup keeps
 one divided-power table, ``Representation._int_terms``: the entries
-(k, row, col, value) of E^k/k!, from which its fold kernel is compiled.
+(k, row, col, value) of E^k/k!.
 
 One-parameter subgroups are exact truncated exponentials (the
 generators are nilpotent) and torus elements are diagonal in the weight
@@ -29,18 +29,18 @@ elements with ``*`` or ``group_product``.  They refuse a letter outside
 {1, 2} (``ValueError``) and a parameter that is not an int, ``Fraction``
 or, for x and y, ``Poly`` (``TypeError``) where the atom is built.
 
-Every atom kind is folded by one kernel per letter (``_kernel``): a
-straight-line function, compiled once from the atom's integral table,
-that computes every column of a folded row as one unrolled sum of
-int-scaled entries.  x_i(p/q) and y_i(p/q) come from the divided-power
-tables scaled by q^K, with the scales p^k q^(K-k) computed once per
-atom, and the Weyl representatives from their signed-permutation
-tables, with denominator 1.  A torus element multiplies each column by
-its eigenvalue's numerator over the least common denominator of its
-eigenvalues.  There is one fold, ``_fold_rows``: it carries a block of
-row vectors as Python int numerators over one common denominator along
-the word, dispatching each atom to its kernel, and builds no
-``Fraction``.
+Each of the ten (kind, letter) pairs has one integer term table: the
+terms (r, c, v, a, b) saying that entry (r, c) of the atom's matrix at
+t = p/q, times the atom's scale p^A q^B, is v p^a q^b.  x_i and y_i
+take theirs from the divided powers, scaled by q^K, the Weyl
+representatives from their signed permutations, scaled by 1, and the
+torus from the pairings of the weights, scaled by (pq)^K.  One builder,
+``_kernel_source``, writes every table as a straight-line kernel that
+computes each column of a folded row as one unrolled sum of int-scaled
+entries, and ``_kernel`` compiles it once.  There is one fold,
+``_fold_rows``: it carries a block of row vectors as Python int
+numerators over one common denominator along the word, each atom
+through its kernel alone, and no fold builds a ``Fraction``.
 
 There is one reader of rows of an element, ``apply_covector``: a block
 of int covectors times g.  Every block of unit covectors is a slice of
@@ -58,7 +58,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 
 from . import linalg
 from .scalars import Poly
@@ -122,7 +121,7 @@ class Representation:
         self.e = dict(e)
         self.f = dict(f)
         self.h = {i: linalg.commutator(self.e[i], self.f[i]) for i in (1, 2)}
-        # the one divided-power table, read only by one_parameter_source: the
+        # the one divided-power table, read only by term_table: the
         # nonzero entries (k, r, c, value) of E^k / k! for k = 1, 2, ...
         # until the powers vanish, each an exact quotient, so a power off
         # the lattice raises ArithmeticError
@@ -145,36 +144,27 @@ class Representation:
                 self._int_terms[(kind, i)] = tuple(terms)
                 self.nilpotency[(kind, i)] = k
 
-    def one_parameter_source(self, kind, i):
-        """The source of the kernel of exp(t e_i) / exp(t f_i), from its
-        divided-power table alone.
+    def term_table(self, kind, i):
+        """The integer term table of x_i, y_i or the torus alpha_i^vee:
+        ((A, B), terms), each term (r, c, v, a, b) saying that entry (r, c)
+        of the atom's matrix at t = p/q, times its scale p^A q^B, is
+        v p^a q^b.
 
-        For t = p/q and top power K = nilpotency - 1, the atom is
-        (q^K + sum_k p^k q^(K-k) E^k/k!) / q^K.  The kernel ``kernel(rows,
-        p, q)`` computes each scale v p^k q^(K-k) of the table once and
-        every column of a folded row as one unrolled sum, and returns the
-        folded rows and q^K.
+        x_i and y_i are scaled by q^K, K = nilpotency - 1: their unit
+        diagonal is q^K and an entry v of E^k/k! is v p^k q^(K-k).  The
+        torus entry t^n, n = <alpha_i^vee, mu>, is p^(K+n) q^(K-n) over
+        (pq)^K, K the largest |n| rounded up to an even number, so that
+        (pq)^K is positive.
         """
+        if kind == "coweight":
+            pairings = [mu.pairing(i) for mu in self.weights]
+            top = max(map(abs, pairings))
+            top += top % 2
+            return (top, top), [(r, r, 1, top + n, top - n) for r, n in enumerate(pairings)]
         top = self.nilpotency[(kind, i)] - 1
-        # one name per distinct scale (k, v); d = q^K scales the unit diagonal
-        scales = {(0, 1): "d"}
-        columns = [["u%d*d" % c] for c in range(self.dim)]
-        for k, r, c, v in self._int_terms[(kind, i)]:
-            name = scales.setdefault((k, v), "s%d" % len(scales))
-            columns[c].append("u%d*%s" % (r, name))
-        lines = []
-        for (k, v), name in scales.items():
-            factors = ["%d" % v] * (v != 1) + ["p"] * k + ["q"] * (top - k)
-            lines.append("    %s = %s" % (name, "*".join(factors) or "1"))
-        return _kernel_text("rows, p, q", lines, columns, "d")
-
-    def coweight_diagonal(self, i, t):
-        """Eigenvalues t^<alpha_i^vee, mu> of the torus element, basis by basis,
-        as integral numerators over their least common denominator."""
-        t = Fraction(t)
-        vals = [t ** mu.pairing(i) for mu in self.weights]
-        den = lcm(*(v.denominator for v in vals))
-        return [v.numerator * (den // v.denominator) for v in vals], den
+        return (0, top), [(r, r, 1, 0, top) for r in range(self.dim)] + [
+            (r, c, v, k, top - k) for k, r, c, v in self._int_terms[(kind, i)]
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -188,40 +178,44 @@ def build_representations():
 # ---------------------------------------------------------------------------
 
 
-def _kernel_text(params, lines, columns, den=None):
-    """The source of ``kernel(params)``: the statements ``lines``, then
-    each row u0, u1, ... of ``rows`` folded to the row of sums
-    ``columns[c]``, returned with ``den`` when one is named."""
-    unpack = ", ".join("u%d" % c for c in range(len(columns)))
-    folded = "[[%s] for %s in rows]" % (", ".join(" + ".join(col) for col in columns), unpack)
-    body = lines + ["    return %s%s" % (folded, ", " + den if den else "")]
-    return "\n".join(["def kernel(%s):" % params] + body) + "\n"
-
-
-def _weyl_source(kind, i):
-    """The source of the kernel of sdot_i or its inverse, a signed
-    permutation with denominator 1: ``kernel(rows)`` returns the folded
-    rows.  A sign is an int factor, since a ``Poly`` has no negation."""
+def _kernel_source(kind, i):
+    """The source of ``kernel(rows, atom)``, the fold of the atoms (kind, i,
+    ...), from their integer term table alone: the Weyl representatives'
+    signed permutations with scale 1, else ``Representation.term_table``.
+    It reads p and q off t = atom[2] when a term needs them, names each
+    monomial v p^a q^b once, computes every column of a folded row as one
+    unrolled sum, and returns the folded rows with their scale d."""
+    if kind in ("sdot", "sdot_inv"):
+        (top_p, top_q), terms = (0, 0), _weyl_terms(kind, i)
+    else:
+        (top_p, top_q), terms = build_representations().term_table(kind, i)
+    names = {(1, top_p, top_q): "d"}
     columns = [[] for _ in range(7)]
-    for r, c, v in _weyl_rows(kind, i):
-        columns[c].append("u%d" % r if v == 1 else "%d*u%d" % (v, r))
-    return _kernel_text("rows", [], columns)
+    for r, c, v, a, b in terms:
+        if a or b:
+            columns[c].append("u%d*%s" % (r, names.setdefault((v, a, b), "s%d" % len(names))))
+        else:
+            columns[c].append("u%d" % r if v == 1 else "%d*u%d" % (v, r))
+    lines = ["def kernel(rows, atom):"]
+    if any(a or b for _, a, b in names):
+        lines += ["    t = atom[2]", "    p = t.numerator", "    q = t.denominator"]
+    for (v, a, b), name in names.items():
+        factors = ["%d" % v] * (v != 1) + ["p"] * a + ["q"] * b
+        lines.append("    %s = %s" % (name, "*".join(factors) or "1"))
+    folded = ", ".join(" + ".join(col) for col in columns)
+    unpack = ", ".join("u%d" % c for c in range(7))
+    lines.append("    return [[%s] for %s in rows], d" % (folded, unpack))
+    return "\n".join(lines) + "\n"
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=10)
 def _kernel(kind, i):
     """The straight-line fold of the atoms (kind, i, ...), compiled on first
-    use from the integral table of the kind and letter alone.  Keyed by
-    four kinds and two letters, so the cache never exceeds its eight
-    entries.  This is the package's one ``exec``."""
-    if kind in ("x", "y"):
-        source = build_representations().one_parameter_source(kind, i)
-    elif kind in ("sdot", "sdot_inv"):
-        source = _weyl_source(kind, i)
-    else:
-        raise ValueError("unknown atom kind %r" % (kind,))
+    use from ``_kernel_source``.  Keyed by five kinds and two letters, so
+    the cache never exceeds its ten entries.  This is the package's one
+    ``exec``."""
     namespace = {}
-    exec(compile(source, "<kernel %s%d>" % (kind, i), "exec"), namespace)
+    exec(compile(_kernel_source(kind, i), "<kernel %s%d>" % (kind, i), "exec"), namespace)
     return namespace["kernel"]
 
 
@@ -229,28 +223,15 @@ def _fold_rows(rows, den, atoms):
     """(rows . (product of the atoms' matrices), den'), over the integers.
 
     ``rows`` is a block of row vectors, each entry a numerator over the
-    common positive denominator ``den``.  Each atom is folded by its
-    kernel: x_i(p/q) and y_i(p/q) multiply the rows by q^K times their
-    matrix and ``den`` by q^K, and sdot_i and its inverse permute the
-    rows' entries with signs.  A torus element multiplies each column by
-    its numerator over the common denominator of its eigenvalues.  So the
-    rows stay integral (or ``Poly``s with integral coefficients) and no
+    common positive denominator ``den``.  Every atom, whatever its kind,
+    is folded by its kernel, which multiplies the rows by the atom's
+    matrix times its scale d, and ``den`` by d.  So the rows stay
+    integral (or ``Poly``s with integral coefficients) and no
     ``Fraction`` is built.  This is the package's only fold.
     """
     for atom in atoms:
-        kind = atom[0]
-        if kind == "x" or kind == "y":
-            t = atom[2]
-            # an int, or a ``Poly``, counts as p/1
-            p, q = (t.numerator, t.denominator) if isinstance(t, Fraction) else (t, 1)
-            rows, d = _kernel(kind, atom[1])(rows, p, q)
-            den *= d
-        elif kind == "coweight":
-            diagonal, d = build_representations().coweight_diagonal(atom[1], atom[2])
-            rows = [[u * v for u, v in zip(row, diagonal)] for row in rows]
-            den *= d
-        else:
-            rows = _kernel(kind, atom[1])(rows)
+        rows, d = _kernel(atom[0], atom[1])(rows, atom)
+        den *= d
     return rows, den
 
 
@@ -259,14 +240,14 @@ def _fold_rows(rows, den, atoms):
 UNIT_ROWS = tuple(tuple(int(j == i) for j in range(7)) for i in range(7))
 
 
-def _weyl_rows(kind, i):
-    """Integral entries (row, col, value) of sdot_i = x_i(1) y_i(-1) x_i(1),
-    or of its inverse, folded once for its kernel."""
+def _weyl_terms(kind, i):
+    """The term table (r, c, v, 0, 0) of sdot_i = x_i(1) y_i(-1) x_i(1), or
+    of its inverse, folded once for its kernel: a signed permutation."""
     s = 1 if kind == "sdot" else -1
     rows, den = _fold_rows(UNIT_ROWS, 1, (("x", i, s), ("y", i, -s), ("x", i, s)))
     if den != 1:
         raise ArithmeticError("Weyl representative of %s%d is not integral" % (kind, i))
-    return tuple((r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v)
+    return [(r, c, v, 0, 0) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
 
 
 def _fraction_view(rows, den):
@@ -297,40 +278,24 @@ class GroupElement:
     ``provenance`` is the word of generator atoms that produced the
     element.  Products concatenate words.  ``rows`` is the V7 matrix as
     integral rows over one common denominator, the unit rows folded
-    along the word when it is first read, and kept.  ``m7`` is a
-    ``Fraction`` view of it, built anew each time it is read.
+    along the word when it is first read, and kept in ``kept`` (None
+    until then).  ``m7`` is a ``Fraction`` view of it, built anew each
+    time it is read.
     """
 
-    __slots__ = ("provenance", "_rows")
+    __slots__ = ("provenance", "kept")
 
     def __init__(self, provenance):
         self.provenance = tuple(provenance)
-        self._rows = None
+        self.kept = None
 
     @property
     def rows(self):
         """The V7 matrix as (rows, den): integral rows over a positive int."""
-        if self._rows is None:
+        if self.kept is None:
             rows, den = _fold_rows(UNIT_ROWS, 1, self.provenance)
-            self._rows = tuple(map(tuple, rows)), den
-        return self._rows
-
-    def left_multiply(self, rows):
-        """The body of ``apply_covector``: the block is multiplied into the
-        kept matrix once ``rows`` has been read, and folded along the word
-        before.  The fold is linear in the block, so both give the same
-        numerators over the same den."""
-        if self._rows is None:
-            return _fold_rows([list(row) for row in rows], 1, self.provenance)
-        matrix, den = self._rows
-        out = []
-        for row in rows:
-            acc = [0] * 7
-            for u, line in zip(row, matrix):
-                if u:
-                    acc = [a + u * v for a, v in zip(acc, line)]
-            out.append(acc)
-        return out, den
+            self.kept = tuple(map(tuple, rows)), den
+        return self.kept
 
     @property
     def m7(self):
@@ -357,8 +322,6 @@ class GroupElement:
 
 
 def _atom_repr(atom):
-    if atom[0] in ("x", "y"):
-        return "%s%d(%s)" % (atom[0], atom[1], atom[2])
     if atom[0] == "sdot":
         return "s%d." % atom[1]
     if atom[0] == "sdot_inv":
@@ -424,8 +387,21 @@ def wdot(w):
 def apply_covector(g, rows):
     """rows . g for a block of int row vectors, the one reader of rows of an
     element: (numerators, den), entry j of row k of rows . g being
-    numerators[k][j] / den with den a positive int."""
-    return g.left_multiply(rows)
+    numerators[k][j] / den with den a positive int.  The block is folded
+    along the word until the matrix is kept, and multiplied into the kept
+    matrix after: the fold is linear in the block, so both give the same
+    numerators over the same den."""
+    if g.kept is None:
+        return _fold_rows([list(row) for row in rows], 1, g.provenance)
+    matrix, den = g.kept
+    out = []
+    for row in rows:
+        acc = [0] * 7
+        for u, line in zip(row, matrix):
+            if u:
+                acc = [a + u * v for a, v in zip(acc, line)]
+        out.append(acc)
+    return out, den
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ a fold divides), and the minors of numeric points are ``Fraction``s.  No
 floating point is used anywhere.  ``Poly`` is the one polynomial ring,
 Q[a..f] in ``VARIABLES``.  It carries only the symbolic minors, the
 calibration table, so it has only the operations their fold and pairing
-use.  Quotients of polynomials are never formed.
+use, and the negation of an x or y parameter by an inverse.  A fold
+reads a parameter as ``numerator`` over ``denominator``, and a ``Poly``
+is itself over 1, as an ``int`` is.  Quotients of polynomials are never
+formed.
 """
 
 from __future__ import annotations
@@ -79,6 +82,17 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
+
+    def __neg__(self):
+        return self * -1
+
+    @property
+    def numerator(self):
+        return self
+
+    @property
+    def denominator(self):
+        return 1
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)) and other != 0:

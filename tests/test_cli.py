@@ -288,6 +288,7 @@ DEFAULT_STDOUT_SHA256 = {
     "minors": "3f0dde81b52c9fd89e56b9e8c164520dca1e3e4a0036c994faf7e4b00b2fda3f",
     "cells": "2513a2bd3b9fb653a8a947dc6b0edb87861f7dacd737ae6040dcf137d9ec50c6",
     "distinguished": "0e71b00fc477a12e0b042d330eced9f92bcd67d39bd00d4dd41fbfa9c7d74806",
+    "verify": "8e673a515ed71b5be1d39094445d391f7a813ce13223b56671a01cdb917b1011",
 }
 
 
@@ -298,6 +299,17 @@ def test_default_outputs_are_pinned(command, digest, capsys):
     code, out = run_cli([command], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_passes_without_assert_statements(child_env):
+    """Under ``python -O``, which strips ``assert``, ``verify`` still passes
+    every check and prints the pinned report."""
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "g2cells", "verify"],
+        env=child_env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == DEFAULT_STDOUT_SHA256["verify"]
 
 
 #: what ``verify`` reports for two fake checks, one failing

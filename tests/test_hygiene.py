@@ -118,9 +118,9 @@ def test_no_private_reads_across_modules():
     assert reads == [], "private attributes read across modules: %s" % reads
 
 
-#: the names through which only ``rep`` reads rows of an element: the kept
-#: matrix, its ``Fraction`` view, the body of ``apply_covector`` and the fold
-ROW_READERS = {"rows", "m7", "left_multiply", "_fold_rows"}
+#: the names through which only ``rep`` reads rows of an element: the
+#: matrix, the slot that keeps it, its ``Fraction`` view and the fold
+ROW_READERS = {"rows", "kept", "m7", "_fold_rows"}
 
 
 def test_rows_of_an_element_are_read_only_through_apply_covector():
@@ -168,20 +168,21 @@ def test_only_the_kernel_compiler_runs_generated_source():
 
 
 #: every name a kernel's source may spell: four keywords, its parameters,
-#: the unpacked entries u<c>, and the scales d and s<j>
-KERNEL_NAME = re.compile(r"def|for|in|return|kernel|rows|p|q|d|u\d+|s\d+")
-KERNEL_OPS = {"(", ")", "[", "]", ",", ":", "=", "*", "+", "-"}
+#: the parameter t = atom[2] with its numerator p and denominator q, the
+#: unpacked entries u<c>, and the scales d and s<j>
+KERNEL_NAME = re.compile(
+    r"def|for|in|return|kernel|rows|atom|t|numerator|denominator|p|q|d|u\d+|s\d+"
+)
+KERNEL_OPS = {"(", ")", "[", "]", ",", ":", "=", "*", "+", "-", "."}
 
 
-@pytest.mark.parametrize("kind", ("x", "y", "sdot", "sdot_inv"))
+@pytest.mark.parametrize("kind", ("x", "y", "coweight", "sdot", "sdot_inv"))
 @pytest.mark.parametrize("letter", (1, 2))
 def test_kernel_source_is_built_from_integer_tables(kind, letter):
-    """A kernel's source is integer literals and arithmetic on its rows and
-    its parameter's numerator and denominator, and nothing else."""
-    if kind in ("x", "y"):
-        source = rep.build_representations().one_parameter_source(kind, letter)
-    else:
-        source = rep._weyl_source(kind, letter)
+    """A kernel's source, from the one builder, is integer literals and
+    arithmetic on its rows and its parameter's numerator and denominator,
+    and nothing else."""
+    source = rep._kernel_source(kind, letter)
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type == tokenize.NAME:
             assert KERNEL_NAME.fullmatch(tok.string), tok

@@ -277,6 +277,27 @@ def test_fold_kernels_match_the_dense_product(word, block):
     assert images == _dense_images(dense_product(word, V7), block)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(atoms, int_atoms), max_size=7), row_blocks)
+def test_folds_construct_no_fraction(word, block):
+    made = []
+    new = Fraction.__new__
+    kept = vars(Fraction)["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        Fraction(1, 3)  # the probe shows that the counter is live
+        probe = len(made)
+        rep._fold_rows(block, 1, word)
+    finally:
+        Fraction.__new__ = kept
+    assert probe == 1 and len(made) == probe
+
+
 def _evaluate(value, point):
     """A ``Poly`` (or an int) at the rational values ``point`` of a, ..., f."""
     if isinstance(value, int):
@@ -302,6 +323,18 @@ def test_fold_kernels_carry_polynomial_parameters():
     assert images == _dense_images(dense_product(numeric, V7), block)
 
 
+@pytest.mark.parametrize("kind", ("x", "y"))
+def test_polynomial_atoms_cancel_their_inverses(kind):
+    a, b, c, d, *_ = variables()
+    for i in (1, 2):
+        for t in (a, b, c * d + 1):
+            g = getattr(rep, kind)(i, t)
+            rows, den = (g * g.inverse()).rows
+            assert den == 1
+            assert [list(row) for row in rows] == [list(row) for row in rep.UNIT_ROWS]
+            assert any(isinstance(n, Poly) for row in rows for n in row)  # carried as Polys
+
+
 @pytest.mark.parametrize("R", (V7,), ids=("V7",))
 def test_integral_rows_at_large_prime_denominators(R):
     p, q = LARGE_PRIMES[2], LARGE_PRIMES[1]
@@ -319,14 +352,15 @@ def test_integral_rows_at_large_prime_denominators(R):
     assert _covector_image(g, [vec]) == _dense_images(dense, [vec])
 
 
-@pytest.mark.parametrize("R", (V7,), ids=("V7",))
 @pytest.mark.parametrize("t", (Fraction(-3, 7), Fraction(5, 1000003), Fraction(-(2**61 - 1), 4)))
-def test_coweight_diagonal_is_integral_over_its_lcm(R, t):
+def test_torus_kernel_folds_its_eigenvalues_over_a_positive_int(t):
     for i in (1, 2):
-        numerators, den = R.coweight_diagonal(i, t)
-        expected = [t ** mu.pairing(i) for mu in R.weights]
-        assert [Fraction(n, den) for n in numerators] == expected
-        assert den == math.lcm(*(v.denominator for v in expected))
+        rows, den = rep._kernel("coweight", i)(rep.UNIT_ROWS, ("coweight", i, t))
+        assert type(den) is int and den > 0
+        assert all(type(n) is int for row in rows for n in row)
+        expected = [[t ** mu.pairing(i) if r == c else 0 for c in range(7)]
+                    for r, mu in enumerate(V7.weights)]
+        assert [[Fraction(n, den) for n in row] for row in rows] == expected
 
 
 def test_provenance_regenerates_matrices():
@@ -418,7 +452,7 @@ def _lru_caches():
 #: size of its key space, or its maxsize where the key space is unbounded
 CACHE_BOUNDS = {
     "rep.build_representations": 1,
-    "rep._kernel": 8,  # four kinds (x, y, sdot, sdot_inv) x two letters
+    "rep._kernel": 10,  # five kinds (x, y, coweight, sdot, sdot_inv) x two letters
     "rep.wdot": len(W.elements),
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
@@ -499,7 +533,7 @@ def test_parameter_types_of_each_constructor():
     a = variables()[0]
     assert rep.x(1, a).provenance == (("x", 1, a),)
     assert rep.y(2, a).provenance == (("y", 2, a),)
-    # a torus element is folded as a Fraction: no polynomial parameter
+    # a torus element's den (pq)^K must be a positive int: no polynomial parameter
     with pytest.raises(TypeError):
         rep.coweight(1, a)
     with pytest.raises(ValueError, match="nonzero"):

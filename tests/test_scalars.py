@@ -45,3 +45,11 @@ def test_grlex_string():
     assert str(1 + a + b**2 + a * b + a**2) == "a^2 + a*b + b^2 + a + 1"
     assert str(-1 * c * d**3 + Fraction(1, 2) * e + (-7)) == "-c*d^3 + 1/2*e - 7"
     assert str(Fraction(5, 3) * f) == "5/3*f"
+
+
+def test_negation_and_the_parts_of_a_quotient():
+    a, b, *_ = variables()
+    assert str(-(a + 2 * b)) == "-a - 2*b" and -(-a) == a
+    assert -Poly({}) == 0
+    # a polynomial counts as itself over 1, as an int does
+    assert (a + b).numerator == a + b and (a + b).denominator == 1
