@@ -12,9 +12,10 @@ where u_m = s_{j_1}...s_{j_m} is the m-th prefix of the word, Delta is
 the highest-coefficient minor of x for epsilon, and the lowest
 coefficient minor Delta_- at the negated chamber weights -u_m omega_j
 of y for alpha.  The closed forms below are the same maps written out
-for the sextuple words of w0; they are cross-checked against the minor
-formulas at random rational points, so any drift in conventions fails
-loudly.
+for the sextuple words of w0, as plain rational maps.  The tests prove
+the epsilon form an identity of rational functions; the alpha forms are
+cross-checked against the minor formulas at random rational points, so
+any drift in conventions fails loudly.
 
 Along a reduced word of w0 the u_m omega_j take eight distinct values,
 so a factorization folds its input once and pairs that block with each
@@ -261,28 +262,29 @@ def flag_equal_opposed(x, y):
 # ---------------------------------------------------------------------------
 
 
-def _nonzero(value, what):
-    if value == 0:
-        raise NotFactorizable("%s vanishes" % what)
-    return value
+def _exact(form, *coords):
+    """``form`` at ``coords``, tuples of ints and ``Fraction``s, as ``Fraction``s
+    (``TypeError`` on any other scalar).  Each value a form divides by is a
+    factor of a denominator it returns, so a zero one is a chart miss."""
+    for values in coords:
+        for v in values:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError("a closed form takes ints and Fractions, not %r" % (v,))
+    try:
+        return form(*(tuple(Fraction(v) for v in values) for values in coords))
+    except ZeroDivisionError as exc:
+        raise NotFactorizable("the closed form %s divides by zero" % form.__name__) from exc
 
 
-def closed_form_epsilon(params):
-    """The six lower parameters of the flag of x_2(a)x_1(b)...x_1(f).
-
-    Closed form of ``epsilon_factorize`` on the word (2,1,2,1,2,1).
-    """
-    a, b, c, d, e, f = (Fraction(p) for p in params)
-    u = (
+def _epsilon_212121(params):
+    a, b, c, d, e, f = params
+    d1 = e + c + a
+    d2 = e * d + e * b + b * c
+    du = (
         e**2 * d**3 * c + e**2 * d**3 * a + 3 * e**2 * a * b * d**2
         + 3 * e**2 * a * b**2 * d + e**2 * a * b**3 + 3 * e * a * b**2 * c * d
         + 2 * e * a * b**3 * c + a * b**3 * c**2
     )
-    d1 = _nonzero(e + c + a, "e+c+a")
-    d2 = _nonzero(e * d + e * b + b * c, "ed+eb+bc")
-    du = _nonzero(u, "the auxiliary polynomial")
-    for name, val in (("a", a), ("b", b), ("c", c), ("d", d), ("e", e), ("f", f)):
-        _nonzero(val, name)
     return (
         1 / d1,
         d1 / d2,
@@ -293,13 +295,21 @@ def closed_form_epsilon(params):
     )
 
 
+def closed_form_epsilon(params):
+    """The six lower parameters of the flag of x_2(a)x_1(b)...x_1(f).
+
+    Closed form of ``epsilon_factorize`` on the word (2,1,2,1,2,1); it
+    takes and refuses scalars as ``closed_form_alpha`` does.
+    """
+    return _exact(_epsilon_212121, params)
+
+
 def _alpha_x21x12(t, m):
     t1, t2 = t
     m1, m2 = m
-    p1 = _nonzero(t1 * m2 + m1, "t1*m2+m1")
-    p2 = _nonzero(-m2 * t2 + m1**3, "m1^3-m2*t2")
-    p3 = _nonzero(t1 * m1**2 + t2, "t1*m1^2+t2")
-    _nonzero(m2, "m2"), _nonzero(t1, "t1"), _nonzero(t2, "t2")
+    p1 = t1 * m2 + m1
+    p2 = -m2 * t2 + m1**3
+    p3 = t1 * m1**2 + t2
     return (
         -1 / m2,
         m2 / p1,
@@ -313,9 +323,8 @@ def _alpha_x21x12(t, m):
 def _alpha_12x21x(t, m):
     t1, t2 = t
     m1, m2 = m
-    p1 = _nonzero(3 * t1 * m2 + m1, "3*t1*m2+m1")
-    p2 = _nonzero(2 * t1 * m2 + m1, "2*t1*m2+m1")
-    _nonzero(t2, "t2"), _nonzero(m2, "m2"), _nonzero(t1, "t1")
+    p1 = 3 * t1 * m2 + m1
+    p2 = 2 * t1 * m2 + m1
     return (
         1 / t2,
         -1 / m2,
@@ -329,10 +338,9 @@ def _alpha_12x21x(t, m):
 def _alpha_1x12x2(t, m):
     t1, t2 = t
     m1, m2 = m
-    p1 = _nonzero(m1 * m2 + t2, "m1*m2+t2")
-    p2 = _nonzero(t1 * m2**2 - t2**3, "t1*m2^2-t2^3")
-    p3 = _nonzero(t1 * m2 + m1 * t2**2, "t1*m2+m1*t2^2")
-    _nonzero(m2, "m2"), _nonzero(t1, "t1"), _nonzero(t2, "t2")
+    p1 = m1 * m2 + t2
+    p2 = t1 * m2**2 - t2**3
+    p3 = t1 * m2 + m1 * t2**2
     return (
         -1 / m2,
         -m2 / p1,
@@ -346,11 +354,10 @@ def _alpha_1x12x2(t, m):
 def _alpha_xx1x1x(t, m):
     t1, t2, t3, t4 = t
     (m1,) = m
-    p1 = _nonzero(t2 + t4, "t2+t4")
-    p2 = _nonzero(t1 * t2 - m1 * t4 + t4 * t1, "t1*t2-m1*t4+t4*t1")
-    p3 = _nonzero(-t2 * t3 + t4 * m1**3 * t2 - t4 * t3, "t4*m1^3*t2-(t2+t4)*t3")
-    p4 = _nonzero(t1 * t2 * m1**2 - t3, "t1*t2*m1^2-t3")
-    _nonzero(t1, "t1"), _nonzero(t2, "t2"), _nonzero(t3, "t3"), _nonzero(t4, "t4")
+    p1 = t2 + t4
+    p2 = t1 * t2 - m1 * t4 + t4 * t1
+    p3 = -t2 * t3 + t4 * m1**3 * t2 - t4 * t3
+    p4 = t1 * t2 * m1**2 - t3
     return (
         1 / p1,
         p1 / p2,
@@ -364,14 +371,10 @@ def _alpha_xx1x1x(t, m):
 def _alpha_1x1xxx(t, m):
     t1, t2, t3, t4 = t
     (m1,) = m
-    p1 = _nonzero(t2 + t4, "t2+t4")
-    p2 = _nonzero(m1 * t2 + m1 * t4 - t4 * t3, "m1*(t2+t4)-t4*t3")
-    p3 = _nonzero(
-        t1 * t2**2 + 2 * t1 * t2 * t4 + t4**2 * t1 + t2 * t3**3 * t4**2,
-        "t1*(t2+t4)^2+t2*t3^3*t4^2",
-    )
-    p4 = _nonzero(t1 * t2 + t4 * t1 + t2 * t3**2 * t4 * m1, "t1*(t2+t4)+t2*t3^2*t4*m1")
-    _nonzero(t1, "t1"), _nonzero(t2, "t2"), _nonzero(t3, "t3"), _nonzero(t4, "t4")
+    p1 = t2 + t4
+    p2 = m1 * t2 + m1 * t4 - t4 * t3
+    p3 = t1 * t2**2 + 2 * t1 * t2 * t4 + t4**2 * t1 + t2 * t3**3 * t4**2
+    p4 = t1 * t2 + t4 * t1 + t2 * t3**2 * t4 * m1
     return (
         1 / p1,
         -p1 / p2,
@@ -385,17 +388,10 @@ def _alpha_1x1xxx(t, m):
 def _alpha_xxx2x2(t, m):
     t1, t2, t3, t4 = t
     (m1,) = m
-    p1 = _nonzero(m1 - t2, "m1-t2")
-    p2 = _nonzero(t1 * m1 + m1 * t3 - t1 * t2 - t4, "(t1+t3)*m1-t1*t2-t4")
-    p3 = _nonzero(
-        t2 * t3**3 * m1**2 - 3 * t2 * t3**2 * t4 * m1 + 3 * t2 * t3 * t4**2 - t4**3,
-        "t2*t3^3*m1^2-3*t2*t3^2*t4*m1+3*t2*t3*t4^2-t4^3",
-    )
-    p4 = _nonzero(
-        t1 * t2 * t3**2 * m1 - 2 * t1 * t2 * t3 * t4 + t4**2 * t1 + t3 * t4**2,
-        "t1*t2*t3^2*m1-2*t1*t2*t3*t4+t4^2*t1+t3*t4^2",
-    )
-    _nonzero(t1, "t1"), _nonzero(t2, "t2"), _nonzero(t3, "t3"), _nonzero(t4, "t4")
+    p1 = m1 - t2
+    p2 = t1 * m1 + m1 * t3 - t1 * t2 - t4
+    p3 = t2 * t3**3 * m1**2 - 3 * t2 * t3**2 * t4 * m1 + 3 * t2 * t3 * t4**2 - t4**3
+    p4 = t1 * t2 * t3**2 * m1 - 2 * t1 * t2 * t3 * t4 + t4**2 * t1 + t3 * t4**2
     return (
         -1 / p1,
         p1 / p2,
@@ -409,17 +405,10 @@ def _alpha_xxx2x2(t, m):
 def _alpha_x2x2xx(t, m):
     t1, t2, t3, t4 = t
     (m1,) = m
-    p1 = _nonzero(m1 - t4, "m1-t4")
-    p2 = _nonzero(t1 * m1 - t2 - t4 * t1 - t4 * t3, "t1*m1-t2-t4*t1-t4*t3")
-    p3 = _nonzero(
-        t2**3 + 3 * t2**2 * t3 * t4 + 3 * t2 * t3**2 * t4**2 + t4**2 * m1 * t3**3,
-        "t2^3+3*t2^2*t3*t4+3*t2*t3^2*t4^2+t4^2*m1*t3^3",
-    )
-    p4 = _nonzero(
-        t1 * t2**2 + 2 * t1 * t2 * t3 * t4 + t4 * t3**2 * t1 * m1 - t2 * t3**2 * t4,
-        "t1*t2^2+2*t1*t2*t3*t4+t4*t3^2*t1*m1-t2*t3^2*t4",
-    )
-    _nonzero(t1, "t1"), _nonzero(t2, "t2"), _nonzero(t3, "t3"), _nonzero(t4, "t4")
+    p1 = m1 - t4
+    p2 = t1 * m1 - t2 - t4 * t1 - t4 * t3
+    p3 = t2**3 + 3 * t2**2 * t3 * t4 + 3 * t2 * t3**2 * t4**2 + t4**2 * m1 * t3**3
+    p4 = t1 * t2**2 + 2 * t1 * t2 * t3 * t4 + t4 * t3**2 * t1 * m1 - t2 * t3**2 * t4
     return (
         -1 / p1,
         p1 / p2,
@@ -448,10 +437,12 @@ def closed_form_alpha(name, t, m):
     """The six upper parameters of alpha on the cell family named ``name``.
 
     ``t`` and ``m`` list the R*-coordinates and R-coordinates in
-    position order.  An unknown name raises ``KeyError``.
+    position order, as ints or ``Fraction``s: any other scalar raises
+    ``TypeError``, a point off the chart ``NotFactorizable``, and an
+    unknown name ``KeyError``.
     """
     try:
         fn = CLOSED_FORM_FAMILIES[name]
     except KeyError:
         raise KeyError("no closed alpha form for family %r" % (name,))
-    return fn(tuple(Fraction(v) for v in t), tuple(Fraction(v) for v in m))
+    return _exact(fn, t, m)

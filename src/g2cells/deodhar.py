@@ -141,10 +141,9 @@ def cell_by_display(display):
 def cell_factors(cell, t, m):
     """The factors z_1, ..., z_6 at the given coordinates, as group elements:
     ``cell_point`` is their product, and ``factor_chain`` reads the
-    position chain of their partial products."""
+    position chain of their partial products.  The coordinates are passed to
+    the atoms as they are, so a float raises ``TypeError``."""
     fam = cell.family
-    t = [Fraction(v) for v in t]
-    m = [Fraction(v) for v in m]
     if len(t) != len(fam.I) or len(m) != len(fam.K):
         raise ValueError("expected %d t's and %d m's" % (len(fam.I), len(fam.K)))
     for val, sign in zip(t, cell.h):

@@ -219,16 +219,16 @@ def _kernel(kind, i):
     return namespace["kernel"]
 
 
-def _fold_rows(rows, den, atoms):
-    """(rows . (product of the atoms' matrices), den'), over the integers.
+def _fold_rows(rows, atoms):
+    """(rows . (product of the atoms' matrices) * den, den), over the integers.
 
-    ``rows`` is a block of row vectors, each entry a numerator over the
-    common positive denominator ``den``.  Every atom, whatever its kind,
-    is folded by its kernel, which multiplies the rows by the atom's
-    matrix times its scale d, and ``den`` by d.  So the rows stay
+    ``rows`` is a block of integer row vectors.  Every atom, whatever its
+    kind, is folded by its kernel, which multiplies the rows by the atom's
+    matrix times its scale d, and ``den``, from 1, by d.  So the rows stay
     integral (or ``Poly``s with integral coefficients) and no
     ``Fraction`` is built.  This is the package's only fold.
     """
+    den = 1
     for atom in atoms:
         rows, d = _kernel(atom[0], atom[1])(rows, atom)
         den *= d
@@ -244,7 +244,7 @@ def _weyl_terms(kind, i):
     """The term table (r, c, v, 0, 0) of sdot_i = x_i(1) y_i(-1) x_i(1), or
     of its inverse, folded once for its kernel: a signed permutation."""
     s = 1 if kind == "sdot" else -1
-    rows, den = _fold_rows(UNIT_ROWS, 1, (("x", i, s), ("y", i, -s), ("x", i, s)))
+    rows, den = _fold_rows(UNIT_ROWS, (("x", i, s), ("y", i, -s), ("x", i, s)))
     if den != 1:
         raise ArithmeticError("Weyl representative of %s%d is not integral" % (kind, i))
     return [(r, c, v, 0, 0) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
@@ -293,7 +293,7 @@ class GroupElement:
     def rows(self):
         """The V7 matrix as (rows, den): integral rows over a positive int."""
         if self.kept is None:
-            rows, den = _fold_rows(UNIT_ROWS, 1, self.provenance)
+            rows, den = _fold_rows(UNIT_ROWS, self.provenance)
             self.kept = tuple(map(tuple, rows)), den
         return self.kept
 
@@ -392,7 +392,7 @@ def apply_covector(g, rows):
     matrix after: the fold is linear in the block, so both give the same
     numerators over the same den."""
     if g.kept is None:
-        return _fold_rows([list(row) for row in rows], 1, g.provenance)
+        return _fold_rows([list(row) for row in rows], g.provenance)
     matrix, den = g.kept
     out = []
     for row in rows:

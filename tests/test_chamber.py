@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dense_reference import dense_product
 from g2cells import chamber, checks, components, deodhar, fixtures, minors, rep
+from g2cells.scalars import variables
 from g2cells.weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
+from poly_fractions import PolyFraction
 
 
 def x_tilde(params):
@@ -242,6 +244,72 @@ def test_closed_alpha_examples_from_tables():
     assert vals[0] == Fraction(1, 2) and vals[1] == Fraction(-1, 5)
     vals = chamber.closed_form_alpha("1x12x2", (1, 2), (3, 5))
     assert vals[0] == Fraction(-1, 5)
+
+
+def test_epsilon_closed_form_is_an_identity_of_rational_functions():
+    """At x_2(a)x_1(b)...x_1(f) over Q[a..f] each a_m of the Ansatz, a
+    quotient of polynomial pairings, is the closed form's a_m."""
+    params = variables()
+    point = chamber.Factorization(WORD_I_TILDE, params, "upper").product()
+    _, steps, den, values = chamber._pairings(point, WORD_I_TILDE, False)
+    assert den == 1
+    closed = chamber._epsilon_212121(tuple(PolyFraction(v) for v in params))
+    differ = [
+        "a_%d" % m
+        for m, ((num, exp, d1, d2, _), form) in enumerate(zip(steps, closed), 1)
+        if form != PolyFraction(values[num] ** exp, values[d1] * values[d2])
+    ]
+    assert differ == []
+
+
+#: per closed form, a point at which its first polynomial vanishes:
+#: d1 = e+c+a for epsilon, p1 for each alpha family
+FIRST_POLYNOMIAL_ZEROS = {
+    "epsilon": ((1, 1, 1, 1, -2, 1),),
+    "x21x12": ((1, 2), (-1, 1)),  # t1*m2 + m1
+    "12x21x": ((1, 1), (-3, 1)),  # 3*t1*m2 + m1
+    "1x12x2": ((1, 1), (-1, 1)),  # m1*m2 + t2
+    "xx1x1x": ((1, 1, 1, -1), (1,)),  # t2 + t4
+    "1x1xxx": ((1, 1, 1, -1), (1,)),  # t2 + t4
+    "xxx2x2": ((1, 1, 1, 1), (1,)),  # m1 - t2
+    "x2x2xx": ((1, 1, 1, 1), (1,)),  # m1 - t4
+}
+CLOSED_FORMS = ("epsilon",) + tuple(sorted(chamber.CLOSED_FORM_FAMILIES))
+
+
+def _closed_form(kind, coords):
+    if kind == "epsilon":
+        return chamber.closed_form_epsilon(*coords)
+    return chamber.closed_form_alpha(kind, *coords)
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+def test_a_vanishing_first_polynomial_is_a_chart_miss(kind):
+    """The closed form refuses the point, and so does the Ansatz."""
+    coords = FIRST_POLYNOMIAL_ZEROS[kind]
+    with pytest.raises(chamber.NotFactorizable):
+        _closed_form(kind, coords)
+    with pytest.raises(chamber.NotFactorizable):
+        if kind == "epsilon":
+            point = chamber.Factorization(WORD_I_TILDE, coords[0], "upper").product()
+            chamber.epsilon_factorize(point, WORD_I_TILDE)
+        else:
+            t, m = coords
+            h = tuple(1 if v > 0 else -1 for v in t)
+            cell = deodhar.CellId(deodhar.family_by_name(kind), h)
+            chamber.alpha_factorize(deodhar.cell_point(cell, t, m), WORD_I_TILDE)
+
+
+@pytest.mark.parametrize("bad", (0.5, "1/2", "1/0"))
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+def test_closed_forms_refuse_inexact_coordinates(kind, bad):
+    coords = FIRST_POLYNOMIAL_ZEROS[kind]
+    for k, values in enumerate(coords):
+        for j in range(len(values)):
+            spoiled = list(coords)
+            spoiled[k] = values[:j] + (bad,) + values[j + 1:]
+            with pytest.raises(TypeError):
+                _closed_form(kind, spoiled)
 
 
 def test_redraw_returns_first_factorizable_draw():

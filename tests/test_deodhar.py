@@ -64,6 +64,14 @@ def test_cell_point_all_ones_is_unipotent_lower():
     assert rep.is_unipotent_lower(point)
 
 
+@pytest.mark.parametrize("bad", (0.5, "1/2"))
+def test_cell_point_refuses_inexact_coordinates(bad):
+    cell = deodhar.cell_by_display("0+*0+*")
+    for t, m in (((bad, 1), (1, 2)), ((1, bad), (1, 2)), ((1, 2), (bad, 1)), ((1, 2), (1, bad))):
+        with pytest.raises(TypeError):
+            deodhar.cell_point(cell, t, m)
+
+
 def test_cell_point_matches_explicit_word():
     # 12x21x: s1. s2. y1(t1) x2(m1) s2.^-1 x1(m2) s1.^-1 y2(t2)
     fam = deodhar.family_by_name("12x21x")

@@ -270,7 +270,7 @@ row_blocks = st.lists(
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.one_of(atoms, int_atoms), max_size=7), row_blocks)
 def test_fold_kernels_match_the_dense_product(word, block):
-    rows, den = rep._fold_rows(block, 1, word)
+    rows, den = rep._fold_rows(block, word)
     assert isinstance(den, int) and den > 0
     assert all(type(n) is int for row in rows for n in row)
     images = [tuple(Fraction(n, den) for n in row) for row in rows]
@@ -292,7 +292,7 @@ def test_folds_construct_no_fraction(word, block):
     try:
         Fraction(1, 3)  # the probe shows that the counter is live
         probe = len(made)
-        rep._fold_rows(block, 1, word)
+        rep._fold_rows(block, word)
     finally:
         Fraction.__new__ = kept
     assert probe == 1 and len(made) == probe
@@ -317,7 +317,7 @@ def test_fold_kernels_carry_polynomial_parameters():
     numeric = [atom[:2] + (_evaluate(atom[2], point),) if atom[0] in ("x", "y") else atom
                for atom in word]
     block = [[(-1) ** j * (j + k) for j in range(7)] for k in range(3)]
-    rows, den = rep._fold_rows(block, 1, word)
+    rows, den = rep._fold_rows(block, word)
     assert all(isinstance(n, (int, Poly)) for row in rows for n in row)
     images = [tuple(_evaluate(n, point) / den for n in row) for row in rows]
     assert images == _dense_images(dense_product(numeric, V7), block)
