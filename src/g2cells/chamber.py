@@ -13,9 +13,11 @@ the highest-coefficient minor of x for epsilon, and the lowest
 coefficient minor Delta_- at the negated chamber weights -u_m omega_j
 of y for alpha.  The closed forms below are the same maps written out
 for the sextuple words of w0, as plain rational maps.  The tests prove
-the epsilon form an identity of rational functions; the alpha forms are
-cross-checked against the minor formulas at random rational points, so
-any drift in conventions fails loudly.
+all eight forms identities of rational functions: over Q[a..f], at
+x_2(a)x_1(b)...x_1(f) for epsilon and at a family's cell point with the
+generators as coordinates for alpha, each a_m is the Ansatz's quotient
+of minor pairings.  Check 4 cross-checks them at random rational
+points, so any drift in conventions fails loudly.
 
 Along a reduced word of w0 the u_m omega_j take eight distinct values,
 so a factorization folds its input once and pairs that block with each
@@ -60,6 +62,7 @@ from .minors import (
     pair_row_with_weight,
     weight_to_chamber,
 )
+from .scalars import EXACT_SCALARS
 from .weyl import G2_CARTAN, OMEGA, W
 
 __all__ = [
@@ -109,7 +112,11 @@ def redraw(draw, what):
 
 @dataclass(frozen=True)
 class Factorization:
-    """A factorization g = prod_k x_{j_k}(a_k) or prod_k y_{j_k}(a_k)."""
+    """A factorization g = prod_k x_{j_k}(a_k) or prod_k y_{j_k}(a_k).
+
+    An inexact parameter raises ``TypeError`` where the object is built,
+    and a zero one ``NotFactorizable``.
+    """
 
     word: tuple
     params: tuple
@@ -123,8 +130,11 @@ class Factorization:
                 "%d parameters for the %d letters of word %r"
                 % (len(self.params), len(self.word), self.word)
             )
-        if any(p == 0 for p in self.params):
-            raise NotFactorizable("factorization parameters must be nonzero")
+        for p in self.params:
+            if not isinstance(p, EXACT_SCALARS):
+                raise TypeError("parameter must be an exact scalar, not %r" % (p,))
+            if p == 0:
+                raise NotFactorizable("factorization parameters must be nonzero")
 
     def product(self):
         gen = rep.x if self.kind == "upper" else rep.y

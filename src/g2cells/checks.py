@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chamber, components, deodhar, fixtures, linalg, minors, rep
-from .weyl import W, WORD_I, WORD_I_TILDE, enumerate_distinguished
+from .weyl import G2_CARTAN, W, WORD_I, WORD_I_TILDE, enumerate_distinguished
 
 
 #: points per family of check 4, fresh points per cell and chain points
@@ -69,7 +69,6 @@ def check_distinguished_subexpressions():
 
 def check_representations():
     """Chevalley, Serre, braid and rank-1 factorization identities, exactly."""
-    cartan = ((2, -3), (-1, 2))
     R = rep.build_representations()
     zero = linalg.mat_scale(R.h[1], 0)
     for i in (1, 2):
@@ -79,12 +78,12 @@ def check_representations():
             require(lhs == rhs, "[e%d, f%d]", i, j)
             require(
                 linalg.commutator(R.h[i], R.e[j])
-                == linalg.mat_scale(R.e[j], cartan[i - 1][j - 1]),
+                == linalg.mat_scale(R.e[j], G2_CARTAN[i - 1][j - 1]),
                 "[h%d, e%d]", i, j,
             )
             require(
                 linalg.commutator(R.h[i], R.f[j])
-                == linalg.mat_scale(R.f[j], -cartan[i - 1][j - 1]),
+                == linalg.mat_scale(R.f[j], -G2_CARTAN[i - 1][j - 1]),
                 "[h%d, f%d]", i, j,
             )
     for mats in (R.e, R.f):

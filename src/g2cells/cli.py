@@ -130,16 +130,13 @@ def cmd_cells(args):
 
 
 def _split_params(fam, params):
-    if len(params) != 6 - len(fam.J):
+    roles = fam.layout.replace("0", "")
+    if len(params) != len(roles):
         raise UsageError(
             "family %s takes %d parameters (%s), got %d"
-            % (fam.name, 6 - len(fam.J), ",".join(fam.param_signature()), len(params))
+            % (fam.name, len(roles), ",".join(fam.param_signature()), len(params))
         )
-    t, m = [], []
-    it = iter(params)
-    for name in fam.param_signature():
-        (t if name.startswith("t") else m).append(next(it))
-    return tuple(t), tuple(m)
+    return tuple(tuple(v for v, r in zip(params, roles) if r == role) for role in "tm")
 
 
 def _cell_point(args):
@@ -166,9 +163,9 @@ def cmd_cell_point(args):
     lines = [
         "cell             %s" % cell.display(),
         "unipotent-lower  %s" % rep.is_unipotent_lower(point),
-        "in-big-cell      %s" % (deodhar.bruhat_position_plus(point) is deodhar.W.w0),
+        "in-big-cell      %s" % (deodhar.bruhat_position_plus(point) is W.w0),
         "chain            %s" % " ".join(repr(w) for w in chain),
-        "chain-valid      %s" % (chain == tuple(deodhar.W.w0 * s for s in cell.family.sigma)),
+        "chain-valid      %s" % deodhar.verify_factor_chain(cell, factors),
     ]
     _emit(args, "\n".join(lines) + "\n")
     return 0

@@ -82,8 +82,6 @@ def families():
     fams = tuple(enumerate_distinguished(WORD_I))
     if not {f.codim for f in fams} <= {0, 1, 2}:
         raise RuntimeError("a family of 121212 has codimension above 2")
-    if any(f.dim + f.codim != 6 for f in fams):
-        raise RuntimeError("a family's dimension and codimension do not add up to 6")
     return fams
 
 
@@ -109,32 +107,29 @@ class CellId:
 
     def display(self):
         """'+'/'-' at I positions, '0' at J positions, '*' at K positions."""
-        chars = []
         signs = iter(self.h)
-        for j in range(1, len(self.family.word) + 1):
-            if j in self.family.I:
-                chars.append("+" if next(signs) > 0 else "-")
-            elif j in self.family.J:
-                chars.append("0")
-            else:
-                chars.append("*")
-        return "".join(chars)
+        return "".join(
+            ("+" if next(signs) > 0 else "-") if r == "t" else "0" if r == "0" else "*"
+            for r in self.family.layout
+        )
 
     def __repr__(self):
         return "CellId(%s)" % self.display()
+
+
+#: a display read as a layout: a sign is a 't' and '*' an 'm'; a 't' or an
+#: 'm' in the display is deleted, so that it matches no layout
+_LAYOUT_OF_DISPLAY = str.maketrans("+-*", "ttm", "tm")
 
 
 def cell_by_display(display):
     """Recover (family, h) from a display string such as '0+*0-*'."""
     if len(display) != 6:
         raise ValueError("display strings have six symbols")
-    I = tuple(j for j, ch in enumerate(display, start=1) if ch in "+-")
-    J = tuple(j for j, ch in enumerate(display, start=1) if ch == "0")
-    K = tuple(j for j, ch in enumerate(display, start=1) if ch == "*")
+    layout = display.translate(_LAYOUT_OF_DISPLAY)
     for fam in families():
-        if fam.I == I and fam.J == J and fam.K == K:
-            h = tuple(1 if display[j - 1] == "+" else -1 for j in I)
-            return CellId(fam, h)
+        if fam.layout == layout:
+            return CellId(fam, tuple(1 if ch == "+" else -1 for ch in display if ch in "+-"))
     raise KeyError("no cell family matches %r" % (display,))
 
 
@@ -142,25 +137,26 @@ def cell_factors(cell, t, m):
     """The factors z_1, ..., z_6 at the given coordinates, as group elements:
     ``cell_point`` is their product, and ``factor_chain`` reads the
     position chain of their partial products.  The coordinates are passed to
-    the atoms as they are, so a float raises ``TypeError``."""
+    the atoms as they are, so a float or a string raises the atom's
+    ``TypeError`` before any comparison.  The zero and sign checks read the
+    rational t only: a ``Poly`` t folds symbolically."""
     fam = cell.family
     if len(t) != len(fam.I) or len(m) != len(fam.K):
         raise ValueError("expected %d t's and %d m's" % (len(fam.I), len(fam.K)))
+    ti, mi = iter(t), iter(m)
+    factors = [
+        rep.y(letter, next(ti)) if r == "t"
+        else rep.sdot(letter) if r == "0"
+        else rep.x(letter, next(mi)) * rep.sdot_inverse(letter)
+        for letter, r in zip(fam.word, fam.layout)
+    ]
     for val, sign in zip(t, cell.h):
+        if not isinstance(val, (int, Fraction)):
+            continue
         if val == 0:
             raise ValueError("t coordinates must be nonzero")
         if (val > 0) != (sign > 0):
             raise ValueError("t coordinate %s violates the sign choice" % val)
-    factors = []
-    ti = iter(t)
-    mi = iter(m)
-    for j, letter in enumerate(fam.word, start=1):
-        if j in fam.I:
-            factors.append(rep.y(letter, next(ti)))
-        elif j in fam.J:
-            factors.append(rep.sdot(letter))
-        else:
-            factors.append(rep.x(letter, next(mi)) * rep.sdot_inverse(letter))
     return factors
 
 

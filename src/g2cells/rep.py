@@ -60,7 +60,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .scalars import Poly
+from .scalars import EXACT_SCALARS
 from .weyl import V7_WEIGHTS
 
 __all__ = [
@@ -340,7 +340,7 @@ def group_product(elements):
     return GroupElement([atom for g in elements for atom in g.provenance])
 
 
-def _atom(kind, i, *t, exact=(int, Fraction, Poly)):
+def _atom(kind, i, *t, exact=EXACT_SCALARS):
     """The element of the one atom (kind, i, *t): a letter outside {1, 2}
     raises ``ValueError``, a parameter of no ``exact`` type ``TypeError``."""
     if i not in (1, 2):

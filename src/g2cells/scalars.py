@@ -147,3 +147,7 @@ class Poly:
         return out
 
     __repr__ = __str__
+
+
+#: the exact scalar types: an atom's or a factorization's parameter is one of them
+EXACT_SCALARS = (int, Fraction, Poly)

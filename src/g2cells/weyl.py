@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 
 #: the Cartan matrix, A[i-1][j-1] = <alpha_i^vee, alpha_j>
@@ -221,30 +222,42 @@ WORD_I = (1, 2, 1, 2, 1, 2)
 WORD_I_TILDE = (2, 1, 2, 1, 2, 1)
 
 
+def _positions(role):
+    """The 1-based positions of ``role`` in a subexpression's layout, read once."""
+    return cached_property(
+        lambda sub: tuple(j for j, r in enumerate(sub.layout, start=1) if r == role)
+    )
+
+
 @dataclass(frozen=True)
 class Subexpression:
     """A distinguished subexpression for 1 of a reduced word.
 
-    ``sigma`` has length N+1 with sigma[0] = identity.  The index sets
-    I, J, K (1-based positions) partition {1..N}: position j is in I if
-    the letter is skipped, in J if it increases length, in K if it
-    decreases length.
+    ``sigma`` has length N+1 with sigma[0] = identity, and it is the one
+    stored fact.  ``layout`` reads each position's role off it once: 't'
+    where sigma stays (the letter is skipped), '0' where it goes up and
+    'm' where it goes down.  The index sets I, J, K (1-based positions of
+    't', '0' and 'm') partition {1..N}.
     """
 
     word: tuple
     sigma: tuple
-    I: tuple
-    J: tuple
-    K: tuple
 
-    @property
+    @cached_property
+    def layout(self):
+        return "".join(
+            "t" if cur == prev else "0" if cur.length > prev.length else "m"
+            for prev, cur in zip(self.sigma, self.sigma[1:])
+        )
+
+    I = _positions("t")
+    J = _positions("0")
+    K = _positions("m")
+
+    @cached_property
     def name(self):
         """Positions show the taken letter, skipped positions show 'x'."""
-        taken = set(self.J) | set(self.K)
-        return "".join(
-            str(self.word[j - 1]) if j in taken else "x"
-            for j in range(1, len(self.word) + 1)
-        )
+        return "".join("x" if r == "t" else str(i) for i, r in zip(self.word, self.layout))
 
     @property
     def codim(self):
@@ -259,16 +272,11 @@ class Subexpression:
 
     def param_signature(self):
         """Parameter names in position order, e.g. ('t1','t2','m1','m2')."""
-        names = []
-        ti = mi = 0
-        for j in range(1, len(self.word) + 1):
-            if j in self.I:
-                ti += 1
-                names.append("t%d" % ti)
-            elif j in self.K:
-                mi += 1
-                names.append("m%d" % mi)
-        return tuple(names)
+        return tuple(
+            r + str(self.layout.count(r, 0, j + 1))
+            for j, r in enumerate(self.layout)
+            if r != "0"
+        )
 
 
 def enumerate_distinguished(word):
@@ -286,18 +294,7 @@ def enumerate_distinguished(word):
     def walk(j, chain):
         if j > N:
             if chain[-1] is W.identity:
-                I, J, K = [], [], []
-                for k in range(1, N + 1):
-                    prev, cur = chain[k - 1], chain[k]
-                    if cur == prev:
-                        I.append(k)
-                    elif cur.length > prev.length:
-                        J.append(k)
-                    else:
-                        K.append(k)
-                out.append(
-                    Subexpression(word, tuple(chain), tuple(I), tuple(J), tuple(K))
-                )
+                out.append(Subexpression(word, tuple(chain)))
             return
         prev = chain[-1]
         nxt = prev * W.s(word[j - 1])

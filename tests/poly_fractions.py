@@ -45,6 +45,15 @@ class PolyFraction:
 
     __rmul__ = __mul__
 
+    def __neg__(self):
+        return PolyFraction(-self.num, self.den)
+
+    def __sub__(self, other):
+        other = self._of(other)
+        if other is None:
+            return NotImplemented
+        return self + -other
+
     def __truediv__(self, other):
         other = self._of(other)
         if other is None:

@@ -262,6 +262,39 @@ def test_epsilon_closed_form_is_an_identity_of_rational_functions():
     assert differ == []
 
 
+@pytest.mark.parametrize("name", chamber.CLOSED_FORM_FAMILIES)
+def test_alpha_closed_form_is_an_identity_of_rational_functions(name):
+    """At the family's cell point over Q[a..f], with the generators a, b, ...
+    as its t and then its m and every sign +1, each a_m of the Ansatz is
+    the closed form's a_m."""
+    fam = deodhar.family_by_name(name)
+    coords = variables()
+    t, m = coords[: len(fam.I)], coords[len(fam.I): len(fam.I) + len(fam.K)]
+    point = deodhar.cell_point(deodhar.CellId(fam, (1,) * len(t)), t, m)
+    _, steps, den, values = chamber._pairings(point, WORD_I_TILDE, True)
+    assert den == 1
+    closed = chamber.CLOSED_FORM_FAMILIES[name](
+        tuple(map(PolyFraction, t)), tuple(map(PolyFraction, m))
+    )
+    differ = [
+        "a_%d" % k
+        for k, ((num, exp, d1, d2, _), form) in enumerate(zip(steps, closed), 1)
+        if form != PolyFraction(values[num] ** exp, values[d1] * values[d2])
+    ]
+    assert differ == []
+
+
+@pytest.mark.parametrize("bad", (0.5, "1/2"))
+def test_factorization_refuses_an_inexact_parameter_where_it_is_built(bad):
+    """An inexact parameter is refused by the constructor, before ``signs()``
+    can read it; ``Poly`` parameters stay accepted."""
+    for k in range(6):
+        params = (1,) * k + (bad,) + (1,) * (5 - k)
+        with pytest.raises(TypeError, match="exact scalar"):
+            chamber.Factorization(WORD_I_TILDE, params, "upper")
+    assert chamber.Factorization(WORD_I_TILDE, variables(), "lower").params == variables()
+
+
 #: per closed form, a point at which its first polynomial vanishes:
 #: d1 = e+c+a for epsilon, p1 for each alpha family
 FIRST_POLYNOMIAL_ZEROS = {

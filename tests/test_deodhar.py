@@ -72,6 +72,14 @@ def test_cell_point_refuses_inexact_coordinates(bad):
             deodhar.cell_point(cell, t, m)
 
 
+def test_cell_factors_refuse_an_inexact_t_before_comparing_it():
+    """The atoms are built before the zero and sign checks, so a string t
+    meets the atom's ``TypeError``, not a failed comparison."""
+    cell = deodhar.cell_by_display("0+*0+*")
+    with pytest.raises(TypeError, match="exact scalar"):
+        deodhar.cell_point(cell, ("1/2", 1), (1, 2))
+
+
 def test_cell_point_matches_explicit_word():
     # 12x21x: s1. s2. y1(t1) x2(m1) s2.^-1 x1(m2) s1.^-1 y2(t2)
     fam = deodhar.family_by_name("12x21x")

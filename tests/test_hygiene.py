@@ -1,6 +1,7 @@
 """Source-level guards on the package."""
 
 import ast
+import dataclasses
 import io
 import re
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from g2cells import rep
+from g2cells.weyl import Subexpression
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "g2cells").glob("*.py"))
@@ -193,3 +195,24 @@ def test_kernel_source_is_built_from_integer_tables(kind, letter):
         else:
             assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                 tokenize.DEDENT, tokenize.ENDMARKER), tok
+
+
+#: the index sets of a subexpression, each a read of its one layout
+INDEX_SETS = {"I", "J", "K"}
+
+
+def test_positions_are_read_off_the_one_layout():
+    """No module asks whether a position is in I, J or K: every reader walks
+    ``Subexpression.layout``, and a subexpression stores its chain alone."""
+    tests = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Compare) and any(
+                isinstance(op, (ast.In, ast.NotIn))
+                and isinstance(right, ast.Attribute)
+                and right.attr in INDEX_SETS
+                for op, right in zip(node.ops, node.comparators)
+            ):
+                tests.append((path.name, node.lineno))
+    assert tests == [], "membership tests on an index set: %s" % tests
+    assert [f.name for f in dataclasses.fields(Subexpression)] == ["word", "sigma"]

@@ -216,6 +216,20 @@ def test_distinguished_names_and_chains():
     assert x21x12.I == (1, 4) and x21x12.J == (2, 3) and x21x12.K == (5, 6)
 
 
+def test_each_role_is_read_off_the_chain_once():
+    """A subexpression stores its word and chain; the layout, the index
+    sets and the name are read off the chain once, and equal chains give
+    equal subexpressions."""
+    x21x12 = subexpression_by_name(WORD_I, "x21x12")
+    assert x21x12.layout == "t00tmm"
+    assert x21x12.param_signature() == ("t1", "t2", "m1", "m2")
+    for attr in ("layout", "I", "J", "K", "name"):
+        assert getattr(x21x12, attr) is getattr(x21x12, attr)
+    fresh = weyl.Subexpression(x21x12.word, x21x12.sigma)
+    assert fresh == x21x12 and hash(fresh) == hash(x21x12)
+    assert (fresh.name, fresh.I, fresh.J, fresh.K) == ("x21x12", (1, 4), (2, 3), (5, 6))
+
+
 def test_distinguished_counts_and_balance():
     for word in (WORD_I, WORD_I_TILDE):
         subs = enumerate_distinguished(word)
