@@ -39,6 +39,18 @@ den > 0,
 
 so they build no ``Fraction`` at all.
 
+``lower_signs`` reads the signs of y in U- along a word, the signs
+``epsilon_signs`` would give at x = alpha(y), from the same one fold of
+y.  Each parameter p_k of y = y_{j_1}(p_1) ... y_{j_6}(p_6) is a Laurent
+monomial in the eight lowest pairings P_0..P_7 of y along the word and
+three polynomials Q_1, Q_2, Q_3 of them with positive integer
+coefficients: the epsilon-side minors of x that are not monomials, up
+to monomial factors, as the Laurent phenomenon predicts
+(Fomin-Zelevinsky, Double Bruhat cells and total positivity, 1999;
+Cluster algebras I, 2002).  Each word keeps one table of them,
+``_LOWER_PARAMETERS``, and the signs are read off the parities of its
+exponents, with no x and no second fold.
+
 A vanishing minor means the input is outside the open chart for the
 chosen word; that is a recoverable condition (``NotFactorizable``), not
 a failure, and callers resample through ``redraw``.
@@ -63,7 +75,7 @@ from .minors import (
     weight_to_chamber,
 )
 from .scalars import EXACT_SCALARS
-from .weyl import G2_CARTAN, OMEGA, W
+from .weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W
 
 __all__ = [
     "NotFactorizable",
@@ -73,6 +85,7 @@ __all__ = [
     "alpha_factorize",
     "epsilon_signs",
     "alpha_signs",
+    "lower_signs",
     "flag_equal_opposed",
     "closed_form_epsilon",
     "closed_form_alpha",
@@ -85,6 +98,8 @@ class NotFactorizable(Exception):
 
     If a chamber minor vanished, ``level`` and ``weight`` name it and a_m,
     m = ``position``, is the first parameter along ``word`` to read it.
+    If a polynomial Q of ``lower_signs`` vanished, ``position`` names the
+    first p_k that reads it, and ``level`` and ``weight`` are None.
     """
 
     def __init__(self, message, word=None, level=None, weight=None, position=None):
@@ -251,6 +266,88 @@ def alpha_signs(y, word):
     """``alpha_factorize(y, word).signs()``, read without division."""
     word = _checked_word(y, word, True, "alpha_signs")
     return _factor_signs(y, word, lowest=True)
+
+
+def _q_212121(P0, P1, P2, P3, P4, P5, P6, P7):
+    return (
+        P0**3 * P4 * P6 + P1 * P2 * P5**3 + P2 * P3**3 * P6,
+        P0 * P4 * P5**2 + P1 * P5**3 + P3**3 * P6,
+        P0**3 * P4**3 * P5**3 + 3 * P0**2 * P1 * P4**2 * P5**4 + 3 * P0 * P1**2 * P4 * P5**5
+        + 3 * P0 * P1 * P3**3 * P4 * P5**2 * P6 + P1**3 * P5**6 + 2 * P1**2 * P3**3 * P5**3 * P6
+        + P1 * P3**6 * P6**2 + P2 * P3**3 * P4**2 * P5**3,
+    )
+
+
+def _q_121212(P0, P1, P2, P3, P4, P5, P6, P7):
+    return (
+        P0 * P4 * P6 + P1 * P2 * P5 + P2 * P3 * P6,
+        P0 * P4**3 * P5**2 + P1**3 * P5**3 + 3 * P1**2 * P3 * P5**2 * P6
+        + 3 * P1 * P3**2 * P5 * P6**2 + P3**3 * P6**3,
+        P0 * P4**3 * P5 + P1**3 * P5**2 + 2 * P1**2 * P3 * P5 * P6 + P1 * P3**2 * P6**2
+        + P2 * P3 * P4**2 * P5,
+    )
+
+
+#: y = y_{j_1}(p_1) ... y_{j_6}(p_6) along each reduced word of w0, read
+#: off the lowest pairings P_0..P_7 of y along it, in the order of
+#: ``_ansatz_weights(word, True)``: the word's three polynomials
+#: Q_1, Q_2, Q_3 of the P's, and per p_k its exponent vector over
+#: (P_0, ..., P_7, Q_1, Q_2, Q_3).  P_0 and P_2, the minors at -omega_1
+#: and -omega_2, are 1 on U-; their exponents make every p_k of degree 0
+#: when P_i weighs its level, as every Q is homogeneous, so the integral
+#: pairings, P_i times den**level, give the p_k themselves.
+_LOWER_PARAMETERS = {
+    WORD_I_TILDE: (_q_212121, (
+        (-1, 1, 1, 0, 1, 0, 1, 0, -1, 0, 0),
+        (1, -1, -1, 1, 0, 0, 0, 0, 1, -1, 0),
+        (-4, 2, 2, 0, 0, 0, 0, 0, -1, 3, -1),
+        (2, -1, -1, -2, -1, -1, 0, 0, 0, -1, 1),
+        (-4, 1, 2, 3, 2, 3, 0, 0, 0, 0, -1),
+        (2, 0, -1, 0, 0, -1, 0, 1, 0, 0, 0),
+    )),
+    WORD_I: (_q_121212, (
+        (0, 1, 1, 0, 1, 0, 1, 0, -1, 0, 0),
+        (1, -3, -4, 1, 0, 0, 0, 0, 3, -1, 0),
+        (-1, 2, 2, 0, 0, 0, 0, 0, -1, 1, -1),
+        (2, -3, -4, -2, -3, -1, 0, 0, 0, -1, 3),
+        (-1, 1, 2, 1, 2, 1, 0, 0, 0, 0, -1),
+        (2, 0, -4, 0, 0, -1, 0, 1, 0, 0, 0),
+    )),
+}
+
+#: per word, its Q's and per p_k the bit mask of the factors of odd exponent
+_LOWER_SIGNS = {
+    word: (q, tuple(sum(1 << i for i, e in enumerate(exps) if e % 2) for exps in table))
+    for word, (q, table) in _LOWER_PARAMETERS.items()
+}
+
+
+def lower_signs(y, word):
+    """``epsilon_signs(alpha_factorize(y, word).product(), word)``: the signs
+    of y = y_{j_1}(p_1) ... y_{j_6}(p_6) along ``word``, from one fold.
+
+    Each p_k is a Laurent monomial in the eight lowest minors of y along
+    ``word`` and the word's three positive polynomials Q of them
+    (``_LOWER_PARAMETERS``), so a p_k is negative iff an odd number of
+    its factors of odd exponent is.  Read off the integral pairings, no
+    ``Fraction`` is built.  A vanished minor raises ``NotFactorizable``
+    as in ``alpha_factorize``, and a vanished Q names the first p_k that
+    reads it: the points that the two-step path refuses.
+    """
+    word = _checked_word(y, word, True, "lower_signs")
+    *_, values = _pairings(y, word, True)
+    q, odd = _LOWER_SIGNS[word]
+    qs = q(*values)
+    if 0 in qs:
+        n = qs.index(0)
+        k = next(k for k, exps in enumerate(_LOWER_PARAMETERS[word][1], 1) if exps[8 + n])
+        raise NotFactorizable(
+            "Q_%d of the lowest minors along %s, read by p_%d, vanishes"
+            % (n + 1, "".join(map(str, word)), k),
+            word=word, position=k,
+        )
+    negative = sum(1 << i for i, v in enumerate(values + list(qs)) if v < 0)
+    return "".join("-" if (negative & mask).bit_count() & 1 else "+" for mask in odd)
 
 
 def flag_equal_opposed(x, y):

@@ -57,7 +57,7 @@ def check_distinguished_subexpressions():
     )
     for s in subs:
         require(
-            len(s.I) + len(s.J) + len(s.K) == 6 and len(s.J) == len(s.K),
+            len(s.J) == len(s.K),
             "index sets of %s are inconsistent",
             s.name,
         )

@@ -6,8 +6,11 @@ the words 121212 and 212121.  Components are therefore recovered by
 sampling points in each sign cell, re-factorizing along the other word
 and recording which sign cells overlap (``build_overlap_graph``).
 Wherever only the signs of a factorization are read, they come from
-``chamber.epsilon_signs`` or ``chamber.alpha_signs``, which form no
-quotient.
+``chamber.epsilon_signs``, ``chamber.alpha_signs`` or
+``chamber.lower_signs``, which form no quotient.  A sample folds its
+lower point once: the signs of its factorization along the other word
+are read off that fold's eight lowest minors and three positive
+polynomials Q of them, with no upper point built in between.
 Only ``compute_figure1`` samples, so only it is cached, for a few
 ``(samples, seed)`` pairs, and its partition is the one way to every
 stage above the graph.  Kept on the partition, this module computes
@@ -104,10 +107,9 @@ def _upper_mate(signs, rng):
 
 
 def _refactor_signs(point, word):
-    """Signs of the lower factorization of the point along the given word;
-    the upper half is exact, since its product is formed."""
-    upper = chamber.alpha_factorize(point, WORDS[word])
-    return chamber.epsilon_signs(upper.product(), WORDS[word])
+    """Signs of the lower factorization of the point along the given word,
+    read off one fold of the point (``chamber.lower_signs``)."""
+    return chamber.lower_signs(point, WORDS[word])
 
 
 def build_overlap_graph(samples=8, seed=42):

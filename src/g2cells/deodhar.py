@@ -59,6 +59,7 @@ __all__ = [
     "bruhat_position_plus",
     "verify_cell_chain",
     "verify_factor_chain",
+    "expected_chain",
     "position_chain",
     "factor_chain",
     "sample_magnitude",
@@ -235,11 +236,17 @@ def position_chain(cell, t, m):
     return factor_chain(cell_factors(cell, t, m))
 
 
+def expected_chain(cell):
+    """The chain (w0 sigma_j) that ``factor_chain`` gives at every point of
+    the cell."""
+    return tuple(W.w0 * s for s in cell.family.sigma)
+
+
 def verify_factor_chain(cell, factors):
     """True iff every partial product of the cell's ``factors`` sits in
     B- sigma_j B+."""
     try:
-        return factor_chain(factors) == tuple(W.w0 * s for s in cell.family.sigma)
+        return factor_chain(factors) == expected_chain(cell)
     except ArithmeticError:
         return False
 

@@ -69,6 +69,14 @@ class PolyFraction:
     def __pow__(self, n):
         return PolyFraction(self.num**n, self.den**n)
 
+    @property
+    def numerator(self):
+        return self.num
+
+    @property
+    def denominator(self):
+        return self.den
+
     def __eq__(self, other):
         other = self._of(other)
         if other is None:

@@ -1,5 +1,6 @@
 """Chamber Ansatz factorizations: closed forms, round trips, flags."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -96,6 +97,8 @@ def test_factorizations_reject_the_wrong_side(not_lower, not_upper):
         chamber.epsilon_factorize(not_upper, WORD_I_TILDE)
     with pytest.raises(ValueError, match="alpha_signs expects a unipotent lower"):
         chamber.alpha_signs(not_lower, WORD_I_TILDE)
+    with pytest.raises(ValueError, match="lower_signs expects a unipotent lower"):
+        chamber.lower_signs(not_lower, WORD_I)
     with pytest.raises(ValueError, match="epsilon_signs expects a unipotent upper"):
         chamber.epsilon_signs(not_upper, WORD_I_TILDE)
     with pytest.raises(ValueError, match="second argument"):
@@ -451,6 +454,8 @@ def test_each_factorization_folds_once(monkeypatch, word):
     params = [Fraction(v) for v in (2, -3, 5, -7, 11, -13)]
     upper = chamber.Factorization(word, params, "upper").product()
     lower = chamber.Factorization(word, params, "lower").product()
+    # the wedges and rows the pairings read are folded once per process
+    chamber.epsilon_signs(upper, word), chamber.alpha_signs(lower, word)
     calls = []
     fold = rep.apply_covector
     monkeypatch.setattr(rep, "apply_covector", lambda g, rows: calls.append(rows) or fold(g, rows))
@@ -462,6 +467,8 @@ def test_each_factorization_folds_once(monkeypatch, word):
     assert len(calls) == 3
     chamber.alpha_signs(lower, word)
     assert len(calls) == 4
+    chamber.lower_signs(lower, word)
+    assert len(calls) == 5
 
 
 @pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
@@ -510,9 +517,9 @@ def test_sign_readers_agree_with_the_quotients(direction, word, params):
 
 
 def test_sign_paths_build_no_fraction(monkeypatch):
-    """The epsilon signs of a fixed upper point are read without a single
-    ``Fraction`` in ``chamber`` or ``minors``, and an overlap-graph
-    sample reads its epsilon half through the sign reader alone."""
+    """The epsilon signs of a fixed upper point, and the mate of an
+    overlap-graph sample, are read without a single ``Fraction`` in
+    ``chamber`` or ``minors`` and without an Ansatz quotient."""
     xel = x_tilde((2, -3, 5, -7, 11, -13))
     lower = y_word(WORD_I, (2, -3, 5, -7, 11, -13))
 
@@ -524,13 +531,154 @@ def test_sign_paths_build_no_fraction(monkeypatch):
     with pytest.raises(AssertionError, match="a Fraction was built"):
         chamber.epsilon_factorize(xel, WORD_I_TILDE)
     assert chamber.epsilon_signs(xel, WORD_I_TILDE) == "+-+-+-"
-    monkeypatch.undo()
 
     def refuse_quotients(*args):
-        raise AssertionError("epsilon quotients were formed")
+        raise AssertionError("Ansatz quotients were formed")
 
+    monkeypatch.setattr(chamber, "alpha_factorize", refuse_quotients)
     monkeypatch.setattr(chamber, "epsilon_factorize", refuse_quotients)
     assert components._refactor_signs(lower, "it") == "-+-+-+"
+
+
+#: the lowest chamber weights P_0..P_7 of y along each word, with their
+#: levels, in the order the table of ``lower_signs`` reads them
+LOWEST_MINORS = {
+    WORD_I_TILDE: (
+        ("-e1", 1), ("e2-e1", 2), ("e3-e1", 2), ("e2", 1),
+        ("e2-e3", 2), ("-e3", 1), ("e1-e3", 2), ("e1", 1),
+    ),
+    WORD_I: (
+        ("e3-e1", 2), ("e3", 1), ("-e1", 1), ("e3-e2", 2),
+        ("-e2", 1), ("e1-e2", 2), ("e1", 1), ("e1-e3", 2),
+    ),
+}
+BOTH_WORDS = pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
+
+
+def _other(word):
+    return WORD_I if word == WORD_I_TILDE else WORD_I_TILDE
+
+
+def _laurent(values, exps):
+    """prod values[i] ** exps[i] as one ``PolyFraction``."""
+    num = den = 1
+    for v, e in zip(values, exps):
+        if e > 0:
+            num = num * v**e
+        elif e < 0:
+            den = den * v**-e
+    return PolyFraction(num, den)
+
+
+@BOTH_WORDS
+def test_lower_parameters_read_the_pinned_minors(word):
+    weights, _ = chamber._ansatz_weights(word, True)
+    got = tuple((mu.eps_label(), minors.weight_to_chamber(mu)[1]) for mu in weights)
+    assert got == LOWEST_MINORS[word]
+    # P_0 and P_2 are the minors at -omega_1 and -omega_2, 1 on U-
+    assert {weights[0], weights[2]} == {-OMEGA[1], -OMEGA[2]}
+
+
+@BOTH_WORDS
+def test_lower_parameters_are_an_identity_of_rational_functions(word):
+    """With P_0 = P_2 = 1 and P_1, P_3, ..., P_7 the generators a, ..., f,
+    x = alpha(y) is folded from the Ansatz's monomial parameters; epsilon
+    of x along the word is y again, and each of its parameters, a
+    quotient of polynomial pairings of x, is the table's p_k."""
+    P = list(variables())
+    P[0:0] = [1]
+    P[2:2] = [1]
+    _, steps = chamber._ansatz_weights(word, True)
+    x = rep.GroupElement(
+        ("x", jm, PolyFraction(P[num] ** exp, P[d1] * P[d2]))
+        for jm, (num, exp, d1, d2, _) in zip(word, steps)
+    )
+    _, steps, den, values = chamber._pairings(x, word, False)
+    q, table = chamber._LOWER_PARAMETERS[word]
+    factors = P + list(q(*P))
+    differ = [
+        "p_%d" % k
+        for k, ((num, exp, d1, d2, kden), exps) in enumerate(zip(steps, table), 1)
+        if _laurent(factors, exps)
+        != PolyFraction(values[num] ** exp * den**kden, values[d1] * values[d2])
+    ]
+    assert differ == []
+
+
+@BOTH_WORDS
+def test_lower_parameters_are_homogeneous_of_degree_zero(word):
+    """Weigh P_i by its level: every Q is homogeneous and every p_k of
+    degree 0, so the integral pairings, P_i times den**level, give each
+    p_k exactly and its sign in particular."""
+    t = variables()[0]
+    degrees = [level for _, level in LOWEST_MINORS[word]]
+    P = [c * t**level for c, level in zip((2, 3, 5, 7, 11, 13, 17, 19), degrees)]
+    q, table = chamber._LOWER_PARAMETERS[word]
+    for Q in q(*P):
+        # positive coefficients cannot cancel, so a second degree would show
+        (exps,) = Q.coeffs
+        degrees.append(exps[0])
+    assert [sum(e * d for e, d in zip(exps, degrees)) for exps in table] == [0] * 6
+
+
+def _two_step_signs(y, word):
+    """The reference: alpha of y along ``word``, its upper product, and the
+    epsilon signs of that product along the same word."""
+    return chamber.epsilon_signs(chamber.alpha_factorize(y, word).product(), word)
+
+
+@BOTH_WORDS
+def test_lower_signs_agree_with_the_two_step_path(word):
+    """On the grid {+-1, +-2}^6 of lower points along the other word, the
+    one-fold reader gives the reference's signs and refuses where it
+    does.  A vanished minor is named as the reference names it, a
+    vanished Q by the first p_k that reads it."""
+    q, table = chamber._LOWER_PARAMETERS[word]
+    vanished = set()
+    for params in itertools.product((1, -1, 2, -2), repeat=6):
+        y = y_word(_other(word), params)
+        try:
+            want = _two_step_signs(y, word)
+        except chamber.NotFactorizable as err:
+            with pytest.raises(chamber.NotFactorizable) as info:
+                chamber.lower_signs(y, word)
+            got = info.value
+            try:
+                chamber.alpha_factorize(y, word)
+            except chamber.NotFactorizable:  # a lowest minor vanished
+                assert (got.word, got.level, got.weight, got.position) == (
+                    err.word, err.level, err.weight, err.position)
+                continue
+            n = q(*chamber._pairings(y, word, True)[3]).index(0)
+            first = next(k for k, exps in enumerate(table, 1) if exps[8 + n])
+            assert (got.word, got.level, got.position) == (word, None, first)
+            assert str(got).startswith("Q_%d " % (n + 1))
+            vanished.add(n)
+            continue
+        assert chamber.lower_signs(y, word) == want, params
+    assert vanished
+
+
+@BOTH_WORDS
+def test_lower_parameters_are_exact_on_the_integral_pairings(word):
+    """At random rational lower points, the table evaluated on the integral
+    pairings is the two-step path's parameters, not only their signs."""
+    q, table = chamber._LOWER_PARAMETERS[word]
+    rng = random.Random(23)
+    done = 0
+    while done < 24:
+        params = tuple(
+            Fraction(rng.choice((1, -1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(6)
+        )
+        y = y_word(_other(word), params)
+        try:
+            want = chamber.epsilon_factorize(chamber.alpha_factorize(y, word).product(), word).params
+        except chamber.NotFactorizable:
+            continue
+        *_, values = chamber._pairings(y, word, True)
+        factors = values + list(q(*values))
+        assert tuple(_laurent(factors, exps) for exps in table) == want
+        done += 1
 
 
 def _reference_params(g, word, lowest):

@@ -163,6 +163,15 @@ def test_cell_point_output(capsys):
     assert "chain-valid      True" in out
 
 
+def test_cell_point_folds_its_chain_once(capsys, monkeypatch):
+    calls = []
+    fold = deodhar.factor_chain
+    monkeypatch.setattr(deodhar, "factor_chain", lambda factors: calls.append(1) or fold(factors))
+    code, out = run_cli(["cell-point", "--family", "x21x12", "--params", "1,2,3,5"], capsys)
+    assert code == 0 and "chain-valid      True" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -337,9 +337,9 @@ def test_partition_gates_on_hand_made_graphs(partition):
         components.connected_components(crossed)
 
 
-def test_one_graph_sample_builds_twelve_fractions(monkeypatch):
-    # six signed draws and six one-division Ansatz parameters; the epsilon
-    # half reads signs only
+def test_one_graph_sample_builds_six_fractions(monkeypatch):
+    # the six signed draws; the mate's signs are read off the integral
+    # pairings of one fold
     built = []
 
     def counting(*args):
@@ -354,4 +354,4 @@ def test_one_graph_sample_builds_twelve_fractions(monkeypatch):
         point = components._lower_point(word, signs, rng)
         assert len(built) == 6
         components._refactor_signs(point, other)
-        assert len(built) == 12
+        assert len(built) == 6
