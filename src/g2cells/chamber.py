@@ -57,8 +57,8 @@ a failure, and callers resample through ``redraw``.
 
 ``flag_equal_opposed`` cross-checks the maps by the flag identity
 x . [B-] = y . [B+], that is y^-1 x w0dot in B+.  Since B+ e B+ = B+,
-that is the plus Bruhat position of ``deodhar`` at the identity, which
-reads rows 6 and 5 of the V7 matrix alone.
+that is the plus Bruhat position of ``deodhar`` at the identity: one scan
+of rows 0 and 1 of w0dot y^-1 x w0dot, named in one pivot table.
 """
 
 from __future__ import annotations

@@ -13,11 +13,11 @@ or '-' at I positions, '0' at J positions and '*' at K positions, so
 the number of zeros is the codimension.
 
 Flags are always carried as coset representative matrices, and relative
-positions reduce to rank profiles of two rows of exact matrices: the w
-of g in B- w B+ is read off the top-left rank profile of rows 0 and 1,
-the one in B+ w B+ off the bottom-left rank profile of rows 6 and 5
-(``linalg``), and ``W.by_top_preimages`` and ``W.by_bottom_preimages``
-name the element.
+positions reduce to one scan, the top-left rank profile of rows 0 and 1
+(``linalg``), whose pivots name the element in one table, ``_PIVOTS``.
+The w of g in B- w B+ is read off rows 0 and 1 of g.  Since
+w0dot B+ w0dot^-1 = B-, the w of g in B+ w B+ is w0 times the one read
+off rows 0 and 1 of w0dot g: the two blocks ``minors`` folds.
 
 Two rows suffice for g in G2.  Row 0 of g is e_0^T g, and rows 0 and 1
 span e_0^T ^ e_1^T g; the lines [e_0^T] and [e_0^T ^ e_1^T] of
@@ -25,12 +25,11 @@ V(omega1)* and V(omega2)* are B- -stable.  So for g = b wdot b' with b
 in B- and b' in B+, row 0 leads in the column of weight w^-1 omega1,
 and rows 0 and 1 lead in two columns whose weights add up to
 w^-1 omega2.  Since omega1 + omega2 is regular, these two weights fix
-w.  Rows 6 and 5 read w^-1 (-omega1) and w^-1 (-omega2) the same way,
-with B+ in place of B-.  Outside G2 the argument fails: a matrix that
-swaps lines 0 and 1 lies in no double coset of a Weyl element, yet its
-two top rows read as s1.  So the positions take only a
-``rep.GroupElement``, which lies in G2 because ``rep`` builds one only
-from G2 atoms, and refuse any other input with ``TypeError``.
+w.  Outside G2 the argument fails: a matrix that swaps lines 0 and 1
+lies in no double coset of a Weyl element, yet its two top rows read
+as s1.  So the positions take only a ``rep.GroupElement``, which lies
+in G2 because ``rep`` builds one only from G2 atoms, and refuse any
+other input with ``TypeError``.
 
 Both positions read their two rows through ``rep.apply_covector``, so
 an element whose matrix is kept folds nothing more, and drop the common
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg, rep
+from . import linalg, minors, rep
 from .weyl import W, WORD_I, Subexpression, enumerate_distinguished
 
 __all__ = [
@@ -170,47 +169,53 @@ def cell_point(cell, t, m):
     return rep.group_product(cell_factors(cell, t, m))
 
 
-def _named(table, key):
-    w = table.get(key)
-    if w is None:
-        raise ArithmeticError("pivot columns %r are not those of a Weyl element" % (key,))
-    return w
+def _by_pivots(elements):
+    """Each element keyed by the lines it sends to lines 0 and 1, the pivots
+    of rows 0 and 1 in B- wdot B+; a shared key raises ``RuntimeError``."""
+    table = {}
+    for el in elements:
+        key = (el.perm.index(0), el.perm.index(1))
+        if key in table:
+            raise RuntimeError("lines 0 and 1 do not tell %r from %r" % (table[key], el))
+        table[key] = el
+    return table
+
+
+_PIVOTS = _by_pivots(W.elements)
 
 
 def _mixed_from_top_rows(rows):
     # p[j] = i < 2: row i leads in column j once row 1 is reduced against row 0
     p = linalg.bruhat_permutation_topleft(rows)
-    return _named(W.by_top_preimages, (p.index(0), p.index(1)))
+    key = (p.index(0), p.index(1))
+    w = _PIVOTS.get(key)
+    if w is None:
+        raise ArithmeticError("pivot columns %r are not those of a Weyl element" % (key,))
+    return w
 
 
-def _plus_from_bottom_rows(rows):
-    # rows 5 and 6 are block rows 0 and 1; the key lists row 6 first
-    p = linalg.bruhat_permutation_bottomleft(rows)
-    return _named(W.by_bottom_preimages, (p.index(1), p.index(0)))
-
-
-def _folded(g, block):
-    """The numerators of block . g, for the ``rep.GroupElement`` g; the
-    common denominator scales no rank, so it is dropped."""
+def _folded(g, read):
+    """The numerators of the block ``read`` folds through the
+    ``rep.GroupElement`` g, without the common denominator: it scales no rank."""
     if not isinstance(g, rep.GroupElement):
         raise TypeError(
             "a Bruhat position takes a rep.GroupElement, not %s" % type(g).__name__
         )
-    return rep.apply_covector(g, block)[0]
+    return read(g)[0]
 
 
 def bruhat_position_mixed(g):
     """The w with g in B- wdot B+, from the top-left rank profile of rows 0
     and 1 of its integral V7 matrix.  ``g`` must be a
     ``rep.GroupElement``."""
-    return _mixed_from_top_rows(_folded(g, rep.UNIT_ROWS[:2]))
+    return _mixed_from_top_rows(_folded(g, minors.highest_row))
 
 
 def bruhat_position_plus(g):
-    """The w with g in B+ wdot B+, from the bottom-left rank profile of rows
-    6 and 5 of its integral V7 matrix.  ``g`` must be a
+    """The w with g in B+ wdot B+: w0 times the mixed position of w0dot g,
+    read from rows 0 and 1 of w0dot g without forming it.  ``g`` must be a
     ``rep.GroupElement``."""
-    return _plus_from_bottom_rows(_folded(g, rep.UNIT_ROWS[5:]))
+    return W.w0 * _mixed_from_top_rows(_folded(g, minors.lowest_row))
 
 
 def factor_chain(factors):

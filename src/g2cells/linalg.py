@@ -8,14 +8,25 @@ fraction-free column-reduction scan, which serves the top-left profile
 directly and the bottom-left profile on the row-reversed block.  The
 scan takes a block of k <= n rows of full row rank: k = n gives the
 whole permutation, and a smaller k the part of it that lands in the
-block's rows, which is all ``deodhar`` reads.  Scaling a row or a
-column moves no rank profile, so the scan takes a group element's
-integral rows as they are, without their common denominator, and
-eliminates over the integers.  The per-submatrix rank definitions it
+block's rows.  ``deodhar`` reads only the top-left scan of two rows.
+Scaling a row or a column moves no rank profile, so the scan takes a
+group element's integral rows as they are, without their common
+denominator, and eliminates over the integers.  The per-submatrix rank definitions it
 is checked against live with the tests.
 """
 
 from __future__ import annotations
+
+__all__ = [
+    "mat_mul",
+    "mat_add",
+    "mat_sub",
+    "mat_scale",
+    "commutator",
+    "is_zero_matrix",
+    "bruhat_permutation_topleft",
+    "bruhat_permutation_bottomleft",
+]
 
 
 def mat_mul(A, B):

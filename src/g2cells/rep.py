@@ -44,14 +44,15 @@ through its kernel alone, and no fold builds a ``Fraction``.
 
 There is one reader of rows of an element, ``apply_covector``: a block
 of int covectors times g.  Every block of unit covectors is a slice of
-``UNIT_ROWS``: the minors fold rows 0 and 1 (of the identity or of
-wdot(w0)), the Bruhat positions rows 0 and 1 or 5 and 6.  The whole
-matrix, ``GroupElement.rows``, is the seven unit rows folded once and
-kept; only the unipotence predicates, ``==`` and the ``Fraction`` view
-``m7`` read it.  Once it is kept, ``apply_covector`` multiplies its
-block into it instead of walking the word again.  A word made only of
-x atoms lies in U+ and one made only of y atoms in U-, so the
-unipotence predicates read such words without folding a matrix.
+``UNIT_ROWS``: the minors and both Bruhat positions fold rows 0 and 1
+of the identity or of wdot(w0), and so read rows 0 and 1 of g or of
+wdot(w0) g.  The whole matrix, ``GroupElement.rows``, is the seven unit
+rows folded once and kept; only the unipotence predicates, ``==`` and
+the ``Fraction`` view ``m7`` read it.  Once it is kept,
+``apply_covector`` multiplies its block into it instead of walking the
+word again.  A word made only of x atoms lies in U+ and one made only
+of y atoms in U-, so the unipotence predicates read such words without
+folding a matrix.
 """
 
 from __future__ import annotations

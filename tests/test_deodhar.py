@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import linalg_reference
 from dense_reference import dense_product
 from g2cells import deodhar, linalg, rep
-from g2cells.weyl import W, WORD_I
+from g2cells.weyl import OMEGA, V7_WEIGHTS, W, WORD_I, Weight
 
 V7 = rep.build_representations()
 
@@ -105,6 +105,25 @@ def test_cell_point_validates_signs():
         deodhar.cell_point(cell, (1,), (0, 0))  # arity
 
 
+def test_two_line_keys_name_each_element():
+    """The lines w sends to lines 0 and 1 carry the weights w^-1 omega1 and
+    w^-1 omega2 - w^-1 omega1, which fix w."""
+    assert sorted(deodhar._PIVOTS.values(), key=lambda w: w.index) == list(W.elements)
+    for key, w in deodhar._PIVOTS.items():
+        assert key == (w.perm.index(0), w.perm.index(1))
+        inverse = next(v for v in W.elements if v * w is W.identity)
+        first, second = (V7_WEIGHTS[j] for j in key)
+        assert first == inverse.act(OMEGA[1])
+        assert Weight(first.n1 + second.n1, first.n2 + second.n2) == inverse.act(OMEGA[2])
+
+
+def test_a_shared_line_key_is_refused():
+    # a permutation that agrees with e on lines 0 and 1 but swaps 5 and 6
+    impostor = SimpleNamespace(perm=(0, 1, 2, 3, 4, 6, 5))
+    with pytest.raises(RuntimeError, match="do not tell"):
+        deodhar._by_pivots(W.elements + (impostor,))
+
+
 def test_mixed_position_examples():
     assert deodhar.bruhat_position_mixed(rep.group_identity()) is W.identity
     assert deodhar.bruhat_position_mixed(rep.x(1, Fraction(1))) is W.identity
@@ -117,7 +136,7 @@ def test_mixed_position_examples():
     assert linalg.bruhat_permutation_topleft(swap) not in W.by_perm
     # yet its two top rows read as s1, so the positions refuse any matrix
     # that is not a group element, which lies in G2 by construction
-    assert W.by_top_preimages[(1, 0)] is W.s(1)
+    assert deodhar._PIVOTS[(1, 0)] is W.s(1)
     for position in (deodhar.bruhat_position_mixed, deodhar.bruhat_position_plus):
         with pytest.raises(TypeError, match="SimpleNamespace"):
             position(SimpleNamespace(rows=(swap, 1)))
@@ -175,6 +194,10 @@ def test_positions_agree_with_rank_profiles_on_double_cosets(w):
         plus = _random_borel(rng, "x") * rep.wdot(w) * _random_borel(rng, "x")
         assert deodhar.bruhat_position_plus(plus) is w
         assert W.by_perm[linalg_reference.bruhat_permutation_bottomleft_by_ranks(plus.m7)] is w
+        # w0dot B+ w0dot^-1 = B-: the plus position is w0 times the mixed
+        # position of w0dot g
+        assert deodhar.bruhat_position_plus(plus) is \
+            W.w0 * deodhar.bruhat_position_mixed(rep.wdot(W.w0) * plus)
 
 
 def test_position_chains_agree_with_dense_prefix_products():

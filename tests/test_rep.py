@@ -602,13 +602,17 @@ def test_unipotence_of_pure_words_needs_no_fold(monkeypatch):
         rep.is_unipotent_lower(lower * rep.sdot(1) * rep.sdot_inverse(1))
 
 
-@pytest.mark.parametrize("level", (1, 2), ids=("V7", "Lambda2V7"))
-def test_representations_are_built_over_ints(level):
+def test_generators_and_divided_powers_are_ints():
     for mats in (V7.e, V7.f, V7.h):
         for mat in mats.values():
             assert all(type(v) is int for row in mat for v in row)
     for terms in V7._int_terms.values():
         assert terms and all(type(v) is int for term in terms for v in term)
+
+
+@pytest.mark.parametrize("level", (1, 2), ids=("V7", "Lambda2V7"))
+def test_representations_are_built_over_ints(level):
+    """The extremal wedge of every chamber weight of the level is ints."""
     for w in W.elements:
         mu = w.act(OMEGA[level])
         cols, coeff = minors._extremal_by_weight(mu.n1, mu.n2)

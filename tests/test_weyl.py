@@ -10,7 +10,6 @@ from g2cells.weyl import (
     ALPHA,
     G2_CARTAN,
     OMEGA,
-    V7_WEIGHTS,
     W,
     WORD_I,
     WORD_I_TILDE,
@@ -59,33 +58,6 @@ def test_group_order_and_longest():
     assert len(W.elements) == 12
     assert len(MATRIX_GROUP) == 12
     assert W.w0.length == 6
-
-
-@pytest.mark.parametrize(
-    "table, lines, omega",
-    (
-        (W.by_top_preimages, (0, 1), OMEGA),
-        (W.by_bottom_preimages, (6, 5), {l: -mu for l, mu in OMEGA.items()}),
-    ),
-    ids=("top", "bottom"),
-)
-def test_two_line_keys_name_each_element(table, lines, omega):
-    """The lines w sends to lines 0 and 1 carry the weights w^-1 omega1 and
-    w^-1 omega2 - w^-1 omega1, which fix w; lines 6 and 5 do the same
-    with -omega1 and -omega2."""
-    assert sorted(table.values(), key=lambda w: w.index) == list(W.elements)
-    for key, w in table.items():
-        assert key == tuple(w.perm.index(line) for line in lines)
-        inverse = next(v for v in W.elements if v * w is W.identity)
-        first, second = (V7_WEIGHTS[j] for j in key)
-        assert first == inverse.act(omega[1])
-        assert Weight(first.n1 + second.n1, first.n2 + second.n2) == inverse.act(omega[2])
-
-
-def test_a_shared_line_key_is_refused():
-    # every element fixes the zero-weight line 3
-    with pytest.raises(RuntimeError, match="do not tell"):
-        weyl._by_preimages(W.elements, (3,))
 
 
 def test_multiplication_against_matrix_model():
