@@ -12,8 +12,11 @@ where u_m = s_{j_1}...s_{j_m} is the m-th prefix of the word, Delta is
 the highest-coefficient minor of x for epsilon, and the lowest
 coefficient minor Delta_- at the negated chamber weights -u_m omega_j
 of y for alpha.  The closed forms below are the same maps written out
-for the sextuple words of w0, as plain rational maps.  The tests prove
-all eight forms identities of rational functions: over Q[a..f], at
+for the sextuple words of w0, as plain rational maps.  They run over
+the one quotient class, ``scalars.Quotient``: ``_exact`` reads each
+coordinate as an unreduced quotient of ints and builds one ``Fraction``
+per output, so the forms take no gcd.  The tests prove all eight forms
+identities of rational functions over the same class: over Q[a..f], at
 x_2(a)x_1(b)...x_1(f) for epsilon and at a family's cell point with the
 generators as coordinates for alpha, each a_m is the Ansatz's quotient
 of minor pairings.  Check 4 cross-checks them at random rational
@@ -74,7 +77,7 @@ from .minors import (
     pair_row_with_weight,
     weight_to_chamber,
 )
-from .scalars import EXACT_SCALARS
+from .scalars import EXACT_SCALARS, Quotient
 from .weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W
 
 __all__ = [
@@ -369,18 +372,34 @@ def flag_equal_opposed(x, y):
 # ---------------------------------------------------------------------------
 
 
-def _exact(form, *coords):
-    """``form`` at ``coords``, tuples of ints and ``Fraction``s, as ``Fraction``s
-    (``TypeError`` on any other scalar).  Each value a form divides by is a
-    factor of a denominator it returns, so a zero one is a chart miss."""
+def _exact(form, counts, *coords):
+    """``form`` at ``coords``, tuples of ints and ``Fraction``s of the lengths
+    ``counts``, as ``Fraction``s (``ValueError`` on another length,
+    ``TypeError`` on any other scalar).
+
+    Each coordinate is read as an unreduced ``Quotient`` of ints, so the
+    form's arithmetic takes no gcd, and each output is reduced once, by
+    the one ``Fraction`` built for it.  A division by zero raises where it
+    happens, at the points where ``Fraction`` arithmetic raises: each value
+    a form divides by is a factor of a denominator it returns, so a zero
+    one is a chart miss.
+    """
+    if tuple(map(len, coords)) != counts:
+        raise ValueError(
+            "the closed form %s takes %s coordinates, not %s"
+            % (form.__name__, " + ".join(map(str, counts)),
+               " + ".join(str(len(values)) for values in coords))
+        )
     for values in coords:
         for v in values:
             if not isinstance(v, (int, Fraction)):
                 raise TypeError("a closed form takes ints and Fractions, not %r" % (v,))
     try:
-        return form(*(tuple(Fraction(v) for v in values) for values in coords))
+        out = form(*(tuple(Quotient(v.numerator, v.denominator) for v in values)
+                     for values in coords))
     except ZeroDivisionError as exc:
         raise NotFactorizable("the closed form %s divides by zero" % form.__name__) from exc
+    return tuple(Fraction(q.num, q.den) for q in out)
 
 
 def _epsilon_212121(params):
@@ -408,7 +427,7 @@ def closed_form_epsilon(params):
     Closed form of ``epsilon_factorize`` on the word (2,1,2,1,2,1); it
     takes and refuses scalars as ``closed_form_alpha`` does.
     """
-    return _exact(_epsilon_212121, params)
+    return _exact(_epsilon_212121, (len(WORD_I_TILDE),), params)
 
 
 def _alpha_x21x12(t, m):
@@ -545,11 +564,12 @@ def closed_form_alpha(name, t, m):
 
     ``t`` and ``m`` list the R*-coordinates and R-coordinates in
     position order, as ints or ``Fraction``s: any other scalar raises
-    ``TypeError``, a point off the chart ``NotFactorizable``, and an
-    unknown name ``KeyError``.
+    ``TypeError``, a count off the family's ``ValueError``, a point off
+    the chart ``NotFactorizable``, and an unknown name ``KeyError``.
     """
     try:
         fn = CLOSED_FORM_FAMILIES[name]
     except KeyError:
         raise KeyError("no closed alpha form for family %r" % (name,))
-    return _exact(fn, t, m)
+    fam = deodhar.family_by_name(name)
+    return _exact(fn, (len(fam.I), len(fam.K)), t, m)

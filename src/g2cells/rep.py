@@ -372,10 +372,12 @@ def sdot_inverse(i):
 
 def coweight(i, t):
     """The torus element with eigenvalue t^<alpha_i^vee, mu> on weight mu,
-    t a nonzero int or ``Fraction``."""
+    t a nonzero int or ``Fraction``: the letter and the type are checked
+    before the zero test."""
+    g = _atom("coweight", i, t, exact=(int, Fraction))
     if t == 0:
         raise ValueError("coweight argument must be nonzero")
-    return _atom("coweight", i, t, exact=(int, Fraction))
+    return g
 
 
 @lru_cache(maxsize=None)

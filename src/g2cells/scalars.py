@@ -9,8 +9,11 @@ Q[a..f] in ``VARIABLES``.  It carries only the symbolic minors, the
 calibration table, so it has only the operations their fold and pairing
 use, and the negation of an x or y parameter by an inverse.  A fold
 reads a parameter as ``numerator`` over ``denominator``, and a ``Poly``
-is itself over 1, as an ``int`` is.  Quotients of polynomials are never
-formed.
+is itself over 1, as an ``int`` is.  ``Quotient`` is the one quotient
+class: a numerator over a nonzero denominator, ints or ``Poly``s, never
+reduced.  A closed form of the Chamber Ansatz runs over it at ints,
+with one ``Fraction`` built per output, and at the generators of
+Q[a..f] for the tests that prove it an identity of rational functions.
 """
 
 from __future__ import annotations
@@ -151,3 +154,84 @@ class Poly:
 
 #: the exact scalar types: an atom's or a factorization's parameter is one of them
 EXACT_SCALARS = (int, Fraction, Poly)
+
+
+def _quotient(value):
+    """A ``Quotient`` as it is, an exact scalar over 1, else None."""
+    if isinstance(value, Quotient):
+        return value
+    if isinstance(value, EXACT_SCALARS):
+        return Quotient(value)
+    return None
+
+
+class Quotient:
+    """num / den, each an exact scalar and den nonzero, never reduced.
+
+    Sums, products and quotients multiply numerators and denominators
+    out, with no gcd, and ``==`` cross-multiplies.  A division by a zero
+    value raises ``ZeroDivisionError`` where it happens, as a
+    ``Fraction`` does.  ``Poly`` has no subtraction, so a difference adds
+    the negated numerator.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=1):
+        if den == 0:
+            raise ZeroDivisionError("a Quotient over 0")
+        self.num, self.den = num, den
+
+    def __add__(self, other):
+        other = _quotient(other)
+        if other is None:
+            return NotImplemented
+        return Quotient(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        other = _quotient(other)
+        if other is None:
+            return NotImplemented
+        return Quotient(self.num * other.den + -other.num * self.den, self.den * other.den)
+
+    def __mul__(self, other):
+        other = _quotient(other)
+        if other is None:
+            return NotImplemented
+        return Quotient(self.num * other.num, self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return Quotient(-self.num, self.den)
+
+    def __truediv__(self, other):
+        other = _quotient(other)
+        if other is None:
+            return NotImplemented
+        return Quotient(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        other = _quotient(other)
+        if other is None:
+            return NotImplemented
+        return Quotient(other.num * self.den, other.den * self.num)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("quotient powers must be nonnegative integers")
+        return Quotient(self.num**n, self.den**n)
+
+    @property
+    def numerator(self):
+        return self.num
+
+    @property
+    def denominator(self):
+        return self.den
+
+    def __eq__(self, other):
+        other = _quotient(other)
+        if other is None:
+            return NotImplemented
+        return self.num * other.den == other.num * self.den

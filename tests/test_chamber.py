@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dense_reference import dense_product
 from g2cells import chamber, checks, components, deodhar, fixtures, minors, rep
-from g2cells.scalars import variables
+from g2cells.scalars import Quotient, variables
 from g2cells.weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
-from poly_fractions import PolyFraction
 
 
 def x_tilde(params):
@@ -256,11 +256,11 @@ def test_epsilon_closed_form_is_an_identity_of_rational_functions():
     point = chamber.Factorization(WORD_I_TILDE, params, "upper").product()
     _, steps, den, values = chamber._pairings(point, WORD_I_TILDE, False)
     assert den == 1
-    closed = chamber._epsilon_212121(tuple(PolyFraction(v) for v in params))
+    closed = chamber._epsilon_212121(tuple(Quotient(v) for v in params))
     differ = [
         "a_%d" % m
         for m, ((num, exp, d1, d2, _), form) in enumerate(zip(steps, closed), 1)
-        if form != PolyFraction(values[num] ** exp, values[d1] * values[d2])
+        if form != Quotient(values[num] ** exp, values[d1] * values[d2])
     ]
     assert differ == []
 
@@ -277,12 +277,12 @@ def test_alpha_closed_form_is_an_identity_of_rational_functions(name):
     _, steps, den, values = chamber._pairings(point, WORD_I_TILDE, True)
     assert den == 1
     closed = chamber.CLOSED_FORM_FAMILIES[name](
-        tuple(map(PolyFraction, t)), tuple(map(PolyFraction, m))
+        tuple(map(Quotient, t)), tuple(map(Quotient, m))
     )
     differ = [
         "a_%d" % k
         for k, ((num, exp, d1, d2, _), form) in enumerate(zip(steps, closed), 1)
-        if form != PolyFraction(values[num] ** exp, values[d1] * values[d2])
+        if form != Quotient(values[num] ** exp, values[d1] * values[d2])
     ]
     assert differ == []
 
@@ -346,6 +346,66 @@ def test_closed_forms_refuse_inexact_coordinates(kind, bad):
             spoiled[k] = values[:j] + (bad,) + values[j + 1:]
             with pytest.raises(TypeError):
                 _closed_form(kind, spoiled)
+
+
+def _form(kind):
+    return chamber._epsilon_212121 if kind == "epsilon" else chamber.CLOSED_FORM_FAMILIES[kind]
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+def test_closed_forms_refuse_a_wrong_coordinate_count(kind):
+    """One coordinate short or over, in any group, raises a ``ValueError``
+    naming the form and the counts it takes."""
+    coords = FIRST_POLYNOMIAL_ZEROS[kind]
+    takes = " + ".join(str(len(values)) for values in coords)
+    message = re.escape("the closed form %s takes %s coordinates" % (_form(kind).__name__, takes))
+    for k, values in enumerate(coords):
+        for wrong in (values[:-1], values + (1,)):
+            with pytest.raises(ValueError, match=message):
+                _closed_form(kind, coords[:k] + (wrong,) + coords[k + 1:])
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORMS)
+def test_quotient_path_agrees_with_fraction_arithmetic(kind):
+    """On the grid {-1, 1, 2} of each form's coordinates, the closed form
+    over unreduced quotients gives the values that ``Fraction`` arithmetic
+    gives, and refuses the points where it divides by zero."""
+    sizes = tuple(map(len, FIRST_POLYNOMIAL_ZEROS[kind]))
+    refused = 0
+    for flat in itertools.product((-1, 1, 2), repeat=sum(sizes)):
+        coords = (flat,) if len(sizes) == 1 else (flat[: sizes[0]], flat[sizes[0]:])
+        try:
+            want = _form(kind)(*(tuple(map(Fraction, c)) for c in coords))
+        except ZeroDivisionError:
+            want = None
+        try:
+            got = _closed_form(kind, coords)
+        except chamber.NotFactorizable:
+            got = None
+        assert got == want, coords
+        refused += got is None
+    assert refused > 0
+
+
+def test_closed_forms_build_one_fraction_per_output(monkeypatch):
+    """The forms run no ``Fraction`` arithmetic: ``_exact`` builds the six
+    output ``Fraction``s and no other."""
+    params = (Fraction(2, 3), Fraction(-5, 7), Fraction(11, 13),
+              Fraction(-3, 17), Fraction(19, 5), Fraction(-23, 29))
+    t, m = params[:2], params[2:4]
+    new = vars(Fraction)["__new__"].__func__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    for evaluate in (lambda: chamber.closed_form_epsilon(params),
+                     lambda: chamber.closed_form_alpha("x21x12", t, m)):
+        built.clear()
+        got = evaluate()
+        assert len(built) == 6 and len(got) == 6
 
 
 def test_redraw_returns_first_factorizable_draw():
@@ -560,14 +620,14 @@ def _other(word):
 
 
 def _laurent(values, exps):
-    """prod values[i] ** exps[i] as one ``PolyFraction``."""
+    """prod values[i] ** exps[i] as one ``Quotient``."""
     num = den = 1
     for v, e in zip(values, exps):
         if e > 0:
             num = num * v**e
         elif e < 0:
             den = den * v**-e
-    return PolyFraction(num, den)
+    return Quotient(num, den)
 
 
 @BOTH_WORDS
@@ -590,7 +650,7 @@ def test_lower_parameters_are_an_identity_of_rational_functions(word):
     P[2:2] = [1]
     _, steps = chamber._ansatz_weights(word, True)
     x = rep.GroupElement(
-        ("x", jm, PolyFraction(P[num] ** exp, P[d1] * P[d2]))
+        ("x", jm, Quotient(P[num] ** exp, P[d1] * P[d2]))
         for jm, (num, exp, d1, d2, _) in zip(word, steps)
     )
     _, steps, den, values = chamber._pairings(x, word, False)
@@ -600,7 +660,7 @@ def test_lower_parameters_are_an_identity_of_rational_functions(word):
         "p_%d" % k
         for k, ((num, exp, d1, d2, kden), exps) in enumerate(zip(steps, table), 1)
         if _laurent(factors, exps)
-        != PolyFraction(values[num] ** exp * den**kden, values[d1] * values[d2])
+        != Quotient(values[num] ** exp * den**kden, values[d1] * values[d2])
     ]
     assert differ == []
 

@@ -120,6 +120,19 @@ def test_no_private_reads_across_modules():
     assert reads == [], "private attributes read across modules: %s" % reads
 
 
+def test_scalars_holds_the_only_quotient_class():
+    """No package or test module but ``scalars`` defines a division: the
+    closed forms and their identity tests share its one ``Quotient``."""
+    dividers = [
+        (path.relative_to(ROOT).as_posix(), node.lineno)
+        for path in SOURCES + sorted((ROOT / "tests").glob("*.py"))
+        if path.name != "scalars.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name in ("__truediv__", "__rtruediv__")
+    ]
+    assert dividers == [], "division defined outside scalars: %s" % dividers
+
+
 #: the names through which only ``rep`` reads rows of an element: the
 #: matrix, the slot that keeps it, its ``Fraction`` view and the fold
 ROW_READERS = {"rows", "kept", "m7", "_fold_rows"}

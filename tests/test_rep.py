@@ -525,6 +525,8 @@ def test_parametric_atoms_refuse_bad_letters_and_inexact_parameters(make):
         make(1, 0.5)
     with pytest.raises(TypeError):
         make(2, 2.0)
+    with pytest.raises(TypeError):
+        make(1, 0.0)
     for t in (2, Fraction(2, 3)):
         assert make(2, t).provenance == ((make.__name__, 2, t),)
 
