@@ -30,10 +30,8 @@ from .rep import (
     coweight,
     group_identity,
     group_product,
-    is_lower,
     is_unipotent_lower,
     is_unipotent_upper,
-    is_upper,
     sdot,
     sdot_inverse,
     wdot,

@@ -149,7 +149,6 @@ LEVEL1_LABELS = ("e1", "-e3", "-e2", "e2", "e3", "-e1")
 LEVEL2_LABELS = ("e1-e3", "e1-e2", "e2-e3", "e3-e2", "e2-e1", "e3-e1")
 
 
-@lru_cache(maxsize=None)
 def symbolic_minors():
     """All 12 minors of x_2(a) x_1(b) x_2(c) x_1(d) x_2(e) x_1(f).
 

@@ -78,8 +78,6 @@ __all__ = [
     "group_product",
     "apply_covector",
     "UNIT_ROWS",
-    "is_upper",
-    "is_lower",
     "is_unipotent_upper",
     "is_unipotent_lower",
 ]
@@ -408,19 +406,10 @@ def apply_covector(g, rows):
 
 
 # ---------------------------------------------------------------------------
-# triangularity predicates, read from the integral rows: a unit diagonal
-# entry equals the denominator
+# unipotence predicates, read from the integral rows in one scan: a unit
+# diagonal entry equals the denominator.  Membership in B+ is not tested
+# here: bruhat_position_plus(g) is W.identity decides it (B+ e B+ = B+).
 # ---------------------------------------------------------------------------
-
-
-def is_upper(g):
-    rows, _ = g.rows
-    return all(not any(row[:i]) for i, row in enumerate(rows))
-
-
-def is_lower(g):
-    rows, _ = g.rows
-    return all(not any(row[i + 1:]) for i, row in enumerate(rows))
 
 
 def is_unipotent_upper(g):
@@ -428,7 +417,7 @@ def is_unipotent_upper(g):
     if all(atom[0] == "x" for atom in g.provenance):
         return True
     rows, den = g.rows
-    return is_upper(g) and all(rows[i][i] == den for i in range(7))
+    return all(row[i] == den and not any(row[:i]) for i, row in enumerate(rows))
 
 
 def is_unipotent_lower(g):
@@ -436,5 +425,4 @@ def is_unipotent_lower(g):
     if all(atom[0] == "y" for atom in g.provenance):
         return True
     rows, den = g.rows
-    return is_lower(g) and all(rows[i][i] == den for i in range(7))
-
+    return all(row[i] == den and not any(row[i + 1:]) for i, row in enumerate(rows))

@@ -180,7 +180,10 @@ class WeylGroup:
     # -- group operations -------------------------------------------------
 
     def s(self, i):
-        return self._s[i]
+        """The simple reflection s_i, for the letter i in {1, 2}."""
+        if i in (1, 2):
+            return self._s[i]
+        raise ValueError("letter must be 1 or 2, not %r" % (i,))
 
     def product(self, a, b):
         return self._mult[a.index][b.index]
@@ -188,7 +191,7 @@ class WeylGroup:
     def from_word(self, word):
         el = self.identity
         for i in word:
-            el = self.product(el, self._s[i])
+            el = self.product(el, self.s(i))
         return el
 
     def is_reduced(self, word):

@@ -11,7 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 from dense_reference import dense_product
 from g2cells import chamber, checks, components, deodhar, fixtures, minors, rep
 from g2cells.scalars import Quotient, variables
-from g2cells.weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W, Weight, weight_by_label
+from g2cells.weyl import (
+    G2_CARTAN,
+    OMEGA,
+    WORD_I,
+    WORD_I_TILDE,
+    W,
+    Weight,
+    enumerate_distinguished,
+    weight_by_label,
+)
 
 
 def x_tilde(params):
@@ -112,6 +121,25 @@ def test_factorize_rejects_bad_words():
         chamber.epsilon_factorize(x_tilde((1,) * 6), (1, 2, 1, 2, 1, 1))
     with pytest.raises(ValueError):
         chamber.epsilon_factorize(x_tilde((1,) * 6), (1, 2, 1))
+
+
+BAD_WORD = (1, 2, 1, 2, 1, 3)
+
+
+@pytest.mark.parametrize("call", (
+    lambda: W.s(3),
+    lambda: W.from_word((3,)),
+    lambda: enumerate_distinguished((1, 3)),
+    lambda: chamber.epsilon_factorize(x_tilde((1,) * 6), BAD_WORD),
+    lambda: chamber.alpha_factorize(y_word(WORD_I, (1,) * 6), BAD_WORD),
+    lambda: chamber.epsilon_signs(x_tilde((1,) * 6), BAD_WORD),
+    lambda: chamber.alpha_signs(y_word(WORD_I, (1,) * 6), BAD_WORD),
+    lambda: chamber.lower_signs(y_word(WORD_I, (1,) * 6), BAD_WORD),
+), ids=("s", "from_word", "enumerate_distinguished", "epsilon_factorize",
+        "alpha_factorize", "epsilon_signs", "alpha_signs", "lower_signs"))
+def test_a_bad_letter_in_a_word_is_refused_by_name(call):
+    with pytest.raises(ValueError, match="letter must be 1 or 2, not 3"):
+        call()
 
 
 @pytest.mark.parametrize("name", sorted(chamber.CLOSED_FORM_FAMILIES))

@@ -94,6 +94,31 @@ def test_no_unread_module_names():
     assert unread == [], "module-level names nothing reads: %s" % unread
 
 
+#: the ``__all__`` of each package module that has one
+LISTED = {p: names for p in SOURCES if (names := _exported_names(ast.parse(p.read_text())))}
+
+
+@pytest.mark.parametrize("path", list(LISTED), ids=[p.name for p in LISTED])
+def test_every_listed_name_is_defined(path):
+    """A deleted function leaves no stale ``__all__`` entry behind."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    stale = sorted(LISTED[path] - {name for name, _ in _defined_names(tree)})
+    assert stale == [], "%s lists names it does not define: %s" % (path.name, stale)
+
+
+def test_the_package_reexports_only_listed_names():
+    """Every name ``g2cells`` re-exports from a module with an ``__all__``
+    is listed there."""
+    init = ROOT / "src" / "g2cells" / "__init__.py"
+    unlisted = []
+    for node in ast.parse(init.read_text(), filename=str(init)).body:
+        if isinstance(node, ast.ImportFrom):
+            listed = LISTED.get(init.with_name(node.module + ".py"))
+            if listed:
+                unlisted += [(node.module, a.name) for a in node.names if a.name not in listed]
+    assert unlisted == [], "re-exported names missing from __all__: %s" % unlisted
+
+
 def test_benchmark_patches_resolve():
     """Every name the benchmark tracer wraps is still defined where it is patched."""
     sys.path.insert(0, str(ROOT / "benchmarks"))

@@ -245,7 +245,13 @@ def test_symbolic_minors_fold_once(monkeypatch):
     calls = []
     fold = rep.apply_covector
     monkeypatch.setattr(rep, "apply_covector", lambda g, rows: calls.append(rows) or fold(g, rows))
-    minors.symbolic_minors.cache_clear()
     table = minors.symbolic_minors()
     assert len(calls) == 1
     assert list(table) == list(minors.LEVEL1_LABELS + minors.LEVEL2_LABELS)
+
+
+def test_a_mutated_minor_table_leaves_the_next_call_whole():
+    table = minors.symbolic_minors()
+    table.pop("e1")
+    table["-e3"] = 0
+    assert minors.symbolic_minors() == fixtures.minor_polynomials()

@@ -456,7 +456,6 @@ CACHE_BOUNDS = {
     "rep.wdot": len(W.elements),
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
-    "minors.symbolic_minors": 1,
     "chamber._ansatz_weights": 4,  # two words x two directions
     "deodhar.families": 1,
     "components._figure1": 4,  # (samples, seed) is unbounded: its maxsize
@@ -553,9 +552,16 @@ def test_weyl_representatives_refuse_bad_letters(make):
 def test_triangularity_predicates():
     assert rep.is_unipotent_lower(rep.y(1, Fraction(5)))
     assert rep.is_unipotent_upper(rep.x(2, Fraction(-3)))
-    assert not rep.is_upper(rep.sdot(1))
-    assert rep.is_upper(rep.coweight(1, Fraction(2)))
+    # Borel membership is read off the plus position: B+ e B+ = B+
+    assert deodhar.bruhat_position_plus(rep.sdot(1)) is not W.identity
+    assert deodhar.bruhat_position_plus(rep.coweight(1, Fraction(2))) is W.identity
+    # a diagonal entry off den, on either side
     assert not rep.is_unipotent_upper(rep.coweight(1, Fraction(2)))
+    assert not rep.is_unipotent_lower(rep.coweight(1, Fraction(2)))
+    assert not rep.is_unipotent_lower(rep.y(1, Fraction(2)) * rep.coweight(2, Fraction(3)))
+    # a unit diagonal with an entry on the other side of it
+    assert not rep.is_unipotent_upper(rep.y(1, Fraction(5)) * rep.x(2, Fraction(1)))
+    assert not rep.is_unipotent_lower(rep.x(2, Fraction(-3)) * rep.y(1, Fraction(1)))
 
 
 def _unipotent_by_m7(g, lower):
