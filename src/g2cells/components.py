@@ -7,10 +7,12 @@ sampling points in each sign cell, re-factorizing along the other word
 and recording which sign cells overlap (``build_overlap_graph``).
 Wherever only the signs of a factorization are read, they come from
 ``chamber.epsilon_signs``, ``chamber.alpha_signs`` or
-``chamber.lower_signs``, which form no quotient.  A sample folds its
-lower point once: the signs of its factorization along the other word
-are read off that fold's eight lowest minors and three positive
-polynomials Q of them, with no upper point built in between.
+``chamber.lower_signs``, which form no quotient.  A sample is one
+table draw per parameter (``deodhar.sample_magnitude``), one product of
+the six ``rep.y`` atoms and one fold of that lower point: the signs of
+its factorization along the other word are read off the fold's eight
+lowest minors and three positive polynomials Q of them, with no upper
+point built in between.
 Only ``compute_figure1`` samples, so only it is cached, for a few
 ``(samples, seed)`` pairs, and its partition is the one way to every
 stage above the graph.  Kept on the partition, this module computes
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import chamber, deodhar, fixtures
+from . import chamber, deodhar, fixtures, rep
 from .weyl import WORD_I, WORD_I_TILDE
 
 __all__ = [
@@ -95,14 +97,16 @@ def _signed_params(signs, rng):
 
 
 def _lower_point(word, signs, rng):
-    params = _signed_params(signs, rng)
-    return chamber.Factorization(WORDS[word], params, "lower").product()
+    """A random point of a lower sign cell: the product of its six
+    ``rep.y`` atoms, as ``chamber.Factorization(..., "lower").product()``
+    builds it, without its parameter checks, since every draw is a
+    nonzero ``Fraction``."""
+    return rep.group_product(map(rep.y, WORDS[word], _signed_params(signs, rng)))
 
 
 def _upper_mate(signs, rng):
     """Signs of epsilon at a random point of an upper sign cell along 212121."""
-    params = _signed_params(signs, rng)
-    point = chamber.Factorization(WORD_I_TILDE, params, "upper").product()
+    point = rep.group_product(map(rep.x, WORD_I_TILDE, _signed_params(signs, rng)))
     return chamber.epsilon_signs(point, WORD_I_TILDE)
 
 

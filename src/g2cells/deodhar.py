@@ -36,6 +36,11 @@ an element whose matrix is kept folds nothing more, and drop the common
 denominator: a row scale moves no pivot.  A position chain folds e_0
 and e_1 factor by factor.  The flag identity of ``chamber`` is the plus
 position at the identity, since B+ e B+ = B+.
+
+Random coordinates come from ``sample_magnitude``: one pick from a
+table, built once, of the 625 values sign * p / q per sign, p and q in
+``PRIMES``, with the row of the numerator p drawn before the
+denominator q.
 """
 
 from __future__ import annotations
@@ -70,10 +75,31 @@ PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
           53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 
 
+@lru_cache(maxsize=None)
+def _signed_draws():
+    """Sign -> one row per prime numerator p of the ``Fraction``s
+    sign * p / q, q over ``PRIMES``: the 1,250 values a draw picks from,
+    built on the first draw."""
+    return {
+        sign: tuple(tuple(Fraction(sign * p, q) for q in PRIMES) for p in PRIMES)
+        for sign in (1, -1)
+    }
+
+
 def sample_magnitude(rng, sign=1):
     """A rational of the given sign (1 or -1) with prime numerator and
-    denominator, as one ``Fraction``."""
-    return Fraction(sign * rng.choice(PRIMES), rng.choice(PRIMES))
+    denominator, as one ``Fraction``.
+
+    The numerator's row of the signed table is drawn first, then the
+    denominator within it, so the value is
+    ``Fraction(sign * rng.choice(PRIMES), rng.choice(PRIMES))`` on the
+    same stream, and no draw builds a ``Fraction``.  Any other sign
+    raises ``ValueError`` before a draw.
+    """
+    rows = _signed_draws().get(sign)
+    if rows is None:
+        raise ValueError("sign must be 1 or -1, not %r" % (sign,))
+    return rng.choice(rng.choice(rows))
 
 
 @lru_cache(maxsize=None)

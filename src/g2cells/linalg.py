@@ -89,7 +89,9 @@ def _column_reduction_scan(A):
     every column.  The reduction is fraction-free,
     v <- u[top] v - v[top] u: it scales v by a nonzero factor, which
     moves no topmost index, so integer entries stay integers.  A block
-    of lower row rank raises ``ValueError``.
+    of lower row rank raises ``ValueError``.  Each reduction strictly
+    raises the topmost index, so a column takes at most k of them; a
+    reduction that does not raises ``ArithmeticError`` at once.
     """
     k, n = len(A), len(A[0])
     kept = {}  # topmost index -> reduced column vector
@@ -101,7 +103,12 @@ def _column_reduction_scan(A):
             u = kept[top]
             a, b = u[top], v[top]
             v = [a * s - b * t for s, t in zip(v, u)]
-            top = _topmost(v)
+            below = _topmost(v)
+            if below is not None and below <= top:
+                raise ArithmeticError(
+                    "a reduction of column %d left a nonzero entry at or above row %d" % (j, top)
+                )
+            top = below
         if top is not None:
             kept[top] = v
             p[j] = top

@@ -337,9 +337,10 @@ def test_partition_gates_on_hand_made_graphs(partition):
         components.connected_components(crossed)
 
 
-def test_one_graph_sample_builds_six_fractions(monkeypatch):
-    # the six signed draws; the mate's signs are read off the integral
-    # pairings of one fold
+def test_one_graph_sample_builds_no_fraction(monkeypatch):
+    # the six draws pick from the signed table, built by the first draw;
+    # the mate's signs are read off the integral pairings of one fold
+    deodhar.sample_magnitude(random.Random(0))
     built = []
 
     def counting(*args):
@@ -352,6 +353,35 @@ def test_one_graph_sample_builds_six_fractions(monkeypatch):
     for word, other, signs in (("i", "it", "+-+--+"), ("it", "i", "-++-+-")):
         built.clear()
         point = components._lower_point(word, signs, rng)
-        assert len(built) == 6
+        assert len(built) == 0
         components._refactor_signs(point, other)
-        assert len(built) == 6
+        assert len(built) == 0
+
+
+def _signs_or_none(read):
+    try:
+        return read()
+    except chamber.NotFactorizable:
+        return None
+
+
+@pytest.mark.parametrize("seed", (0, 42))
+def test_sample_points_are_their_factorizations(seed):
+    # the lower point and the upper mate's point are the products that
+    # Factorization builds from the same draws, atom for atom
+    fast, slow = random.Random(seed), random.Random(seed)
+
+    def draws(signs):
+        return tuple(deodhar.sample_magnitude(slow, 1 if ch == "+" else -1) for ch in signs)
+
+    for word in ("i", "it"):
+        for signs in components.ALL_SIGNS:
+            point = components._lower_point(word, signs, fast)
+            want = chamber.Factorization(components.WORDS[word], draws(signs), "lower").product()
+            assert point.provenance == want.provenance
+            assert fast.getstate() == slow.getstate()
+    for signs in components.ALL_SIGNS:
+        mate = _signs_or_none(lambda: components._upper_mate(signs, fast))
+        point = chamber.Factorization(WORD_I_TILDE, draws(signs), "upper").product()
+        assert mate == _signs_or_none(lambda: chamber.epsilon_signs(point, WORD_I_TILDE))
+        assert fast.getstate() == slow.getstate()

@@ -357,3 +357,12 @@ def test_signed_draw_equals_the_signed_product():
             got = deodhar.sample_magnitude(new, new.choice((1, -1)))
             assert type(got) is Fraction and got == want
         assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("sign", (0, 2, -3))
+def test_a_draw_refuses_a_sign_outside_plus_minus_one(sign):
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="sign must be 1 or -1, not %d" % sign):
+        deodhar.sample_magnitude(rng, sign)
+    assert rng.getstate() == state
