@@ -35,6 +35,7 @@ from .rep import (
     sdot,
     sdot_inverse,
     wdot,
+    word,
     x,
     y,
 )

@@ -155,10 +155,7 @@ class Factorization:
                 raise NotFactorizable("factorization parameters must be nonzero")
 
     def product(self):
-        gen = rep.x if self.kind == "upper" else rep.y
-        return rep.group_product(
-            gen(i, t) for i, t in zip(self.word, self.params)
-        )
+        return rep.word("x" if self.kind == "upper" else "y", self.word, self.params)
 
     def signs(self):
         """The signs of the parameters as a string of '+' and '-'."""

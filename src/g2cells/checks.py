@@ -95,8 +95,8 @@ def check_representations():
         for _ in range(2):
             t = linalg.commutator(mats[2], t)
         require(linalg.is_zero_matrix(t), "quadratic Serre relation")
-    w0a = rep.group_product(rep.sdot(i) for i in WORD_I)
-    w0b = rep.group_product(rep.sdot(i) for i in WORD_I_TILDE)
+    w0a = rep.word("sdot", WORD_I)
+    w0b = rep.word("sdot", WORD_I_TILDE)
     require(w0a == w0b, "braid identity for w0dot")
     rng = random.Random(2024)
     for _ in range(20):

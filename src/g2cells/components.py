@@ -8,9 +8,10 @@ and recording which sign cells overlap (``build_overlap_graph``).
 Wherever only the signs of a factorization are read, they come from
 ``chamber.epsilon_signs``, ``chamber.alpha_signs`` or
 ``chamber.lower_signs``, which form no quotient.  A sample is one
-table draw per parameter (``deodhar.sample_magnitude``), one product of
-the six ``rep.y`` atoms and one fold of that lower point: the signs of
-its factorization along the other word are read off the fold's eight
+table draw per parameter (``deodhar.sample_magnitude``), one element
+of the six y atoms (``rep.word``) and one fold of that lower point,
+through the one kernel of its word's shape: the signs of its
+factorization along the other word are read off the fold's eight
 lowest minors and three positive polynomials Q of them, with no upper
 point built in between.
 Only ``compute_figure1`` samples, so only it is cached, for a few
@@ -97,16 +98,14 @@ def _signed_params(signs, rng):
 
 
 def _lower_point(word, signs, rng):
-    """A random point of a lower sign cell: the product of its six
-    ``rep.y`` atoms, as ``chamber.Factorization(..., "lower").product()``
-    builds it, without its parameter checks, since every draw is a
-    nonzero ``Fraction``."""
-    return rep.group_product(map(rep.y, WORDS[word], _signed_params(signs, rng)))
+    """A random point of a lower sign cell: one ``rep.word`` of its six y
+    atoms, as ``chamber.Factorization(..., "lower").product()`` builds it."""
+    return rep.word("y", WORDS[word], _signed_params(signs, rng))
 
 
 def _upper_mate(signs, rng):
     """Signs of epsilon at a random point of an upper sign cell along 212121."""
-    point = rep.group_product(map(rep.x, WORD_I_TILDE, _signed_params(signs, rng)))
+    point = rep.word("x", WORD_I_TILDE, _signed_params(signs, rng))
     return chamber.epsilon_signs(point, WORD_I_TILDE)
 
 

@@ -78,7 +78,7 @@ def _extremal_by_weight(n1, n2):
     entries, negated if sorting swapped them.  Keyed by the two ints, not a
     slower-hashing ``Weight``: each factorization looks it up eight times."""
     w, level = weight_to_chamber(Weight(n1, n2))
-    rows, _ = rep.apply_covector(rep.group_product(map(rep.sdot_inverse, w.word)), rep.UNIT_ROWS)
+    rows, _ = rep.apply_covector(rep.word("sdot_inv", w.word), rep.UNIT_ROWS)
     wedge, coeff = [], 1
     for c in range(level):
         entries = [(r, row[c]) for r, row in enumerate(rows) if row[c]]
@@ -156,6 +156,6 @@ def symbolic_minors():
     labels first.  This is the calibration table for all sign
     conventions in the package.
     """
-    point = rep.group_product(rep.x(i, t) for i, t in zip(WORD_I_TILDE, variables()))
+    point = rep.word("x", WORD_I_TILDE, variables())
     row = highest_row(point)
     return {label: _minor(row, weight_by_label(label)) for label in LEVEL1_LABELS + LEVEL2_LABELS}

@@ -21,26 +21,33 @@ One-parameter subgroups are exact truncated exponentials (the
 generators are nilpotent) and torus elements are diagonal in the weight
 basis.  A group element is the word of generator atoms that produced
 it: products concatenate words, inverses reverse them, and a matrix is
-folded from the word, atom by atom, only when it is first read.  Dense matrix products run only while the representation is
-built.  Only this module writes an atom or builds a ``GroupElement``
-from a word: the rest of the package starts from ``x``, ``y``,
-``sdot``, ``sdot_inverse``, ``coweight`` and ``wdot``, and joins
-elements with ``*`` or ``group_product``.  They refuse a letter outside
-{1, 2} (``ValueError``) and a parameter that is not an int, ``Fraction``
-or, for x and y, ``Poly`` (``TypeError``) where the atom is built.
+folded from the word only when it is first read.  Dense matrix
+products run only while the representation is built.  Only this module
+writes an atom or builds a ``GroupElement`` from a word: the rest of
+the package starts from ``word``, which builds the atoms of one kind
+along a word of letters as one element, from its one-letter cases
+``x``, ``y``, ``sdot``, ``sdot_inverse`` and ``coweight``, or from
+``wdot``, and joins elements with ``*`` or ``group_product``.  ``word``
+refuses a letter outside {1, 2} (``ValueError``) and a parameter that
+is not an int, ``Fraction`` or, for x and y, ``Poly`` (``TypeError``)
+before the element is built.
 
-Each of the ten (kind, letter) pairs has one integer term table: the
-terms (r, c, v, a, b) saying that entry (r, c) of the atom's matrix at
-t = p/q, times the atom's scale p^A q^B, is v p^a q^b.  x_i and y_i
-take theirs from the divided powers, scaled by q^K, the Weyl
-representatives from their signed permutations, scaled by 1, and the
-torus from the pairings of the weights, scaled by (pq)^K.  One builder,
-``_kernel_source``, writes every table as a straight-line kernel that
-computes each column of a folded row as one unrolled sum of int-scaled
-entries, and ``_kernel`` compiles it once.  There is one fold,
-``_fold_rows``: it carries a block of row vectors as Python int
-numerators over one common denominator along the word, each atom
-through its kernel alone, and no fold builds a ``Fraction``.
+Each of the ten (kind, letter) pairs has one integer term table,
+``_atom_terms``: the terms (r, c, v, a, b) saying that entry (r, c) of
+the atom's matrix at t = p/q, times the atom's scale p^A q^B, is
+v p^a q^b.  x_i and y_i take theirs from the divided powers, scaled by
+q^K, the Weyl representatives from their signed permutations, scaled
+by 1, and the torus from the pairings of the weights, scaled by
+(pq)^K.  The shape of a word is its sequence of (kind, letter) pairs.
+One builder, ``_word_source``, writes the tables of a shape's atoms as
+one straight-line kernel that carries each row through every atom in
+local variables, each column of each step one unrolled sum of
+int-scaled entries, and ``_word_kernel`` compiles it once per shape,
+keyed by the shape and never by a parameter, in a bounded LRU cache.
+There is one fold, ``_fold_rows``: it carries a block of row vectors
+as Python int numerators over one common denominator along the whole
+word in one call of its shape's kernel, and no fold builds a
+``Fraction``.
 
 There is one reader of rows of an element, ``apply_covector``: a block
 of int covectors times g.  Every block of unit covectors is a slice of
@@ -59,6 +66,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from . import linalg
 from .scalars import EXACT_SCALARS
@@ -68,6 +76,7 @@ __all__ = [
     "Representation",
     "GroupElement",
     "build_representations",
+    "word",
     "x",
     "y",
     "sdot",
@@ -123,7 +132,8 @@ class Representation:
         # the one divided-power table, read only by term_table: the
         # nonzero entries (k, r, c, value) of E^k / k! for k = 1, 2, ...
         # until the powers vanish, each an exact quotient, so a power off
-        # the lattice raises ArithmeticError
+        # the lattice raises ArithmeticError; a nilpotent E has E^dim = 0,
+        # so a power that has not vanished by then raises it too
         self._int_terms = {}
         self.nilpotency = {}
         for kind, mats in (("x", self.e), ("y", self.f)):
@@ -131,6 +141,11 @@ class Representation:
                 terms = []
                 power, k, fact = mats[i], 1, 1
                 while not linalg.is_zero_matrix(power):
+                    if k == self.dim:
+                        raise ArithmeticError(
+                            "the generator of %s%d is not nilpotent: its power %d is nonzero"
+                            % (kind, i, k)
+                        )
                     terms.extend(
                         (k, r, c, _exact_div(v, fact))
                         for r, row in enumerate(power)
@@ -177,61 +192,93 @@ def build_representations():
 # ---------------------------------------------------------------------------
 
 
-def _kernel_source(kind, i):
-    """The source of ``kernel(rows, atom)``, the fold of the atoms (kind, i,
-    ...), from their integer term table alone: the Weyl representatives'
-    signed permutations with scale 1, else ``Representation.term_table``.
-    It reads p and q off t = atom[2] when a term needs them, names each
-    monomial v p^a q^b once, computes every column of a folded row as one
-    unrolled sum, and returns the folded rows with their scale d."""
+@lru_cache(maxsize=None)
+def _atom_terms(kind, i):
+    """((A, B), terms), the integer term table of the atoms (kind, i, ...):
+    the Weyl representatives' signed permutations with scale 1, else
+    ``Representation.term_table``.  Kept for the ten (kind, letter) pairs,
+    since every shape that holds the pair reads it."""
     if kind in ("sdot", "sdot_inv"):
-        (top_p, top_q), terms = (0, 0), _weyl_terms(kind, i)
-    else:
-        (top_p, top_q), terms = build_representations().term_table(kind, i)
-    names = {(1, top_p, top_q): "d"}
-    columns = [[] for _ in range(7)]
-    for r, c, v, a, b in terms:
-        if a or b:
-            columns[c].append("u%d*%s" % (r, names.setdefault((v, a, b), "s%d" % len(names))))
-        else:
-            columns[c].append("u%d" % r if v == 1 else "%d*u%d" % (v, r))
-    lines = ["def kernel(rows, atom):"]
-    if any(a or b for _, a, b in names):
-        lines += ["    t = atom[2]", "    p = t.numerator", "    q = t.denominator"]
-    for (v, a, b), name in names.items():
-        factors = ["%d" % v] * (v != 1) + ["p"] * a + ["q"] * b
-        lines.append("    %s = %s" % (name, "*".join(factors) or "1"))
-    folded = ", ".join(" + ".join(col) for col in columns)
-    unpack = ", ".join("u%d" % c for c in range(7))
-    lines.append("    return [[%s] for %s in rows], d" % (folded, unpack))
-    return "\n".join(lines) + "\n"
+        return (0, 0), _weyl_terms(kind, i)
+    return build_representations().term_table(kind, i)
 
 
-@lru_cache(maxsize=10)
-def _kernel(kind, i):
-    """The straight-line fold of the atoms (kind, i, ...), compiled on first
-    use from ``_kernel_source``.  Keyed by five kinds and two letters, so
-    the cache never exceeds its ten entries.  This is the package's one
+def _word_source(shape):
+    """The source of ``kernel(rows, atoms)``, the fold of every word of
+    ``shape``, its sequence of (kind, letter) pairs, from their integer
+    term tables alone.
+
+    For each atom j that has a scale, it reads p<j> and q<j> off t<j> =
+    atoms[j][2] and names each monomial v p^a q^b of the atom once, as
+    s<k> (or as p<j> or q<j> itself).  It carries each row through the
+    atoms in local variables, u<j>_<c> being column c after j atoms and
+    each column one unrolled sum (a bare entry is renamed, not copied),
+    builds one list per row, and returns the folded rows with den, the
+    product of the atoms' scales.
+    """
+    head, body, scales, names = ["def kernel(rows, atoms):"], [], [], {}
+
+    def monomial(j, v, a, b):
+        if (j, v, a, b) not in names:
+            factors = ["%d" % v] * (v != 1) + ["p%d" % j] * a + ["q%d" % j] * b
+            if len(factors) == 1:
+                names[j, v, a, b] = factors[0]
+            else:
+                names[j, v, a, b] = "s%d" % len(names)
+                head.append("    %s = %s" % (names[j, v, a, b], "*".join(factors)))
+        return names[j, v, a, b]
+
+    row = ["u0_%d" % c for c in range(7)]
+    for j, (kind, i) in enumerate(shape):
+        (top_p, top_q), terms = _atom_terms(kind, i)
+        if top_p or top_q:
+            head += ["    t%d = atoms[%d][2]" % (j, j),
+                     "    p%d = t%d.numerator" % (j, j),
+                     "    q%d = t%d.denominator" % (j, j)]
+            scales.append(monomial(j, 1, top_p, top_q))
+        columns = [[] for _ in range(7)]
+        for r, c, v, a, b in terms:
+            if a or b:
+                columns[c].append("%s*%s" % (row[r], monomial(j, v, a, b)))
+            else:
+                columns[c].append({1: "", -1: "-"}.get(v, "%d*" % v) + row[r])
+        row = [" + ".join(column) for column in columns]
+        if j < len(shape) - 1:
+            for c, value in enumerate(row):
+                if not value.isidentifier():
+                    row[c] = "u%d_%d" % (j + 1, c)
+                    body.append("        %s = %s" % (row[c], value))
+    return "\n".join(
+        head + ["    out = []", "    for %s in rows:" % ", ".join("u0_%d" % c for c in range(7))]
+        + body + ["        out.append([%s])" % ", ".join(row),
+                  "    return out, %s" % ("*".join(scales) or "1")]
+    ) + "\n"
+
+
+@lru_cache(maxsize=128)
+def _word_kernel(shape):
+    """The straight-line fold of the words of ``shape``, compiled on first
+    use from ``_word_source``.  Keyed by the shape alone, never by a
+    parameter, and bounded: the least recently used of more than 128
+    shapes is compiled again when next met.  This is the package's one
     ``exec``."""
     namespace = {}
-    exec(compile(_kernel_source(kind, i), "<kernel %s%d>" % (kind, i), "exec"), namespace)
+    name = "<kernel %s>" % " ".join("%s%d" % pair for pair in shape)
+    exec(compile(_word_source(shape), name, "exec"), namespace)
     return namespace["kernel"]
 
 
 def _fold_rows(rows, atoms):
     """(rows . (product of the atoms' matrices) * den, den), over the integers.
 
-    ``rows`` is a block of integer row vectors.  Every atom, whatever its
-    kind, is folded by its kernel, which multiplies the rows by the atom's
-    matrix times its scale d, and ``den``, from 1, by d.  So the rows stay
-    integral (or ``Poly``s with integral coefficients) and no
-    ``Fraction`` is built.  This is the package's only fold.
+    ``rows`` is a block of integer row vectors.  The word is folded by the
+    one kernel of its shape, which multiplies the rows by each atom's
+    matrix times its scale in turn, and returns ``den``, the product of
+    the scales.  So the rows stay integral (or ``Poly``s with integral
+    coefficients) and no ``Fraction`` is built.  This is the package's
+    only fold.
     """
-    den = 1
-    for atom in atoms:
-        rows, d = _kernel(atom[0], atom[1])(rows, atom)
-        den *= d
-    return rows, den
+    return _word_kernel(tuple([atom[:2] for atom in atoms]))(rows, atoms)
 
 
 #: the unit rows e_0, ..., e_6 of V7: every block of unit covectors that is
@@ -241,7 +288,7 @@ UNIT_ROWS = tuple(tuple(int(j == i) for j in range(7)) for i in range(7))
 
 def _weyl_terms(kind, i):
     """The term table (r, c, v, 0, 0) of sdot_i = x_i(1) y_i(-1) x_i(1), or
-    of its inverse, folded once for its kernel: a signed permutation."""
+    of its inverse, folded once for its term table: a signed permutation."""
     s = 1 if kind == "sdot" else -1
     rows, den = _fold_rows(UNIT_ROWS, (("x", i, s), ("y", i, -s), ("x", i, s)))
     if den != 1:
@@ -339,50 +386,79 @@ def group_product(elements):
     return GroupElement([atom for g in elements for atom in g.provenance])
 
 
-def _atom(kind, i, *t, exact=EXACT_SCALARS):
-    """The element of the one atom (kind, i, *t): a letter outside {1, 2}
-    raises ``ValueError``, a parameter of no ``exact`` type ``TypeError``."""
-    if i not in (1, 2):
-        raise ValueError("letter must be 1 or 2, not %r" % (i,))
-    if t and not isinstance(t[0], exact):
-        raise TypeError("parameter must be an exact scalar, not %r" % (t[0],))
-    return GroupElement(((kind, i) + t,))
+#: the parameter types of each atom kind; the Weyl representatives take none
+_PARAMETER_TYPES = {
+    "x": EXACT_SCALARS,
+    "y": EXACT_SCALARS,
+    "coweight": (int, Fraction),
+    "sdot": None,
+    "sdot_inv": None,
+}
+
+
+def word(kind, letters, params=None):
+    """The product of the atoms of one kind along ``letters``, as one element:
+    x_i(t), y_i(t) or coweight(i, t) for each letter i and its parameter t
+    of ``params``, or sdot_i or sdot_i^-1 for each letter, with no params.
+
+    Every letter and parameter is checked before the element is built: a
+    letter outside {1, 2} raises ``ValueError``, and so do a kind of no
+    atom, a count of parameters other than that of the letters and a zero
+    torus parameter; a parameter that is not an int, ``Fraction`` or, for
+    x and y, ``Poly`` raises ``TypeError``.
+    """
+    if kind not in _PARAMETER_TYPES:
+        raise ValueError("unknown atom kind %r" % (kind,))
+    letters = tuple(letters)
+    for i in letters:
+        if i not in (1, 2):
+            raise ValueError("letter must be 1 or 2, not %r" % (i,))
+    exact = _PARAMETER_TYPES[kind]
+    if exact is None:
+        if params is not None:
+            raise ValueError("%s atoms take no parameter" % kind)
+        return GroupElement([(kind, i) for i in letters])
+    params = tuple(params)
+    if len(params) != len(letters):
+        raise ValueError("%d parameters for %d letters" % (len(params), len(letters)))
+    for t in params:
+        if not isinstance(t, exact):
+            raise TypeError("parameter must be an exact scalar, not %r" % (t,))
+    if kind == "coweight" and 0 in params:
+        raise ValueError("coweight argument must be nonzero")
+    return GroupElement(zip(repeat(kind), letters, params))
 
 
 def x(i, t):
     """One-parameter subgroup exp(t e_i), t an int, ``Fraction`` or ``Poly``."""
-    return _atom("x", i, t)
+    return word("x", (i,), (t,))
 
 
 def y(i, t):
     """One-parameter subgroup exp(t f_i), t an int, ``Fraction`` or ``Poly``."""
-    return _atom("y", i, t)
+    return word("y", (i,), (t,))
 
 
 def sdot(i):
     """The Weyl representative x_i(1) y_i(-1) x_i(1)."""
-    return _atom("sdot", i)
+    return word("sdot", (i,))
 
 
 def sdot_inverse(i):
-    return _atom("sdot_inv", i)
+    return word("sdot_inv", (i,))
 
 
 def coweight(i, t):
     """The torus element with eigenvalue t^<alpha_i^vee, mu> on weight mu,
     t a nonzero int or ``Fraction``: the letter and the type are checked
     before the zero test."""
-    g = _atom("coweight", i, t, exact=(int, Fraction))
-    if t == 0:
-        raise ValueError("coweight argument must be nonzero")
-    return g
+    return word("coweight", (i,), (t,))
 
 
 @lru_cache(maxsize=None)
 def wdot(w):
     """Representative of w, the product of sdot along any reduced word."""
-    atoms = tuple(("sdot", i) for i in w.word)
-    return GroupElement(atoms)
+    return word("sdot", w.word)
 
 
 def apply_covector(g, rows):
@@ -393,7 +469,7 @@ def apply_covector(g, rows):
     matrix after: the fold is linear in the block, so both give the same
     numerators over the same den."""
     if g.kept is None:
-        return _fold_rows([list(row) for row in rows], g.provenance)
+        return _fold_rows(rows, g.provenance)
     matrix, den = g.kept
     out = []
     for row in rows:

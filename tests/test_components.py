@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2cells import chamber, components, deodhar, fixtures, rep
+from g2cells import chamber, components, deodhar, fixtures, minors, rep
 from g2cells.components import SignVector
 from g2cells.weyl import WORD_I, WORD_I_TILDE
 
@@ -356,6 +356,27 @@ def test_one_graph_sample_builds_no_fraction(monkeypatch):
         assert len(built) == 0
         components._refactor_signs(point, other)
         assert len(built) == 0
+
+
+def test_one_graph_sample_builds_one_element_and_one_kernel_lookup_per_fold(monkeypatch):
+    # the lower point is one rep.word of six y atoms, and its one fold looks
+    # up one kernel, by the word's shape; the rows of wdot(w0) that the
+    # fold reads are warmed first, since they are folded once per process
+    minors.lowest_row(rep.group_identity())
+    elements, lookups, folds = [], [], []
+    init, kernel, fold = rep.GroupElement.__init__, rep._word_kernel, rep._fold_rows
+    monkeypatch.setattr(rep.GroupElement, "__init__",
+                        lambda self, word: elements.append(word) or init(self, word))
+    monkeypatch.setattr(rep, "_word_kernel", lambda shape: lookups.append(shape) or kernel(shape))
+    monkeypatch.setattr(rep, "_fold_rows", lambda rows, atoms: folds.append(atoms) or fold(rows, atoms))
+    rng = random.Random(5)
+    for word, other, signs in (("i", "it", "+-+--+"), ("it", "i", "-++-+-")):
+        for log in (elements, lookups, folds):
+            log.clear()
+        components._refactor_signs(components._lower_point(word, signs, rng), other)
+        assert len(elements) == 1
+        assert len(folds) == 1
+        assert lookups == [tuple(("y", i) for i in components.WORDS[word])]
 
 
 def _signs_or_none(read):

@@ -196,7 +196,7 @@ def _calls_by_owner(tree, names):
 
 
 def test_only_the_kernel_compiler_runs_generated_source():
-    """``exec``, ``eval`` and ``compile`` are called only by ``rep._kernel``."""
+    """``exec``, ``eval`` and ``compile`` are called only by ``rep._word_kernel``."""
     calls = {
         (path.name, owner)
         for path in SOURCES
@@ -204,14 +204,16 @@ def test_only_the_kernel_compiler_runs_generated_source():
             ast.parse(path.read_text(), filename=str(path)), {"exec", "eval", "compile"}
         )
     }
-    assert calls == {("rep.py", "_kernel")}
+    assert calls == {("rep.py", "_word_kernel")}
 
 
 #: every name a kernel's source may spell: four keywords, its parameters,
-#: the parameter t = atom[2] with its numerator p and denominator q, the
-#: unpacked entries u<c>, and the scales d and s<j>
+#: the list it builds and its append, each atom's parameter t<j> with its
+#: numerator p<j> and denominator q<j>, the monomials s<k> and the entries
+#: u<j>_<c> of a row after j atoms
 KERNEL_NAME = re.compile(
-    r"def|for|in|return|kernel|rows|atom|t|numerator|denominator|p|q|d|u\d+|s\d+"
+    r"def|for|in|return|kernel|rows|atoms|out|append|numerator|denominator"
+    r"|[tpqs]\d+|u\d+_\d+"
 )
 KERNEL_OPS = {"(", ")", "[", "]", ",", ":", "=", "*", "+", "-", "."}
 
@@ -220,19 +222,22 @@ KERNEL_OPS = {"(", ")", "[", "]", ",", ":", "=", "*", "+", "-", "."}
 @pytest.mark.parametrize("letter", (1, 2))
 def test_kernel_source_is_built_from_integer_tables(kind, letter):
     """A kernel's source, from the one builder, is integer literals and
-    arithmetic on its rows and its parameter's numerator and denominator,
-    and nothing else."""
-    source = rep._kernel_source(kind, letter)
-    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
-        if tok.type == tokenize.NAME:
-            assert KERNEL_NAME.fullmatch(tok.string), tok
-        elif tok.type == tokenize.NUMBER:
-            assert tok.string.isdigit(), tok
-        elif tok.type == tokenize.OP:
-            assert tok.string in KERNEL_OPS, tok
-        else:
-            assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
-                                tokenize.DEDENT, tokenize.ENDMARKER), tok
+    arithmetic on its rows and its parameters' numerators and denominators,
+    and nothing else: for the one-atom word and for words of several
+    atoms around it."""
+    atom = (kind, letter)
+    for shape in ((atom,), (atom, atom), (("y", 1), atom, ("sdot", 2), ("coweight", 1), atom)):
+        source = rep._word_source(shape)
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert KERNEL_NAME.fullmatch(tok.string), tok
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+            elif tok.type == tokenize.OP:
+                assert tok.string in KERNEL_OPS, tok
+            else:
+                assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                    tokenize.DEDENT, tokenize.ENDMARKER), tok
 
 
 #: the index sets of a subexpression, each a read of its one layout

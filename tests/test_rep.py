@@ -355,12 +355,60 @@ def test_integral_rows_at_large_prime_denominators(R):
 @pytest.mark.parametrize("t", (Fraction(-3, 7), Fraction(5, 1000003), Fraction(-(2**61 - 1), 4)))
 def test_torus_kernel_folds_its_eigenvalues_over_a_positive_int(t):
     for i in (1, 2):
-        rows, den = rep._kernel("coweight", i)(rep.UNIT_ROWS, ("coweight", i, t))
+        rows, den = rep._word_kernel((("coweight", i),))(rep.UNIT_ROWS, (("coweight", i, t),))
         assert type(den) is int and den > 0
         assert all(type(n) is int for row in rows for n in row)
         expected = [[t ** mu.pairing(i) if r == c else 0 for c in range(7)]
                     for r, mu in enumerate(V7.weights)]
         assert [[Fraction(n, den) for n in row] for row in rows] == expected
+
+
+def test_words_of_one_shape_share_one_kernel():
+    """The kernel cache is keyed by a word's shape, never by a parameter: a
+    second word of one shape, with other parameters, folds through the
+    kernel the first compiled, and the cache does not grow."""
+    rng = random.Random(11)
+
+    def draw():
+        return rng.choice((1, -1)) * deodhar.sample_magnitude(rng)
+
+    rep._word_kernel.cache_clear()
+    rep.GroupElement([("y", 1, draw()), ("coweight", 2, draw()), ("sdot", 1), ("x", 2, 4)]).rows
+    first = rep._word_kernel.cache_info()
+    for _ in range(20):
+        word = [("y", 1, draw()), ("coweight", 2, draw()), ("sdot", 1), ("x", 2, draw())]
+        g = rep.GroupElement(word)
+        assert g.m7 == dense_product(word, V7)
+    last = rep._word_kernel.cache_info()
+    assert (last.misses, last.currsize) == (first.misses, first.currsize)
+    assert last.hits == first.hits + 20
+
+
+def test_a_word_is_one_element_of_its_checked_atoms():
+    a = variables()[0]
+    g = rep.word("y", (1, 2, 1), (Fraction(2, 3), -5, a))
+    assert g.provenance == (("y", 1, Fraction(2, 3)), ("y", 2, -5), ("y", 1, a))
+    assert g.provenance == rep.group_product(
+        map(rep.y, (1, 2, 1), (Fraction(2, 3), -5, a))).provenance
+    assert rep.word("sdot", WORD_I) == rep.wdot(W.w0)
+    assert rep.word("sdot_inv", ()).provenance == ()
+    assert rep.word("coweight", (2, 1), (3, Fraction(1, 2))) == rep.coweight(2, 3) * rep.coweight(
+        1, Fraction(1, 2))
+    for letters, params, error, match in (
+        ((1, 3), (1, 2), ValueError, "letter"),
+        ((1, 2), (1,), ValueError, "parameters"),
+        ((1, 2), (1, 0.5), TypeError, "exact"),
+    ):
+        with pytest.raises(error, match=match):
+            rep.word("x", letters, params)
+    with pytest.raises(ValueError, match="nonzero"):
+        rep.word("coweight", (1, 2), (2, 0))
+    with pytest.raises(TypeError):
+        rep.word("coweight", (1,), (a,))
+    with pytest.raises(ValueError, match="kind"):
+        rep.word("z", (1,), (1,))
+    with pytest.raises(ValueError, match="no parameter"):
+        rep.word("sdot", (1,), (1,))
 
 
 def test_provenance_regenerates_matrices():
@@ -418,7 +466,8 @@ def test_products_fold_without_dense_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense matrix product ran after set-up")
 
-    rep._kernel.cache_clear()  # the Weyl rows too are folded, not multiplied
+    rep._atom_terms.cache_clear()  # the Weyl rows too are folded, not multiplied
+    rep._word_kernel.cache_clear()
     monkeypatch.setattr(linalg, "mat_mul", refuse)
     g = rep.x(1, Fraction(2, 3)) * rep.sdot(2) * rep.coweight(1, Fraction(-5)) * rep.y(2, 7)
     h = g * rep.sdot_inverse(1) * g.inverse()
@@ -452,7 +501,8 @@ def _lru_caches():
 #: size of its key space, or its maxsize where the key space is unbounded
 CACHE_BOUNDS = {
     "rep.build_representations": 1,
-    "rep._kernel": 10,  # five kinds (x, y, coweight, sdot, sdot_inv) x two letters
+    "rep._atom_terms": 10,  # five kinds (x, y, coweight, sdot, sdot_inv) x two letters
+    "rep._word_kernel": 128,  # word shapes are unbounded: its maxsize
     "rep.wdot": len(W.elements),
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
@@ -664,6 +714,22 @@ def test_divided_power_off_the_lattice_raises():
     doubled = tuple(tuple(2 * v for v in row) for row in e)
     R = rep.Representation(weights, {1: doubled, 2: zero[2]}, zero)
     assert R._int_terms[("x", 1)] == ((1, 0, 1, 2), (1, 1, 2, 2), (2, 0, 2, 2))
+
+
+def test_a_non_nilpotent_generator_raises_at_once(monkeypatch):
+    # E cycles the basis with weights 2, 2, 6, so E^3 = 24 I is integral
+    # over 3! but nonzero: the powers stop at k = dim = 3 instead of
+    # running on until E^5 / 5! leaves the lattice
+    e = ((0, 2, 0), (0, 0, 2), (6, 0, 0))
+    zero = ((0, 0, 0),) * 3
+    weights = (Weight(1, 0), Weight(0, 0), Weight(-1, 0))
+    with pytest.raises(ArithmeticError, match="not nilpotent: its power 3"):
+        rep.Representation(weights, {1: e, 2: zero}, {1: zero, 2: zero})
+    # a zero test that never sees zero cannot keep the loop running either
+    nilpotent = ((0, 2, 0), (0, 0, 2), (0, 0, 0))
+    monkeypatch.setattr(linalg, "is_zero_matrix", lambda m: False)
+    with pytest.raises(ArithmeticError, match="not nilpotent: its power 3"):
+        rep.Representation(weights, {1: nilpotent, 2: zero}, {1: zero, 2: zero})
 
 
 def test_generator_fixture_matches_committed_file():
