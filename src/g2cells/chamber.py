@@ -51,8 +51,19 @@ coefficients: the epsilon-side minors of x that are not monomials, up
 to monomial factors, as the Laurent phenomenon predicts
 (Fomin-Zelevinsky, Double Bruhat cells and total positivity, 1999;
 Cluster algebras I, 2002).  Each word keeps one table of them,
-``_LOWER_PARAMETERS``, and the signs are read off the parities of its
-exponents, with no x and no second fold.
+``_LOWER_PARAMETERS``, with its Q's written over shared subexpressions,
+so no power of a pairing is formed twice; no x is built and no second
+fold runs.
+
+Every sign read goes through one reader, ``_read_signs``.  A parameter
+is a signed monomial in some factors over a positive part, so it is
+negative iff an odd number of its factors of odd exponent is.  Each
+factor therefore keeps one 6-bit mask, of the parameters it flips when
+negative: each of the eight pairings of the Ansatz, by the parity of
+exp at a step's numerator plus 1 at each of its denominators
+(``_step_flips``), and each P and Q of ``lower_signs``, by the parities
+of the table's exponents.  The reader XORs the masks of the negative
+factors and looks the sign string up in one table of the 64.
 
 A vanishing minor means the input is outside the open chart for the
 chosen word; that is a recoverable condition (``NotFactorizable``), not
@@ -223,15 +234,40 @@ def _factor_params(g, word, lowest):
     )
 
 
-def _factor_signs(g, word, lowest):
-    # the sign reader: a_m is negative iff an odd number of its factors,
-    # counted with their exponents, has a negative pairing
-    _, steps, _, values = _pairings(g, word, lowest)
-    negative = [n < 0 for n in values]
-    return "".join(
-        "-" if (exp * negative[num] + negative[d1] + negative[d2]) % 2 else "+"
-        for num, exp, d1, d2, _ in steps
+#: the sign string of six parameters, by the mask of the negative ones
+_SIGN_STRINGS = tuple(
+    "".join("-" if negative >> k & 1 else "+" for k in range(6)) for negative in range(64)
+)
+
+
+def _read_signs(values, flips):
+    """The signs of six parameters, each a monomial in ``values`` over a
+    positive part, where ``flips[i]`` has bit k set iff values[i] enters
+    the (k+1)-th parameter with an odd exponent."""
+    negative = 0
+    for v, mask in zip(values, flips):
+        if v < 0:
+            negative ^= mask
+    return _SIGN_STRINGS[negative]
+
+
+@lru_cache(maxsize=None)
+def _step_flips(word, lowest):
+    """Per weight of ``_ansatz_weights(word, lowest)``, the mask of the a_m
+    that its pairing flips: exp at the numerator plus 1 at each
+    denominator, counted mod 2."""
+    weights, steps = _ansatz_weights(word, lowest)
+    return tuple(
+        sum(1 << m for m, (num, exp, d1, d2, _) in enumerate(steps)
+            if (exp * (num == i) + (d1 == i) + (d2 == i)) % 2)
+        for i in range(len(weights))
     )
+
+
+def _factor_signs(g, word, lowest):
+    # the sign reader of the quotients: den > 0, so only the pairings flip
+    *_, values = _pairings(g, word, lowest)
+    return _read_signs(values, _step_flips(word, lowest))
 
 
 def _checked_word(g, word, lowest, name):
@@ -269,22 +305,26 @@ def alpha_signs(y, word):
 
 
 def _q_212121(P0, P1, P2, P3, P4, P5, P6, P7):
+    a = P0 * P4 + P1 * P5
+    c = P3**3
+    d = c * P6
+    P5_2 = P5 * P5
+    q2 = P5_2 * a + d
     return (
-        P0**3 * P4 * P6 + P1 * P2 * P5**3 + P2 * P3**3 * P6,
-        P0 * P4 * P5**2 + P1 * P5**3 + P3**3 * P6,
-        P0**3 * P4**3 * P5**3 + 3 * P0**2 * P1 * P4**2 * P5**4 + 3 * P0 * P1**2 * P4 * P5**5
-        + 3 * P0 * P1 * P3**3 * P4 * P5**2 * P6 + P1**3 * P5**6 + 2 * P1**2 * P3**3 * P5**3 * P6
-        + P1 * P3**6 * P6**2 + P2 * P3**3 * P4**2 * P5**3,
+        P0**3 * P4 * P6 + P2 * (P1 * P5_2 * P5 + d),
+        q2,
+        P1 * q2 * q2 + P4 * P5_2 * (P0 * (P5 * a * a + P1 * d) + P2 * c * P4 * P5),
     )
 
 
 def _q_121212(P0, P1, P2, P3, P4, P5, P6, P7):
+    b = P1 * P5 + P3 * P6
+    b_2 = b * b
+    e = P0 * P4**3 * P5
     return (
-        P0 * P4 * P6 + P1 * P2 * P5 + P2 * P3 * P6,
-        P0 * P4**3 * P5**2 + P1**3 * P5**3 + 3 * P1**2 * P3 * P5**2 * P6
-        + 3 * P1 * P3**2 * P5 * P6**2 + P3**3 * P6**3,
-        P0 * P4**3 * P5 + P1**3 * P5**2 + 2 * P1**2 * P3 * P5 * P6 + P1 * P3**2 * P6**2
-        + P2 * P3 * P4**2 * P5,
+        P0 * P4 * P6 + P2 * b,
+        e * P5 + b_2 * b,
+        e + P1 * b_2 + P2 * P3 * P4 * P4 * P5,
     )
 
 
@@ -315,9 +355,11 @@ _LOWER_PARAMETERS = {
     )),
 }
 
-#: per word, its Q's and per p_k the bit mask of the factors of odd exponent
+#: per word, its Q's and per factor P_0..P_7, Q_1..Q_3 the mask of the
+#: p_k it enters with an odd exponent, which ``_read_signs`` reads
 _LOWER_SIGNS = {
-    word: (q, tuple(sum(1 << i for i, e in enumerate(exps) if e % 2) for exps in table))
+    word: (q, tuple(sum(1 << k for k, exps in enumerate(table) if exps[i] % 2)
+                    for i in range(len(table[0]))))
     for word, (q, table) in _LOWER_PARAMETERS.items()
 }
 
@@ -328,15 +370,16 @@ def lower_signs(y, word):
 
     Each p_k is a Laurent monomial in the eight lowest minors of y along
     ``word`` and the word's three positive polynomials Q of them
-    (``_LOWER_PARAMETERS``), so a p_k is negative iff an odd number of
-    its factors of odd exponent is.  Read off the integral pairings, no
-    ``Fraction`` is built.  A vanished minor raises ``NotFactorizable``
-    as in ``alpha_factorize``, and a vanished Q names the first p_k that
-    reads it: the points that the two-step path refuses.
+    (``_LOWER_PARAMETERS``), so the signs are read by ``_read_signs``
+    off the integral pairings and the Q's, with each Q evaluated once
+    and no ``Fraction`` built.  A vanished minor raises
+    ``NotFactorizable`` as in ``alpha_factorize``, and a vanished Q names
+    the first p_k that reads it: the points that the two-step path
+    refuses.
     """
     word = _checked_word(y, word, True, "lower_signs")
     *_, values = _pairings(y, word, True)
-    q, odd = _LOWER_SIGNS[word]
+    q, flips = _LOWER_SIGNS[word]
     qs = q(*values)
     if 0 in qs:
         n = qs.index(0)
@@ -346,8 +389,7 @@ def lower_signs(y, word):
             % (n + 1, "".join(map(str, word)), k),
             word=word, position=k,
         )
-    negative = sum(1 << i for i, v in enumerate(values + list(qs)) if v < 0)
-    return "".join("-" if (negative & mask).bit_count() & 1 else "+" for mask in odd)
+    return _read_signs((*values, *qs), flips)
 
 
 def flag_equal_opposed(x, y):

@@ -122,12 +122,8 @@ def check_symbolic_minors():
 
 
 def _random_family_point(fam, rng):
-    t = tuple(
-        deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in fam.I
-    )
-    m = tuple(
-        deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in fam.K
-    )
+    coords = deodhar.sample_signed(rng, (None,) * (len(fam.I) + len(fam.K)))
+    t, m = coords[:len(fam.I)], coords[len(fam.I):]
     cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
     return cell, t, m
 
@@ -136,7 +132,7 @@ def _chamber_draw(kind, rng):
     """A random point of check 4: its coordinates, the point, the closed form
     and the factorization, for ``kind`` "epsilon" or an alpha family name."""
     if kind == "epsilon":
-        coords = tuple(deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in range(6))
+        coords = deodhar.sample_signed(rng, (None,) * 6)
         point = chamber.Factorization(WORD_I_TILDE, coords, "upper").product()
         closed = chamber.closed_form_epsilon(coords)
         return coords, point, closed, chamber.epsilon_factorize(point, WORD_I_TILDE)
@@ -234,11 +230,11 @@ def check_euler():
 
 def _random_upper_signs(cell, rng, zero_m):
     """The upper signs of alpha at a random point of the cell, m = 0 if ``zero_m``."""
-    t = tuple(deodhar.sample_magnitude(rng, s) for s in cell.h)
+    t = deodhar.sample_signed(rng, cell.h)
     if zero_m:
         m = tuple(Fraction(0) for _ in cell.family.K)
     else:
-        m = tuple(deodhar.sample_magnitude(rng, rng.choice((1, -1))) for _ in cell.family.K)
+        m = deodhar.sample_signed(rng, (None,) * len(cell.family.K))
     return chamber.alpha_signs(deodhar.cell_point(cell, t, m), WORD_I_TILDE)
 
 

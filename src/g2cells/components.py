@@ -8,7 +8,7 @@ and recording which sign cells overlap (``build_overlap_graph``).
 Wherever only the signs of a factorization are read, they come from
 ``chamber.epsilon_signs``, ``chamber.alpha_signs`` or
 ``chamber.lower_signs``, which form no quotient.  A sample is one
-table draw per parameter (``deodhar.sample_magnitude``), one element
+table draw per parameter (``deodhar.sample_signed``), one element
 of the six y atoms (``rep.word``) and one fold of that lower point,
 through the one kernel of its word's shape: the signs of its
 factorization along the other word are read off the fold's eight
@@ -94,7 +94,7 @@ class OverlapGraph:
 
 def _signed_params(signs, rng):
     """Six random parameters with the given signs."""
-    return tuple(deodhar.sample_magnitude(rng, 1 if ch == "+" else -1) for ch in signs)
+    return deodhar.sample_signed(rng, [1 if ch == "+" else -1 for ch in signs])
 
 
 def _lower_point(word, signs, rng):

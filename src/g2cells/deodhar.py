@@ -37,10 +37,10 @@ denominator: a row scale moves no pivot.  A position chain folds e_0
 and e_1 factor by factor.  The flag identity of ``chamber`` is the plus
 position at the identity, since B+ e B+ = B+.
 
-Random coordinates come from ``sample_magnitude``: one pick from a
-table, built once, of the 625 values sign * p / q per sign, p and q in
-``PRIMES``, with the row of the numerator p drawn before the
-denominator q.
+Random coordinates come from ``sample_signed``: per coordinate, one
+pick from a table, built once, of the 625 values sign * p / q per sign,
+p and q in ``PRIMES``, with the row of the numerator p drawn before the
+denominator q, and the sign drawn before both where it is not given.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ __all__ = [
     "expected_chain",
     "position_chain",
     "factor_chain",
+    "sample_signed",
     "sample_magnitude",
     "PRIMES",
 ]
@@ -86,20 +87,33 @@ def _signed_draws():
     }
 
 
-def sample_magnitude(rng, sign=1):
-    """A rational of the given sign (1 or -1) with prime numerator and
-    denominator, as one ``Fraction``.
+def sample_signed(rng, signs):
+    """One rational per sign of ``signs`` (1, -1 or None), each with prime
+    numerator and denominator, as a tuple of ``Fraction``s.
 
-    The numerator's row of the signed table is drawn first, then the
-    denominator within it, so the value is
+    A sign of None is drawn first, as ``rng.choice((1, -1))``.  Then the
+    numerator's row of the signed table is drawn, then the denominator
+    within it, so each value is
     ``Fraction(sign * rng.choice(PRIMES), rng.choice(PRIMES))`` on the
-    same stream, and no draw builds a ``Fraction``.  Any other sign
-    raises ``ValueError`` before a draw.
+    same stream, and no draw builds a ``Fraction``.  The table is looked
+    up once per call.  Any other sign raises ``ValueError`` before its
+    draw.
     """
-    rows = _signed_draws().get(sign)
-    if rows is None:
-        raise ValueError("sign must be 1 or -1, not %r" % (sign,))
-    return rng.choice(rng.choice(rows))
+    table = _signed_draws()
+    values = []
+    for sign in signs:
+        rows = table.get(rng.choice((1, -1)) if sign is None else sign)
+        if rows is None:
+            raise ValueError("sign must be 1 or -1, not %r" % (sign,))
+        values.append(rng.choice(rng.choice(rows)))
+    return tuple(values)
+
+
+def sample_magnitude(rng, sign=1):
+    """``sample_signed(rng, (sign,))``'s one value: a rational of the given
+    sign (1 or -1) with prime numerator and denominator."""
+    (value,) = sample_signed(rng, (sign,))
+    return value
 
 
 @lru_cache(maxsize=None)

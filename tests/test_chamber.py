@@ -769,6 +769,85 @@ def test_lower_parameters_are_exact_on_the_integral_pairings(word):
         done += 1
 
 
+def _q_212121_expanded(P0, P1, P2, P3, P4, P5, P6, P7):
+    """The Q's of 212121 as expanded sums: the reference for the factored
+    ``chamber._q_212121``."""
+    return (
+        P0**3 * P4 * P6 + P1 * P2 * P5**3 + P2 * P3**3 * P6,
+        P0 * P4 * P5**2 + P1 * P5**3 + P3**3 * P6,
+        P0**3 * P4**3 * P5**3 + 3 * P0**2 * P1 * P4**2 * P5**4 + 3 * P0 * P1**2 * P4 * P5**5
+        + 3 * P0 * P1 * P3**3 * P4 * P5**2 * P6 + P1**3 * P5**6 + 2 * P1**2 * P3**3 * P5**3 * P6
+        + P1 * P3**6 * P6**2 + P2 * P3**3 * P4**2 * P5**3,
+    )
+
+
+def _q_121212_expanded(P0, P1, P2, P3, P4, P5, P6, P7):
+    """The Q's of 121212 as expanded sums: the reference for the factored
+    ``chamber._q_121212``."""
+    return (
+        P0 * P4 * P6 + P1 * P2 * P5 + P2 * P3 * P6,
+        P0 * P4**3 * P5**2 + P1**3 * P5**3 + 3 * P1**2 * P3 * P5**2 * P6
+        + 3 * P1 * P3**2 * P5 * P6**2 + P3**3 * P6**3,
+        P0 * P4**3 * P5 + P1**3 * P5**2 + 2 * P1**2 * P3 * P5 * P6 + P1 * P3**2 * P6**2
+        + P2 * P3 * P4**2 * P5,
+    )
+
+
+EXPANDED_Q = {WORD_I_TILDE: _q_212121_expanded, WORD_I: _q_121212_expanded}
+
+
+@BOTH_WORDS
+def test_factored_q_equal_the_expanded_sums(word):
+    q, _ = chamber._LOWER_PARAMETERS[word]
+    rng = random.Random(31)
+    for n in range(2500):
+        # small entries first, where a dropped factor of 1 or -1 would hide
+        bits = 120 if n >= 500 else 3
+        P = [rng.choice((1, -1)) * rng.randint(0, 2**bits) for _ in range(8)]
+        assert q(*P) == EXPANDED_Q[word](*P), P
+    # and as polynomials, with the six generators on P_0..P_5, then on P_2..P_7
+    for head, tail in (((), (5, 7)), ((2, 3), ())):
+        P = [*head, *variables(), *tail]
+        assert q(*P) == EXPANDED_Q[word](*P)
+
+
+def _parities(n, count):
+    """The ``count`` bits of n, as signs of ``count`` factors: -1 for a set bit."""
+    return tuple(-1 if n >> i & 1 else 1 for i in range(count))
+
+
+@BOTH_WORDS
+def test_lower_sign_masks_read_the_exponent_parities(word):
+    """Over every sign pattern of (P_0..P_7, Q_1..Q_3), the parity reader
+    gives p_k negative iff the negative factors' exponents in its row of
+    ``_LOWER_PARAMETERS`` add up to an odd number."""
+    _, table = chamber._LOWER_PARAMETERS[word]
+    _, flips = chamber._LOWER_SIGNS[word]
+    for n in range(2**11):
+        values = _parities(n, 11)
+        want = "".join(
+            "-" if sum(e for e, v in zip(exps, values) if v < 0) % 2 else "+" for exps in table
+        )
+        assert chamber._read_signs(values, flips) == want, values
+
+
+@pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
+@pytest.mark.parametrize("lowest", (False, True), ids=("epsilon", "alpha"))
+def test_step_masks_read_the_ansatz_rule(word, lowest):
+    """Over every sign pattern of the eight pairings, the parity reader
+    gives a_m negative iff exp * neg[num] + neg[d1] + neg[d2] is odd."""
+    _, steps = chamber._ansatz_weights(word, lowest)
+    flips = chamber._step_flips(word, lowest)
+    for n in range(2**8):
+        values = _parities(n, 8)
+        neg = [v < 0 for v in values]
+        want = "".join(
+            "-" if (exp * neg[num] + neg[d1] + neg[d2]) % 2 else "+"
+            for num, exp, d1, d2, _ in steps
+        )
+        assert chamber._read_signs(values, flips) == want, values
+
+
 def _reference_params(g, word, lowest):
     """The Ansatz parameters of g along ``word``, each minor evaluated and
     divided on its own, as in the module docstring's formula."""

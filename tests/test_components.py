@@ -379,6 +379,33 @@ def test_one_graph_sample_builds_one_element_and_one_kernel_lookup_per_fold(monk
         assert lookups == [tuple(("y", i) for i in components.WORDS[word])]
 
 
+def test_one_graph_sample_calls_its_q_once_and_constructs_no_fraction(monkeypatch):
+    # the mate's signs evaluate the three Q's of the other word in one call,
+    # and nothing in the sample constructs a Fraction: a first pass of the
+    # same samples builds the draw table and compiles the kernels
+    samples = (("i", "it", "+-+--+"), ("it", "i", "-++-+-"))
+
+    def run(rng, word, other, signs):
+        return components._refactor_signs(components._lower_point(word, signs, rng), other)
+
+    warm = random.Random(5)
+    for sample in samples:
+        run(warm, *sample)
+    calls, built = [], []
+    for word, (q, flips) in list(chamber._LOWER_SIGNS.items()):
+        counting_q = (lambda *P, q=q, word=word: calls.append(word) or q(*P))
+        monkeypatch.setitem(chamber._LOWER_SIGNS, word, (counting_q, flips))
+    new = vars(Fraction)["__new__"].__func__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(
+        lambda cls, *args, **kwargs: built.append(args) or new(cls, *args, **kwargs)))
+    rng = random.Random(5)
+    for sample in samples:
+        calls.clear()
+        run(rng, *sample)
+        assert calls == [components.WORDS[sample[1]]]
+        assert built == []
+
+
 def _signs_or_none(read):
     try:
         return read()

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import linalg_reference
 from dense_reference import dense_product
-from g2cells import deodhar, linalg, rep
-from g2cells.weyl import OMEGA, V7_WEIGHTS, W, WORD_I, Weight
+from g2cells import chamber, checks, components, deodhar, linalg, rep
+from g2cells.weyl import OMEGA, V7_WEIGHTS, W, WORD_I, WORD_I_TILDE, Weight
 
 V7 = rep.build_representations()
 
@@ -359,10 +359,79 @@ def test_signed_draw_equals_the_signed_product():
         assert new.getstate() == old.getstate()
 
 
+def _per_call_draw(rng, sign):
+    """One signed draw as the per-call expression wrote it: the sign first
+    if it is not given, then a prime numerator and a prime denominator."""
+    if sign is None:
+        sign = rng.choice((1, -1))
+    return Fraction(sign * rng.choice(deodhar.PRIMES), rng.choice(deodhar.PRIMES))
+
+
+def test_signed_draws_replay_the_per_call_expressions():
+    pick = random.Random(0)
+    for seed in range(200):
+        signs = tuple(pick.choice((1, -1, None)) for _ in range(pick.randrange(10)))
+        old, new = random.Random(seed), random.Random(seed)
+        want = tuple(_per_call_draw(old, s) for s in signs)
+        got = deodhar.sample_signed(new, signs)
+        assert type(got) is tuple and all(type(v) is Fraction for v in got)
+        assert got == want
+        assert new.getstate() == old.getstate()
+    # pinned at one seed, so that no sampler's stream moves unseen
+    got = deodhar.sample_signed(random.Random(42), (1, -1, None, None, 1, -1))
+    assert got == (Fraction(73, 7), Fraction(-2, 89), Fraction(-1),
+                   Fraction(89, 7), Fraction(79, 89), Fraction(-61, 5))
+
+
+def _signs_or_refused(read):
+    try:
+        return read()
+    except chamber.NotFactorizable:
+        return None
+
+
+def test_the_samplers_replay_their_per_call_draws():
+    """The draw helpers of ``checks`` and ``components`` give the values,
+    and leave the stream, that their per-call expressions gave."""
+    pick = random.Random(1)
+    for seed in range(20):
+        for fam in deodhar.families():
+            old, new = random.Random(seed), random.Random(seed)
+            t = tuple(_per_call_draw(old, None) for _ in fam.I)
+            m = tuple(_per_call_draw(old, None) for _ in fam.K)
+            cell, got_t, got_m = checks._random_family_point(fam, new)
+            assert (got_t, got_m) == (t, m)
+            assert cell.h == tuple(1 if v > 0 else -1 for v in t)
+            assert new.getstate() == old.getstate()
+            old, new = random.Random(seed), random.Random(seed)
+            t = tuple(_per_call_draw(old, s) for s in cell.h)
+            m = tuple(_per_call_draw(old, None) for _ in fam.K)
+            want = _signs_or_refused(
+                lambda: chamber.alpha_signs(deodhar.cell_point(cell, t, m), WORD_I_TILDE))
+            got = _signs_or_refused(lambda: checks._random_upper_signs(cell, new, False))
+            assert got == want
+            assert new.getstate() == old.getstate()
+        old, new = random.Random(seed), random.Random(seed)
+        coords = tuple(_per_call_draw(old, None) for _ in range(6))
+        try:
+            got = checks._chamber_draw("epsilon", new)[0]
+        except chamber.NotFactorizable:
+            got = None
+        assert got in (coords, None) and new.getstate() == old.getstate()
+        signs = "".join(pick.choice("+-") for _ in range(6))
+        old, new = random.Random(seed), random.Random(seed)
+        want = tuple(_per_call_draw(old, 1 if ch == "+" else -1) for ch in signs)
+        assert components._signed_params(signs, new) == want
+        assert new.getstate() == old.getstate()
+
+
 @pytest.mark.parametrize("sign", (0, 2, -3))
 def test_a_draw_refuses_a_sign_outside_plus_minus_one(sign):
     rng = random.Random(1)
     state = rng.getstate()
     with pytest.raises(ValueError, match="sign must be 1 or -1, not %d" % sign):
         deodhar.sample_magnitude(rng, sign)
+    assert rng.getstate() == state
+    with pytest.raises(ValueError, match="sign must be 1 or -1, not %d" % sign):
+        deodhar.sample_signed(rng, (sign, 1))
     assert rng.getstate() == state

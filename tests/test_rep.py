@@ -507,6 +507,7 @@ CACHE_BOUNDS = {
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
     "chamber._ansatz_weights": 4,  # two words x two directions
+    "chamber._step_flips": 4,  # two words x two directions
     "deodhar.families": 1,
     "deodhar._signed_draws": 1,
     "components._figure1": 4,  # (samples, seed) is unbounded: its maxsize
