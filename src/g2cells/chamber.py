@@ -61,7 +61,7 @@ negative iff an odd number of its factors of odd exponent is.  Each
 factor therefore keeps one 6-bit mask, of the parameters it flips when
 negative: each of the eight pairings of the Ansatz, by the parity of
 exp at a step's numerator plus 1 at each of its denominators
-(``_step_flips``), and each P and Q of ``lower_signs``, by the parities
+(``_ansatz_weights``), and each P and Q of ``lower_signs``, by the parities
 of the table's exponents.  The reader XORs the masks of the negative
 factors and looks the sign string up in one table of the 64.
 
@@ -177,11 +177,13 @@ class Factorization:
 def _ansatz_weights(word, lowest):
     """The chamber weights of the Ansatz along ``word``, a reduced word of w0.
 
-    Returns (weights, steps): ``weights`` lists the distinct u_m omega_j,
-    negated if ``lowest`` (the alpha direction); ``steps`` holds per
-    position m the indices into ``weights`` of the numerator, its
-    exponent, the indices of the two denominators, and the exponent of
-    the fold's den in the quotient of their integral pairings.
+    Returns (weights, steps, flips): ``weights`` lists the distinct
+    u_m omega_j, negated if ``lowest`` (the alpha direction); ``steps``
+    holds per position m the indices into ``weights`` of the numerator,
+    its exponent, the indices of the two denominators, and the exponent
+    of the fold's den in the quotient of their integral pairings; ``flips``
+    holds per weight the mask of the a_m its pairing flips, for
+    ``_read_signs``: exp at the numerator plus 1 at each denominator, mod 2.
     """
     index = {}
 
@@ -200,7 +202,11 @@ def _ansatz_weights(word, lowest):
         u = nxt
     if u != W.w0:
         raise ValueError("word %r is not a reduced word of w0" % (word,))
-    return tuple(index), tuple(steps)
+    flips = [0] * len(index)
+    for m, (num, exp, d1, d2, _) in enumerate(steps):
+        for k, e in ((num, exp), (d1, 1), (d2, 1)):
+            flips[k] ^= (e % 2) << m
+    return tuple(index), tuple(steps), tuple(flips)
 
 
 def _pairings(g, word, lowest):
@@ -211,7 +217,7 @@ def _pairings(g, word, lowest):
     den**level, den > 0.  A vanished minor raises ``NotFactorizable``
     naming it and the first a_m that reads it.
     """
-    weights, steps = _ansatz_weights(word, lowest)
+    weights, steps, _ = _ansatz_weights(word, lowest)
     row = lowest_row(g) if lowest else highest_row(g)
     values = [pair_row_with_weight(row, mu) for mu in weights]
     if 0 in values:
@@ -251,23 +257,10 @@ def _read_signs(values, flips):
     return _SIGN_STRINGS[negative]
 
 
-@lru_cache(maxsize=None)
-def _step_flips(word, lowest):
-    """Per weight of ``_ansatz_weights(word, lowest)``, the mask of the a_m
-    that its pairing flips: exp at the numerator plus 1 at each
-    denominator, counted mod 2."""
-    weights, steps = _ansatz_weights(word, lowest)
-    return tuple(
-        sum(1 << m for m, (num, exp, d1, d2, _) in enumerate(steps)
-            if (exp * (num == i) + (d1 == i) + (d2 == i)) % 2)
-        for i in range(len(weights))
-    )
-
-
 def _factor_signs(g, word, lowest):
     # the sign reader of the quotients: den > 0, so only the pairings flip
     *_, values = _pairings(g, word, lowest)
-    return _read_signs(values, _step_flips(word, lowest))
+    return _read_signs(values, _ansatz_weights(word, lowest)[2])
 
 
 def _checked_word(g, word, lowest, name):
@@ -333,9 +326,10 @@ def _q_121212(P0, P1, P2, P3, P4, P5, P6, P7):
 #: ``_ansatz_weights(word, True)``: the word's three polynomials
 #: Q_1, Q_2, Q_3 of the P's, and per p_k its exponent vector over
 #: (P_0, ..., P_7, Q_1, Q_2, Q_3).  P_0 and P_2, the minors at -omega_1
-#: and -omega_2, are 1 on U-; their exponents make every p_k of degree 0
-#: when P_i weighs its level, as every Q is homogeneous, so the integral
-#: pairings, P_i times den**level, give the p_k themselves.
+#: and -omega_2 (swapped along 121212), are 1 on U-, so their integral
+#: pairings are den**level > 0 and their masks never act; their exponents
+#: make every p_k of degree 0 when P_i weighs its level, as every Q is
+#: homogeneous, so the integral pairings give the p_k themselves.
 _LOWER_PARAMETERS = {
     WORD_I_TILDE: (_q_212121, (
         (-1, 1, 1, 0, 1, 0, 1, 0, -1, 0, 0),

@@ -68,7 +68,8 @@ def check_distinguished_subexpressions():
 
 
 def check_representations():
-    """Chevalley, Serre, braid and rank-1 factorization identities, exactly."""
+    """Chevalley relations of E and F against the weights (h_i is diagonal
+    in their pairings), Serre, braid and rank-1 factorization identities."""
     R = rep.build_representations()
     zero = linalg.mat_scale(R.h[1], 0)
     for i in (1, 2):
@@ -100,9 +101,7 @@ def check_representations():
     require(w0a == w0b, "braid identity for w0dot")
     rng = random.Random(2024)
     for _ in range(20):
-        t = Fraction(rng.choice(deodhar.PRIMES), rng.choice(deodhar.PRIMES))
-        if rng.random() < 0.5:
-            t = -t
+        t, = deodhar.sample_signed(rng, (None,))
         for i in (1, 2):
             lhs = rep.x(i, t)
             rhs = rep.y(i, 1 / t) * rep.sdot(i) * rep.coweight(i, 1 / t) * rep.y(i, 1 / t)

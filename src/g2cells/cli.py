@@ -4,8 +4,10 @@ Rational parameters are given as comma-separated ``p/q`` or integer
 strings and are parsed losslessly.  Output is deterministic: identical
 inputs and seed produce byte-identical output.  Data goes to stdout,
 diagnostics to stderr; ``--out FILE`` redirects the data stream.  Bad
-input ends the run with a one-line message on stderr and exit code 2,
-and a reader that closes stdout early ends it with exit code 1.
+input ends the run with a one-line message on stderr and exit code 2;
+parameters that disagree with their closed form end it with one and
+exit code 1, as a failed ``verify`` does, and so does a reader that
+closes stdout early.
 """
 
 from __future__ import annotations
@@ -180,42 +182,40 @@ def cmd_minors(args):
     return 0
 
 
-def cmd_epsilon(args):
-    if len(args.params) != len(args.word):
-        raise UsageError(
-            "--params gives %d values for the %d letters of --word"
-            % (len(args.params), len(args.word))
-        )
+def _print_factorization(args, factorize, closed_form, *message):
+    """Factorize; print ``not-factorizable`` on a chart miss, else check the
+    closed form along 212121 (None: no check) and print the parameters."""
     try:
-        xel = chamber.Factorization(args.word, args.params, "upper").product()
-        values = chamber.epsilon_factorize(xel, args.word).params
+        values = factorize().params
     except chamber.NotFactorizable:
         _emit(args, "not-factorizable\n")
         return 0
-    if tuple(args.word) == WORD_I_TILDE:
-        checks.require(
-            values == chamber.closed_form_epsilon(args.params),
-            "epsilon minors disagree with the closed form at %s", args.params,
-        )
+    if closed_form is not None and tuple(args.word) == WORD_I_TILDE:
+        checks.require(values == closed_form(), *message)
     _emit(args, " ".join(str(v) for v in values) + "\n")
     return 0
+
+
+def cmd_epsilon(args):
+    if len(args.params) != len(args.word):
+        raise UsageError("--params gives %d values for the %d letters of --word"
+                         % (len(args.params), len(args.word)))
+    return _print_factorization(
+        args, lambda: chamber.epsilon_factorize(
+            chamber.Factorization(args.word, args.params, "upper").product(), args.word),
+        lambda: chamber.closed_form_epsilon(args.params),
+        "epsilon minors disagree with the closed form at %s", args.params,
+    )
 
 
 def cmd_alpha(args):
     cell, t, m, _, point = _cell_point(args)
     fam = cell.family
-    try:
-        values = chamber.alpha_factorize(point, args.word).params
-    except chamber.NotFactorizable:
-        _emit(args, "not-factorizable\n")
-        return 0
-    if tuple(args.word) == WORD_I_TILDE and fam.codim > 0:
-        checks.require(
-            values == chamber.closed_form_alpha(fam.name, t, m),
-            "alpha minors disagree with the closed form on %s at %s %s", fam.name, t, m,
-        )
-    _emit(args, " ".join(str(v) for v in values) + "\n")
-    return 0
+    return _print_factorization(
+        args, lambda: chamber.alpha_factorize(point, args.word),
+        (lambda: chamber.closed_form_alpha(fam.name, t, m)) if fam.codim else None,
+        "alpha minors disagree with the closed form on %s at %s %s", fam.name, t, m,
+    )
 
 
 def cmd_graph(args):
@@ -372,9 +372,9 @@ def main(argv=None):
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except UsageError as exc:
+    except (UsageError, checks.CheckFailed) as exc:
         print("g2cells %s: error: %s" % (args.command, exc), file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, UsageError) else 1
     except BrokenPipeError:
         # the reader of stdout is gone: drop what is left unwritten
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from . import chamber, deodhar, fixtures, rep
 from .weyl import WORD_I, WORD_I_TILDE
@@ -77,12 +78,12 @@ class SignVector:
         return "(%s, %s)" % (self.word, self.signs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OverlapGraph:
     samples: int
     seed: int
     nodes: tuple
-    edges: set
+    edges: frozenset
 
     def adjacency(self):
         adj = {node: set() for node in self.nodes}
@@ -139,14 +140,15 @@ def build_overlap_graph(samples=8, seed=42):
                     "sign cell %r" % (node,),
                 )
                 edges.add(frozenset((node, SignVector(other, mate))))
-    return OverlapGraph(samples, seed, nodes, edges)
+    return OverlapGraph(samples, seed, nodes, frozenset(edges))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ComponentPartition:
-    """The numbered components; the stages above them are kept once read."""
+    """The numbered components; the stages above them are kept once read,
+    and every table it hands out is read-only, as the partition is shared."""
 
-    components: dict        # number -> frozenset of SignVector
+    components: MappingProxyType  # number -> frozenset of SignVector
     graph: OverlapGraph
 
     def component_of(self, node):
@@ -172,7 +174,7 @@ class ComponentPartition:
                 mate = chamber.redraw(lambda: _upper_mate(signs, rng), what)
                 reached.add(self.component_of(SignVector("it", mate)))
             out[signs] = _sole(reached, what)
-        return out
+        return MappingProxyType(out)
 
     @cached_property
     def bijection(self):
@@ -183,7 +185,7 @@ class ComponentPartition:
         }
         if sorted(out.values()) != list(range(1, 12)):
             raise AssertionError("letter matching is not a bijection: %s" % out)
-        return out
+        return MappingProxyType(out)
 
     def classify(self, cell):
         """The record of a cell; one of positive codimension is read off the
@@ -209,10 +211,10 @@ class ComponentPartition:
 
     @cached_property
     def classification_tables(self):
-        return {
+        return MappingProxyType({
             name: tuple(self.classify(cell) for cell in _all_cells_of_family(name))
             for name in fixtures.TABLE_ORDER
-        }
+        })
 
     @cached_property
     def euler_report(self):
@@ -228,7 +230,7 @@ class ComponentPartition:
             num: (n0, n1, n2, n0 - n1 + n2)
             for num, (n0, n1, n2) in counts.items()
         }
-        return ClassificationReport(tuple(records), per_component)
+        return ClassificationReport(tuple(records), MappingProxyType(per_component))
 
 
 def _sole(numbers, what):
@@ -288,7 +290,7 @@ def connected_components(graph):
     if len(numbers) != len(expected):
         split = sorted({num for num in numbers if numbers.count(num) > 1})
         raise PartitionTooFine("components %s are split in the sampled graph" % split)
-    return ComponentPartition(dict(sorted(blocks)), graph)
+    return ComponentPartition(MappingProxyType(dict(sorted(blocks))), graph)
 
 
 def compute_figure1(samples=8, seed=42):
@@ -332,10 +334,10 @@ def _all_cells_of_family(name):
         yield deodhar.CellId(fam, h)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassificationReport:
     records: tuple                 # all 140 CellRecords
-    per_component: dict            # number -> (n0, n1, n2, chi)
+    per_component: MappingProxyType  # number -> (n0, n1, n2, chi)
 
     def total_euler(self):
         return sum(v[3] for v in self.per_component.values())

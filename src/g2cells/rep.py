@@ -121,14 +121,17 @@ _F2_7 = _madd(_unit(2, 1), _unit(5, 4))
 
 
 class Representation:
-    """An exact matrix representation with a weight-ordered basis."""
+    """An exact matrix representation with a weight-ordered basis; ``h[i]`` is
+    the diagonal of the pairings <alpha_i^vee, mu> over ``weights``, not
+    [e_i, f_i], so [e_i, f_i] = h_i tests E and F against the weights."""
 
     def __init__(self, weights, e, f):
         self.dim = len(weights)
         self.weights = tuple(weights)
         self.e = dict(e)
         self.f = dict(f)
-        self.h = {i: linalg.commutator(self.e[i], self.f[i]) for i in (1, 2)}
+        self.h = {i: tuple(tuple(mu.pairing(i) if r == c else 0 for c in range(self.dim))
+                           for r, mu in enumerate(self.weights)) for i in (1, 2)}
         # the one divided-power table, read only by term_table: the
         # nonzero entries (k, r, c, value) of E^k / k! for k = 1, 2, ...
         # until the powers vanish, each an exact quotient, so a power off

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from g2cells import checks, cli, deodhar, fixtures
+from g2cells import chamber, checks, cli, deodhar, fixtures
 from g2cells.scalars import parse_rational
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -68,6 +68,29 @@ def test_alpha_rejects_wrong_parameter_count(capsys):
     assert captured.err.splitlines() == [
         "g2cells alpha: error: family x21x12 takes 4 parameters (t1,t2,m1,m2), got 3"
     ]
+
+
+@pytest.mark.parametrize(
+    "argv, form",
+    (
+        (["epsilon", "--params", "2,3,5,7,11,13"], "closed_form_epsilon"),
+        (["alpha", "--family", "x21x12", "--params", "2,3,5,7"], "closed_form_alpha"),
+    ),
+    ids=("epsilon", "alpha"),
+)
+def test_closed_form_disagreement_exits_1_without_traceback(argv, form, capsys, monkeypatch):
+    # a closed form that drifted from the Ansatz is reported as verify
+    # reports a failed check: one line on stderr, exit code 1, no output
+    monkeypatch.setattr(chamber, form, lambda *args: (1,) * 6)
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(
+        "g2cells %s: error: %s minors disagree with the closed form " % (argv[0], argv[0])
+    ), lines
 
 
 def test_usage_errors_exit_2_without_traceback(child_env):

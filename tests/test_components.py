@@ -1,5 +1,6 @@
 """Component graph, letter matching, classification, Euler numbers."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 
 from g2cells import chamber, components, deodhar, fixtures, minors, rep
 from g2cells.components import SignVector
-from g2cells.weyl import WORD_I, WORD_I_TILDE
+from g2cells.weyl import OMEGA, WORD_I, WORD_I_TILDE
 
 SAMPLES, SEED = 8, 42
 
@@ -285,6 +286,43 @@ def test_compute_figure1_caches_one_partition_per_arguments():
     assert components.compute_figure1(samples=SAMPLES, seed=SEED) is components.compute_figure1()
     report = components.compute_figure1().euler_report
     assert report is components.compute_figure1(SAMPLES, SEED).euler_report
+
+
+def test_compute_figure1_hands_out_read_only_tables():
+    # the partition is shared by every later caller, so no reader may edit it
+    partition = components.compute_figure1()
+    with pytest.raises(AttributeError):
+        components.compute_figure1().components.pop(1)
+    with pytest.raises(AttributeError):
+        components.compute_figure1().graph.edges.clear()
+    report = partition.euler_report
+    for table in (partition.upper, partition.bijection, partition.classification_tables,
+                  report.per_component):
+        with pytest.raises(TypeError):
+            table[next(iter(table))] = None
+    for record, field in ((partition, "components"), (partition.graph, "edges"),
+                          (report, "per_component")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, {})
+    assert components.compute_figure1().sizes() == (2, 2, 2, 2, 16, 16, 16, 16, 16, 16, 24)
+    assert components.compute_figure1().euler_report.total_euler() == 12
+
+
+@pytest.mark.parametrize("word, other", (("i", "it"), ("it", "i")))
+def test_lowest_pairings_at_minus_omega_are_powers_of_den(word, other):
+    """At every lower point a graph sample draws, the pairings of the other
+    word at -omega_1 and -omega_2, P_0 and P_2 in some order, are den and
+    den**2: positive, so their masks in ``chamber._LOWER_SIGNS`` never act."""
+    target = components.WORDS[other]
+    weights, _, _ = chamber._ansatz_weights(target, True)
+    levels = tuple(1 if weights[k] == -OMEGA[1] else 2 for k in (0, 2))
+    # P_0 is -omega_1 along 212121 and -omega_2 along 121212
+    assert levels == ((1, 2) if target == WORD_I_TILDE else (2, 1))
+    rng = random.Random(SEED)
+    for signs in components.ALL_SIGNS:
+        y = components._lower_point(word, signs, rng)
+        _, _, den, values = chamber._pairings(y, target, True)
+        assert (values[0], values[2]) == (den ** levels[0], den ** levels[1]), signs
 
 
 def test_figure1_doubles_the_samples_until_the_partition_closes(monkeypatch):

@@ -145,6 +145,20 @@ def test_no_private_reads_across_modules():
     assert reads == [], "private attributes read across modules: %s" % reads
 
 
+def test_only_deodhar_reads_the_prime_pool():
+    """No package module but ``deodhar`` reads ``PRIMES``: every random
+    parameter is drawn by ``deodhar.sample_signed``, the one draw path."""
+    reads = [
+        (path.name, node.lineno)
+        for path in SOURCES
+        if path.name != "deodhar.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Name) and node.id == "PRIMES")
+        or (isinstance(node, ast.Attribute) and node.attr == "PRIMES")
+    ]
+    assert reads == [], "the prime pool read outside deodhar: %s" % reads
+
+
 def test_scalars_holds_the_only_quotient_class():
     """No package or test module but ``scalars`` defines a division: the
     closed forms and their identity tests share its one ``Quotient``."""

@@ -28,7 +28,7 @@ from dense_reference import (
 )
 from g2cells import chamber, checks, deodhar, linalg, minors, rep
 from g2cells.scalars import Poly, variables
-from g2cells.weyl import OMEGA, W, WORD_I, WORD_I_TILDE, Weight
+from g2cells.weyl import OMEGA, V7_WEIGHTS, W, WORD_I, WORD_I_TILDE, Weight
 
 V7 = rep.build_representations()
 
@@ -58,6 +58,22 @@ def test_chevalley_relations(R):
             assert linalg.commutator(R.h[i], R.f[j]) == linalg.mat_scale(
                 R.f[j], Fraction(-A[i - 1][j - 1])
             )
+
+
+def test_h_is_read_off_the_weights():
+    """h_i is the diagonal of the pairings <alpha_i^vee, mu>, not [e_i, f_i],
+    so the Chevalley relation [e_i, f_i] = h_i is a test of E and F against
+    the weights: with two weights swapped it fails."""
+    for i in (1, 2):
+        assert V7.h[i] == tuple(
+            tuple(mu.pairing(i) if r == c else 0 for c in range(7))
+            for r, mu in enumerate(V7_WEIGHTS)
+        )
+    weights = list(V7_WEIGHTS)
+    weights[0], weights[1] = weights[1], weights[0]
+    swapped = rep.Representation(weights, V7.e, V7.f)
+    assert linalg.commutator(swapped.e[1], swapped.f[1]) != swapped.h[1]
+    assert linalg.commutator(V7.e[1], V7.f[1]) == V7.h[1]
 
 
 @pytest.mark.parametrize("R", (V7,), ids=("V7",))
@@ -507,7 +523,6 @@ CACHE_BOUNDS = {
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
     "chamber._ansatz_weights": 4,  # two words x two directions
-    "chamber._step_flips": 4,  # two words x two directions
     "deodhar.families": 1,
     "deodhar._signed_draws": 1,
     "components._figure1": 4,  # (samples, seed) is unbounded: its maxsize
