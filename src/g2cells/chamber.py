@@ -24,12 +24,14 @@ points, so any drift in conventions fails loudly.
 
 Along a reduced word of w0 the u_m omega_j take eight distinct values,
 so a factorization folds its input once and pairs that block with each
-of the eight chamber weights once (``_ansatz_weights``).  The pairing
-is integral (``_pairings``): the minor at a weight of level l is its
-pairing N over den**l, with den > 0 the denominator of the fold.  That
-one step has two readers.  ``epsilon_factorize`` and ``alpha_factorize``
-read the exact parameters.  The level of u omega_j is j, so the powers
-of den collect into one exponent per step and
+of the eight chamber weights once (``_ansatz_weights``, which keeps the
+``minors.minor_reader`` of the eight).  The pairing is integral
+(``_pairings``, read by ``minors.read_minors`` inside the fold): the
+minor at a weight of level l is its pairing N over den**l, with den > 0
+the denominator of the fold.  That one step has two readers.
+``epsilon_factorize`` and ``alpha_factorize`` read the exact
+parameters.  The level of u omega_j is j, so the powers of den collect
+into one exponent per step and
 
     a_m = N_num^exp * den^k / (N_d1 * N_d2),   k = 2 j_m - exp * jbar_m,
 
@@ -81,13 +83,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from . import deodhar, rep
-from .minors import (
-    highest_row,
-    lowest_row,
-    pair_row_with_weight,
-    weight_to_chamber,
-)
+from . import deodhar, minors, rep
 from .scalars import EXACT_SCALARS, Quotient
 from .weyl import G2_CARTAN, OMEGA, WORD_I, WORD_I_TILDE, W
 
@@ -105,6 +101,13 @@ __all__ = [
     "closed_form_alpha",
     "CLOSED_FORM_FAMILIES",
 ]
+
+
+#: the row readers and the reference pairing of ``minors``, bound here,
+#: where the benchmark's tracer (``benchmarks/tracing.py``) wraps them by
+#: name; the Ansatz reads its pairings through ``minors.read_minors``
+highest_row, lowest_row, pair_row_with_weight = (
+    minors.highest_row, minors.lowest_row, minors.pair_row_with_weight)
 
 
 class NotFactorizable(Exception):
@@ -177,13 +180,14 @@ class Factorization:
 def _ansatz_weights(word, lowest):
     """The chamber weights of the Ansatz along ``word``, a reduced word of w0.
 
-    Returns (weights, steps, flips): ``weights`` lists the distinct
+    Returns (weights, steps, flips, reader): ``weights`` lists the distinct
     u_m omega_j, negated if ``lowest`` (the alpha direction); ``steps``
     holds per position m the indices into ``weights`` of the numerator,
     its exponent, the indices of the two denominators, and the exponent
     of the fold's den in the quotient of their integral pairings; ``flips``
     holds per weight the mask of the a_m its pairing flips, for
-    ``_read_signs``: exp at the numerator plus 1 at each denominator, mod 2.
+    ``_read_signs``: exp at the numerator plus 1 at each denominator, mod 2;
+    ``reader`` is the ``minors.minor_reader`` of the weights.
     """
     index = {}
 
@@ -206,7 +210,7 @@ def _ansatz_weights(word, lowest):
     for m, (num, exp, d1, d2, _) in enumerate(steps):
         for k, e in ((num, exp), (d1, 1), (d2, 1)):
             flips[k] ^= (e % 2) << m
-    return tuple(index), tuple(steps), tuple(flips)
+    return tuple(index), tuple(steps), tuple(flips), minors.minor_reader(tuple(index), lowest)
 
 
 def _pairings(g, word, lowest):
@@ -217,18 +221,17 @@ def _pairings(g, word, lowest):
     den**level, den > 0.  A vanished minor raises ``NotFactorizable``
     naming it and the first a_m that reads it.
     """
-    weights, steps, _ = _ansatz_weights(word, lowest)
-    row = lowest_row(g) if lowest else highest_row(g)
-    values = [pair_row_with_weight(row, mu) for mu in weights]
+    weights, steps, _, reader = _ansatz_weights(word, lowest)
+    values, den = minors.read_minors(g, reader)
     if 0 in values:
         k = values.index(0)
         m = next(m for m, (num, _, d1, d2, _) in enumerate(steps, 1) if k in (num, d1, d2))
-        mu, level = weights[k], weight_to_chamber(weights[k])[1]
+        mu, level = weights[k], minors.weight_to_chamber(weights[k])[1]
         raise NotFactorizable(
             "the level-%d minor %s read by a_%d vanishes" % (level, mu.eps_label(), m),
             word=word, level=level, weight=mu, position=m,
         )
-    return weights, steps, row[1], values
+    return weights, steps, den, values
 
 
 def _factor_params(g, word, lowest):

@@ -92,20 +92,29 @@ def sample_signed(rng, signs):
     numerator and denominator, as a tuple of ``Fraction``s.
 
     A sign of None is drawn first, as ``rng.choice((1, -1))``.  Then the
-    numerator's row of the signed table is drawn, then the denominator
-    within it, so each value is
+    index of the numerator's row of the signed table is drawn, then that
+    of the denominator within it, each as ``rng.choice`` draws an index
+    below n = len(PRIMES): ``rng.getrandbits(n.bit_length())``, drawn
+    again while it is n or more.  So each value is
     ``Fraction(sign * rng.choice(PRIMES), rng.choice(PRIMES))`` on the
     same stream, and no draw builds a ``Fraction``.  The table is looked
     up once per call.  Any other sign raises ``ValueError`` before its
     draw.
     """
-    table = _signed_draws()
+    table, getrandbits, n = _signed_draws(), rng.getrandbits, len(PRIMES)
+    k = n.bit_length()
     values = []
     for sign in signs:
         rows = table.get(rng.choice((1, -1)) if sign is None else sign)
         if rows is None:
             raise ValueError("sign must be 1 or -1, not %r" % (sign,))
-        values.append(rng.choice(rng.choice(rows)))
+        p = getrandbits(k)
+        while p >= n:
+            p = getrandbits(k)
+        q = getrandbits(k)
+        while q >= n:
+            q = getrandbits(k)
+        values.append(rows[p][q])
     return tuple(values)
 
 

@@ -24,19 +24,23 @@ maps weight spaces to weight spaces, so the coefficient of v_{-omega_l}
 in g.v is the coefficient of v_{omega_l} in wdot(w0).g.v: rows
 0..l-1 of wdot(w0), folded through g.
 
-Every minor, of either level, is evaluated one way.  The top two rows of
-the identity (or of wdot(w0)) are folded along the word of g once
-(``highest_row``/``lowest_row``), and a minor of level l pairs the first
-l rows of that block with the one wedge of its extremal vector
-(``pair_row_with_weight``): its coefficient times an entry of row 0
-(level 1) or a 2x2 minor of rows 0 and 1 (level 2).  The wedge is read
-off the signed permutation wbar once per weight, with no determinant.
-The level is read from the weight, so all minors of a point, of both
-levels, share a single fold.  The fold runs over the integers and
+Every minor, of either level, is read one way, by ``read_minors``.  The
+top two rows of the identity (or of wdot(w0)) are folded along the word
+of g once, and a minor of level l pairs the first l rows of that block
+with the one wedge of its extremal vector: its coefficient times an
+entry of row 0 (level 1) or a 2x2 minor of rows 0 and 1 (level 2).  The
+wedge is read off the signed permutation wbar once per weight, with no
+determinant; a ``minor_reader`` keeps the wedges of its weights, and the
+kernel of the fold returns their pairings.  All minors of a point, of
+both levels, share a single fold.  The fold runs over the integers and
 returns numerators over one positive denominator den, and the pairing
 is integral too: the numerator of the minor over den**l.  ``minor``,
-``minor_lower`` and ``symbolic_minors`` divide by den**l; the Chamber
-Ansatz divides once per parameter, or not at all for the signs alone.
+``minor_lower`` and ``symbolic_minors`` read the 12 chamber weights and
+divide by den**l; the Chamber Ansatz reads its eight and divides once
+per parameter, or not at all for the signs alone.  ``highest_row`` and
+``lowest_row`` give the folded rows themselves, for the Bruhat
+positions, and ``pair_row_with_weight`` pairs them with one weight, the
+tests' reference.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from .weyl import OMEGA, W, WORD_I_TILDE, Weight, weight_by_label
 __all__ = [
     "minor",
     "minor_lower",
+    "minor_reader",
+    "read_minors",
+    "pair_row_with_weight",
     "weight_to_chamber",
     "LEVEL1_LABELS",
     "LEVEL2_LABELS",
@@ -98,15 +105,22 @@ def _lowest_rows():
     return tuple(map(tuple, rep.apply_covector(rep.wdot(W.w0), rep.UNIT_ROWS[:2])[0]))
 
 
+@lru_cache(maxsize=None)
+def _row_block(lowest):
+    """Rows 0 and 1 of wdot(w0) (``lowest``) or of the identity, as the
+    ``rep.Block`` that every read of the direction folds, built once."""
+    return rep.Block(_lowest_rows() if lowest else rep.UNIT_ROWS[:2])
+
+
 def highest_row(g):
     """The row functionals v -> coefficient of v_omega in g.v: the top two
     rows of g, as (numerators, denominator)."""
-    return rep.apply_covector(g, rep.UNIT_ROWS[:2])
+    return rep.apply_covector(g, _row_block(False))
 
 
 def lowest_row(g):
     """The row functionals v -> coefficient of v_{-omega} in g.v."""
-    return rep.apply_covector(g, _lowest_rows())
+    return rep.apply_covector(g, _row_block(True))
 
 
 def pair_row_with_weight(row, mu):
@@ -115,7 +129,8 @@ def pair_row_with_weight(row, mu):
     column (level 1), or times the 2x2 minor of rows 0 and 1 at its two
     columns (level 2).  This is the numerator of the minor over
     den**level, den > 0.  The sign of the minor's second term is an int
-    factor, since a ``Poly`` has no subtraction."""
+    factor, since a ``Poly`` has no subtraction.  ``read_minors`` reads
+    the same pairings inside the fold."""
     rows, _ = row
     columns, coeff = _extremal_by_weight(mu.n1, mu.n2)
     top = rows[0]
@@ -126,27 +141,59 @@ def pair_row_with_weight(row, mu):
     return coeff * (top[a] * low[b]) + -coeff * (top[b] * low[a])
 
 
-def _minor(row, mu):
-    """The minor at mu from the fold ``row``: the pairing over den**level,
-    one ``Fraction`` for an int pairing (a ``Poly`` divides itself)."""
-    total = pair_row_with_weight(row, mu)
-    d = row[1] ** len(_extremal_by_weight(mu.n1, mu.n2)[0])
-    return Fraction(total, d) if isinstance(total, int) else total / d
+def minor_reader(weights, lowest):
+    """The reader of the minors at ``weights``, highest or, if ``lowest``,
+    lowest: a ``rep.Block`` of the rows ``highest_row`` or ``lowest_row``
+    folds, with the one wedge of each weight, resolved here once.  Build
+    it once per set of weights and keep it, since the kernels that read it
+    are keyed by the reader itself."""
+    wedges = [_extremal_by_weight(mu.n1, mu.n2) for mu in weights]
+    return rep.Block(_row_block(lowest).entries, wedges)
 
 
-def minor(g, mu):
-    """Delta^mu(g), mu = w*omega_i: coefficient of v_{omega_i} in g . v_mu."""
-    return _minor(highest_row(g), mu)
-
-
-def minor_lower(g, mu):
-    """Delta_-^mu(g), mu = w*omega_i: coefficient of v_{-omega_i} in g . v_mu."""
-    return _minor(lowest_row(g), mu)
+def read_minors(g, reader):
+    """(values, den) from one fold of g, the one reader of chamber minors:
+    values[k] is the numerator of the minor at the k-th weight of
+    ``reader`` over den**level, den > 0, each pairing read inside the
+    fold."""
+    return rep.apply_covector(g, reader)
 
 
 #: epsilon labels of the level-1 and level-2 chamber weights in display order
 LEVEL1_LABELS = ("e1", "-e3", "-e2", "e2", "e3", "-e1")
 LEVEL2_LABELS = ("e1-e3", "e1-e2", "e2-e3", "e3-e2", "e2-e1", "e3-e1")
+
+#: the 12 chamber weights in display order, level 1 first
+_CHAMBER_WEIGHTS = tuple(map(weight_by_label, LEVEL1_LABELS + LEVEL2_LABELS))
+
+
+@lru_cache(maxsize=None)
+def _chamber_reader(lowest):
+    """The reader of the 12 chamber minors of one direction, built once."""
+    return minor_reader(_CHAMBER_WEIGHTS, lowest)
+
+
+def _quotient(value, d):
+    # one Fraction for an int pairing (a Poly divides itself)
+    return Fraction(value, d) if isinstance(value, int) else value / d
+
+
+def _minor(g, mu, lowest):
+    """The minor at mu, read with the 12 chamber weights: its pairing over
+    den**level.  A weight off both orbits raises ``ValueError``."""
+    level = len(_extremal_by_weight(mu.n1, mu.n2)[0])
+    values, den = read_minors(g, _chamber_reader(lowest))
+    return _quotient(values[_CHAMBER_WEIGHTS.index(mu)], den**level)
+
+
+def minor(g, mu):
+    """Delta^mu(g), mu = w*omega_i: coefficient of v_{omega_i} in g . v_mu."""
+    return _minor(g, mu, False)
+
+
+def minor_lower(g, mu):
+    """Delta_-^mu(g), mu = w*omega_i: coefficient of v_{-omega_i} in g . v_mu."""
+    return _minor(g, mu, True)
 
 
 def symbolic_minors():
@@ -156,6 +203,9 @@ def symbolic_minors():
     labels first.  This is the calibration table for all sign
     conventions in the package.
     """
-    point = rep.word("x", WORD_I_TILDE, variables())
-    row = highest_row(point)
-    return {label: _minor(row, weight_by_label(label)) for label in LEVEL1_LABELS + LEVEL2_LABELS}
+    reader = _chamber_reader(False)
+    values, den = read_minors(rep.word("x", WORD_I_TILDE, variables()), reader)
+    return {
+        label: _quotient(value, den ** len(columns))
+        for label, value, (columns, _) in zip(LEVEL1_LABELS + LEVEL2_LABELS, values, reader.wedges)
+    }

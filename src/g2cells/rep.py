@@ -42,24 +42,30 @@ by 1, and the torus from the pairings of the weights, scaled by
 One builder, ``_word_source``, writes the tables of a shape's atoms as
 one straight-line kernel that carries each row through every atom in
 local variables, each column of each step one unrolled sum of
-int-scaled entries, and ``_word_kernel`` compiles it once per shape,
-keyed by the shape and never by a parameter, in a bounded LRU cache.
-There is one fold, ``_fold_rows``: it carries a block of row vectors
-as Python int numerators over one common denominator along the whole
-word in one call of its shape's kernel, and no fold builds a
-``Fraction``.
+int-scaled entries.  A kernel folds the caller's rows, or a fixed
+``Block`` built once by its reader: the unit rows, whose fold is the
+matrix, or rows 0 and 1 of the identity or of wdot(w0).  A block's
+entries are written into the source as literals, so a zero entry drops
+its terms and an int entry folds into the monomial it multiplies, and a
+block with wedges returns the chamber pairings of its folded rows 0 and
+1 (``minors``) in place of the rows.  ``_word_kernel`` compiles each
+kernel once, keyed by the shape and the block, never by a parameter,
+in a bounded LRU cache.  There is one fold, ``_fold_rows``: it carries
+a block of row vectors as Python int numerators over one common
+denominator along the whole word in one call of its kernel, and no
+fold builds a ``Fraction``.
 
 There is one reader of rows of an element, ``apply_covector``: a block
-of int covectors times g.  Every block of unit covectors is a slice of
-``UNIT_ROWS``: the minors and both Bruhat positions fold rows 0 and 1
-of the identity or of wdot(w0), and so read rows 0 and 1 of g or of
-wdot(w0) g.  The whole matrix, ``GroupElement.rows``, is the seven unit
-rows folded once and kept; only the unipotence predicates, ``==`` and
-the ``Fraction`` view ``m7`` read it.  Once it is kept,
-``apply_covector`` multiplies its block into it instead of walking the
-word again.  A word made only of x atoms lies in U+ and one made only
-of y atoms in U-, so the unipotence predicates read such words without
-folding a matrix.
+of int covectors times g.  The minors and both Bruhat positions fold
+the blocks of rows 0 and 1 of the identity or of wdot(w0), and so read
+rows 0 and 1 of g or of wdot(w0) g, or their pairings.  The whole
+matrix, ``GroupElement.rows``, is the seven unit rows folded once and
+kept; only the unipotence predicates, ``==`` and the ``Fraction`` view
+``m7`` read it.  Once it is kept, ``apply_covector`` multiplies a block
+of rows into it instead of walking the word again; pairings are always
+folded along the word.  A word made only of x atoms lies in U+ and one
+made only of y atoms in U-, so the unipotence predicates read such
+words without folding a matrix.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ __all__ = [
     "group_identity",
     "group_product",
     "apply_covector",
+    "Block",
     "UNIT_ROWS",
     "is_unipotent_upper",
     "is_unipotent_lower",
@@ -206,7 +213,56 @@ def _atom_terms(kind, i):
     return build_representations().term_table(kind, i)
 
 
-def _word_source(shape):
+class Block:
+    """A fixed block of int row vectors, built once by its reader and kept.
+
+    ``entries`` holds the rows, and ``wedges`` is None or a tuple of
+    wedges (columns, coefficient), one per pairing of the folded rows 0
+    and 1 to read.  A block's kernel writes its entries into the source
+    as literals and, given wedges, returns the pairings in place of the
+    rows.  The kernel cache hashes a block by identity, so a lookup
+    hashes no entry.
+    """
+
+    __slots__ = ("entries", "wedges")
+
+    def __init__(self, entries, wedges=None):
+        self.entries = tuple(map(tuple, entries))
+        self.wedges = None if wedges is None else tuple(wedges)
+
+
+def _total(parts):
+    """The sum of ``parts``, ints and expressions: an int, or one expression
+    with the ints added up at its end."""
+    if len(parts) < 2:
+        return parts[0] if parts else 0
+    const = sum(part for part in parts if type(part) is int)
+    terms = [part for part in parts if type(part) is str]
+    return " + ".join(terms + ["%d" % const] * bool(const)) if terms else const
+
+
+def _listed(items):
+    # the source of a list of ints and expressions
+    return "[%s]" % ", ".join(map(str, items))
+
+
+def _product(coeff, *factors):
+    """coeff times ``factors``, ints and names: an int, or a product with
+    the ints folded into the coefficient, which goes first, as a ``Poly``
+    takes it."""
+    names = [f for f in factors if type(f) is str]
+    for f in factors:
+        if type(f) is int:
+            coeff *= f
+    if not coeff or not names:
+        return coeff
+    product = "*".join(names)
+    if coeff == 1:
+        return product
+    return "%d*%s" % (coeff, product if len(names) == 1 else "(%s)" % product)
+
+
+def _word_source(shape, block):
     """The source of ``kernel(rows, atoms)``, the fold of every word of
     ``shape``, its sequence of (kind, letter) pairs, from their integer
     term tables alone.
@@ -214,12 +270,20 @@ def _word_source(shape):
     For each atom j that has a scale, it reads p<j> and q<j> off t<j> =
     atoms[j][2] and names each monomial v p^a q^b of the atom once, as
     s<k> (or as p<j> or q<j> itself).  It carries each row through the
-    atoms in local variables, u<j>_<c> being column c after j atoms and
-    each column one unrolled sum (a bare entry is renamed, not copied),
-    builds one list per row, and returns the folded rows with den, the
-    product of the atoms' scales.
+    atoms in local variables, each column one unrolled sum (a bare entry
+    is renamed, not copied), and returns the folded rows with den, the
+    product of the atoms' scales.  With ``block`` None the kernel folds
+    the caller's ``rows``, one list per row, u<j>_<c> being column c after
+    j atoms.  A ``Block`` is written in as literals, row k's entries
+    named u<j>_<c>_<k>: a zero entry drops its terms and an int entry
+    folds into the monomial it multiplies.  Given wedges, each atom
+    writes only the columns that a later atom or a wedge reads, and the
+    kernel returns per wedge the pairing of the folded rows 0 and 1,
+    coeff*top[c] at level 1 and
+    coeff*(top[a]*low[b]) + -coeff*(top[b]*low[a]) at level 2, in place
+    of the rows.
     """
-    head, body, scales, names = ["def kernel(rows, atoms):"], [], [], {}
+    head, tables, scales, names = ["def kernel(rows, atoms):"], [], [], {}
 
     def monomial(j, v, a, b):
         if (j, v, a, b) not in names:
@@ -231,7 +295,6 @@ def _word_source(shape):
                 head.append("    %s = %s" % (names[j, v, a, b], "*".join(factors)))
         return names[j, v, a, b]
 
-    row = ["u0_%d" % c for c in range(7)]
     for j, (kind, i) in enumerate(shape):
         (top_p, top_q), terms = _atom_terms(kind, i)
         if top_p or top_q:
@@ -239,54 +302,92 @@ def _word_source(shape):
                      "    p%d = t%d.numerator" % (j, j),
                      "    q%d = t%d.denominator" % (j, j)]
             scales.append(monomial(j, 1, top_p, top_q))
-        columns = [[] for _ in range(7)]
-        for r, c, v, a, b in terms:
-            if a or b:
-                columns[c].append("%s*%s" % (row[r], monomial(j, v, a, b)))
-            else:
-                columns[c].append({1: "", -1: "-"}.get(v, "%d*" % v) + row[r])
-        row = [" + ".join(column) for column in columns]
-        if j < len(shape) - 1:
-            for c, value in enumerate(row):
-                if not value.isidentifier():
-                    row[c] = "u%d_%d" % (j + 1, c)
-                    body.append("        %s = %s" % (row[c], value))
-    return "\n".join(
-        head + ["    out = []", "    for %s in rows:" % ", ".join("u0_%d" % c for c in range(7))]
-        + body + ["        out.append([%s])" % ", ".join(row),
-                  "    return out, %s" % ("*".join(scales) or "1")]
-    ) + "\n"
+        tables.append(terms)
+
+    def fold(row, suffix, body, keep=None):
+        # ``row`` after each atom, each entry an int or a name; the last
+        # atom leaves expressions, or names only the columns in ``keep``
+        # and each atom before it only the columns that the next one reads
+        live = [keep]
+        for terms in reversed(tables[1:]):
+            live.append(None if keep is None else {r for r, c, *_ in terms if c in live[-1]})
+        for j, (terms, read) in enumerate(zip(tables, reversed(live)), 1):
+            columns = [[] for _ in range(7)]
+            for r, c, v, a, b in terms:
+                entry = row[r]
+                if entry == 0 or read is not None and c not in read:
+                    continue
+                if a or b:
+                    columns[c].append(monomial(j - 1, entry * v, a, b) if type(entry) is int
+                                      else "%s*%s" % (entry, monomial(j - 1, v, a, b)))
+                else:
+                    columns[c].append(entry * v if type(entry) is int
+                                      else {1: "", -1: "-"}.get(v, "%d*" % v) + entry)
+            row = [_total(column) for column in columns]
+            if j < len(tables) or keep is not None:
+                for c, value in enumerate(row):
+                    if type(value) is str and not value.isidentifier():
+                        row[c] = "u%d_%d%s" % (j, c, suffix)
+                        body.append("%s = %s" % (row[c], value))
+        return row
+
+    body = []
+    if block is None:
+        names_0 = ["u0_%d" % c for c in range(7)]
+        row = fold(names_0, "", body)
+        head += ["    out = []", "    for %s in rows:" % ", ".join(names_0)]
+        body = ["    " + line for line in body + ["out.append(%s)" % _listed(row)]]
+        out = "out"
+    elif block.wedges is None:
+        out = _listed(_listed(fold(entries, "_%d" % k, body))
+                      for k, entries in enumerate(block.entries))
+    else:
+        top = fold(block.entries[0], "_0", body, {c for cols, _ in block.wedges for c in cols})
+        low = fold(block.entries[1], "_1", body,
+                   {c for cols, _ in block.wedges if len(cols) == 2 for c in cols})
+        out = _listed(_product(coeff, top[cols[0]]) if len(cols) == 1 else _total(
+                          [_product(coeff, top[cols[0]], low[cols[1]]),
+                           _product(-coeff, top[cols[1]], low[cols[0]])])
+                      for cols, coeff in block.wedges)
+    return "\n".join(head + ["    " + line for line in body]) + "\n    return %s, %s\n" % (
+        out, "*".join(scales) or "1")
 
 
-@lru_cache(maxsize=128)
-def _word_kernel(shape):
-    """The straight-line fold of the words of ``shape``, compiled on first
-    use from ``_word_source``.  Keyed by the shape alone, never by a
-    parameter, and bounded: the least recently used of more than 128
-    shapes is compiled again when next met.  This is the package's one
-    ``exec``."""
+@lru_cache(maxsize=64)
+def _word_kernel(shape, block):
+    """The straight-line fold of the words of ``shape`` for ``block``, a
+    ``Block`` or None for caller rows, compiled on first use from
+    ``_word_source``.  Keyed by the shape and the block, never by a
+    parameter, and bounded: the least recently used of more than 64 keys
+    is compiled again when next met.  A cold ``g2cells verify`` meets 56
+    keys, the most of any command or benchmark workload, so none of them
+    evicts.  This is the package's one ``exec``."""
     namespace = {}
     name = "<kernel %s>" % " ".join("%s%d" % pair for pair in shape)
-    exec(compile(_word_source(shape), name, "exec"), namespace)
+    exec(compile(_word_source(shape, block), name, "exec"), namespace)
     return namespace["kernel"]
 
 
 def _fold_rows(rows, atoms):
     """(rows . (product of the atoms' matrices) * den, den), over the integers.
 
-    ``rows`` is a block of integer row vectors.  The word is folded by the
-    one kernel of its shape, which multiplies the rows by each atom's
-    matrix times its scale in turn, and returns ``den``, the product of
-    the scales.  So the rows stay integral (or ``Poly``s with integral
-    coefficients) and no ``Fraction`` is built.  This is the package's
-    only fold.
+    ``rows`` is a block of integer row vectors, or a ``Block``, whose
+    kernel returns its pairings in place of the rows if it has wedges.
+    The word is folded by the one kernel of its shape and block, which
+    multiplies the rows by each atom's matrix times its scale in turn,
+    and returns ``den``, the product of the scales.  So the rows stay
+    integral (or ``Poly``s with integral coefficients) and no ``Fraction``
+    is built.  This is the package's only fold.
     """
-    return _word_kernel(tuple([atom[:2] for atom in atoms]))(rows, atoms)
+    block = rows if type(rows) is Block else None
+    return _word_kernel(tuple([atom[:2] for atom in atoms]), block)(rows, atoms)
 
 
 #: the unit rows e_0, ..., e_6 of V7: every block of unit covectors that is
 #: folded is a slice of it
 UNIT_ROWS = tuple(tuple(int(j == i) for j in range(7)) for i in range(7))
+#: the seven unit rows as a block, whose fold is the whole matrix
+_UNIT_BLOCK = Block(UNIT_ROWS)
 
 
 def _weyl_terms(kind, i):
@@ -342,7 +443,7 @@ class GroupElement:
     def rows(self):
         """The V7 matrix as (rows, den): integral rows over a positive int."""
         if self.kept is None:
-            rows, den = _fold_rows(UNIT_ROWS, self.provenance)
+            rows, den = _fold_rows(_UNIT_BLOCK, self.provenance)
             self.kept = tuple(map(tuple, rows)), den
         return self.kept
 
@@ -465,13 +566,18 @@ def wdot(w):
 
 
 def apply_covector(g, rows):
-    """rows . g for a block of int row vectors, the one reader of rows of an
-    element: (numerators, den), entry j of row k of rows . g being
-    numerators[k][j] / den with den a positive int.  The block is folded
-    along the word until the matrix is kept, and multiplied into the kept
-    matrix after: the fold is linear in the block, so both give the same
-    numerators over the same den."""
-    if g.kept is None:
+    """rows . g for a block of int row vectors or a ``Block``, the one reader
+    of rows of an element: (numerators, den), entry j of row k of rows . g
+    being numerators[k][j] / den with den a positive int.  The block is
+    folded along the word until the matrix is kept, and multiplied into
+    the kept matrix after: the fold is linear in the block, so both give
+    the same numerators over the same den.  A ``Block`` with wedges gives
+    (pairings, den) instead, always folded along the word."""
+    if type(rows) is Block:
+        if g.kept is None or rows.wedges is not None:
+            return _fold_rows(rows, g.provenance)
+        rows = rows.entries
+    elif g.kept is None:
         return _fold_rows(rows, g.provenance)
     matrix, den = g.kept
     out = []

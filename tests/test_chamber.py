@@ -562,7 +562,7 @@ def test_each_factorization_folds_once(monkeypatch, word):
 @pytest.mark.parametrize("word", (WORD_I, WORD_I_TILDE), ids=("121212", "212121"))
 @pytest.mark.parametrize("lowest", (False, True), ids=("highest", "lowest"))
 def test_ansatz_lists_each_chamber_weight_once(word, lowest):
-    weights, steps, _ = chamber._ansatz_weights(word, lowest)
+    weights, steps, *_ = chamber._ansatz_weights(word, lowest)
     prefixes = [W.identity]
     for i in word:
         prefixes.append(prefixes[-1] * W.s(i))
@@ -660,7 +660,7 @@ def _laurent(values, exps):
 
 @BOTH_WORDS
 def test_lower_parameters_read_the_pinned_minors(word):
-    weights, _, _ = chamber._ansatz_weights(word, True)
+    weights, *_ = chamber._ansatz_weights(word, True)
     got = tuple((mu.eps_label(), minors.weight_to_chamber(mu)[1]) for mu in weights)
     assert got == LOWEST_MINORS[word]
     # P_0 and P_2 are the minors at -omega_1 and -omega_2, 1 on U-
@@ -676,7 +676,7 @@ def test_lower_parameters_are_an_identity_of_rational_functions(word):
     P = list(variables())
     P[0:0] = [1]
     P[2:2] = [1]
-    _, steps, _ = chamber._ansatz_weights(word, True)
+    _, steps, *_ = chamber._ansatz_weights(word, True)
     x = rep.GroupElement(
         ("x", jm, Quotient(P[num] ** exp, P[d1] * P[d2]))
         for jm, (num, exp, d1, d2, _) in zip(word, steps)
@@ -836,7 +836,7 @@ def test_lower_sign_masks_read_the_exponent_parities(word):
 def test_step_masks_read_the_ansatz_rule(word, lowest):
     """Over every sign pattern of the eight pairings, the parity reader
     gives a_m negative iff exp * neg[num] + neg[d1] + neg[d2] is odd."""
-    _, steps, flips = chamber._ansatz_weights(word, lowest)
+    _, steps, flips, _ = chamber._ansatz_weights(word, lowest)
     for n in range(2**8):
         values = _parities(n, 8)
         neg = [v < 0 for v in values]

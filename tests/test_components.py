@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from g2cells import chamber, components, deodhar, fixtures, minors, rep
+from g2cells import chamber, components, deodhar, fixtures, rep
 from g2cells.components import SignVector
 from g2cells.weyl import OMEGA, WORD_I, WORD_I_TILDE
 
@@ -314,7 +314,7 @@ def test_lowest_pairings_at_minus_omega_are_powers_of_den(word, other):
     word at -omega_1 and -omega_2, P_0 and P_2 in some order, are den and
     den**2: positive, so their masks in ``chamber._LOWER_SIGNS`` never act."""
     target = components.WORDS[other]
-    weights, _, _ = chamber._ansatz_weights(target, True)
+    weights, *_ = chamber._ansatz_weights(target, True)
     levels = tuple(1 if weights[k] == -OMEGA[1] else 2 for k in (0, 2))
     # P_0 is -omega_1 along 212121 and -omega_2 along 121212
     assert levels == ((1, 2) if target == WORD_I_TILDE else (2, 1))
@@ -398,17 +398,22 @@ def test_one_graph_sample_builds_no_fraction(monkeypatch):
 
 def test_one_graph_sample_builds_one_element_and_one_kernel_lookup_per_fold(monkeypatch):
     # the lower point is one rep.word of six y atoms, and its one fold looks
-    # up one kernel, by the word's shape; the rows of wdot(w0) that the
-    # fold reads are warmed first, since they are folded once per process
-    minors.lowest_row(rep.group_identity())
+    # up one kernel, by the word's shape; the rows of wdot(w0) and the
+    # wedges that the fold reads are warmed first by the same samples,
+    # since they are folded once per process
+    samples = (("i", "it", "+-+--+"), ("it", "i", "-++-+-"))
+    for word, other, signs in samples:
+        point = components._lower_point(word, signs, random.Random(5))
+        components._refactor_signs(point, other)
     elements, lookups, folds = [], [], []
     init, kernel, fold = rep.GroupElement.__init__, rep._word_kernel, rep._fold_rows
     monkeypatch.setattr(rep.GroupElement, "__init__",
                         lambda self, word: elements.append(word) or init(self, word))
-    monkeypatch.setattr(rep, "_word_kernel", lambda shape: lookups.append(shape) or kernel(shape))
+    monkeypatch.setattr(rep, "_word_kernel",
+                        lambda shape, block: lookups.append(shape) or kernel(shape, block))
     monkeypatch.setattr(rep, "_fold_rows", lambda rows, atoms: folds.append(atoms) or fold(rows, atoms))
     rng = random.Random(5)
-    for word, other, signs in (("i", "it", "+-+--+"), ("it", "i", "-++-+-")):
+    for word, other, signs in samples:
         for log in (elements, lookups, folds):
             log.clear()
         components._refactor_signs(components._lower_point(word, signs, rng), other)

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import io
+import itertools
 import re
 import sys
 import tokenize
@@ -10,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from g2cells import rep
-from g2cells.weyl import Subexpression
+from g2cells import chamber, minors, rep
+from g2cells.weyl import V7_WEIGHTS, WORD_I, Subexpression
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "g2cells").glob("*.py"))
@@ -224,10 +225,11 @@ def test_only_the_kernel_compiler_runs_generated_source():
 #: every name a kernel's source may spell: four keywords, its parameters,
 #: the list it builds and its append, each atom's parameter t<j> with its
 #: numerator p<j> and denominator q<j>, the monomials s<k> and the entries
-#: u<j>_<c> of a row after j atoms
+#: u<j>_<c> of a caller's row, or u<j>_<c>_<k> of row k of a fixed block,
+#: after j atoms
 KERNEL_NAME = re.compile(
     r"def|for|in|return|kernel|rows|atoms|out|append|numerator|denominator"
-    r"|[tpqs]\d+|u\d+_\d+"
+    r"|[tpqs]\d+|u\d+_\d+(?:_\d+)?"
 )
 KERNEL_OPS = {"(", ")", "[", "]", ",", ":", "=", "*", "+", "-", "."}
 
@@ -238,10 +240,17 @@ def test_kernel_source_is_built_from_integer_tables(kind, letter):
     """A kernel's source, from the one builder, is integer literals and
     arithmetic on its rows and its parameters' numerators and denominators,
     and nothing else: for the one-atom word and for words of several
-    atoms around it."""
+    atoms around it, folding caller rows, each fixed block the package
+    folds and the pairings of the chamber minors."""
     atom = (kind, letter)
-    for shape in ((atom,), (atom, atom), (("y", 1), atom, ("sdot", 2), ("coweight", 1), atom)):
-        source = rep._word_source(shape)
+    readers = [minors.minor_reader(weights, lowest)
+               for lowest in (False, True)
+               for weights in (chamber._ansatz_weights(WORD_I, lowest)[0], V7_WEIGHTS[:1])]
+    blocks = (None, rep.Block(rep.UNIT_ROWS), rep.Block(rep.UNIT_ROWS[:2]),
+              rep.Block(minors.lowest_row(rep.group_identity())[0]), *readers)
+    for shape, block in itertools.product(
+            ((atom,), (atom, atom), (("y", 1), atom, ("sdot", 2), ("coweight", 1), atom)), blocks):
+        source = rep._word_source(shape, block)
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:
                 assert KERNEL_NAME.fullmatch(tok.string), tok

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 import linalg_reference
 from dense_reference import atoms, dense_product
 from g2cells import fixtures, minors, rep
+from g2cells.scalars import variables
 from g2cells.weyl import OMEGA, W, WORD_I, WORD_I_TILDE, Weight, weight_by_label
 
 V7 = rep.build_representations()
@@ -228,6 +229,39 @@ def test_row_functionals_agree_with_direct_minors():
 def test_minors_are_determinants_of_the_dense_product(word):
     g = rep.group_product(rep.GroupElement([atom]) for atom in word)
     _assert_minors_match_oracle(g, dense_product(word, V7))
+
+
+#: the 12 chamber weights, and a reader of their minors per direction,
+#: built once, since its kernels are keyed by the reader
+CHAMBER_WEIGHTS = tuple(map(weight_by_label, minors.LEVEL1_LABELS + minors.LEVEL2_LABELS))
+READERS = {lowest: minors.minor_reader(CHAMBER_WEIGHTS, lowest) for lowest in (False, True)}
+
+
+def _assert_pairings_read_inside_the_fold(g):
+    for lowest, read_rows in ((False, minors.highest_row), (True, minors.lowest_row)):
+        row = read_rows(g)
+        expected = [minors.pair_row_with_weight(row, mu) for mu in CHAMBER_WEIGHTS]
+        assert minors.read_minors(g, READERS[lowest]) == (expected, row[1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(atoms, max_size=7))
+def test_kernel_pairings_are_the_pairings_of_the_folded_rows(word):
+    """The pairings a kernel reads off its fold are those of
+    ``pair_row_with_weight`` on the folded rows 0 and 1, at all 12 chamber
+    weights, in both directions, the matrix kept or not."""
+    g = rep.GroupElement(word)
+    _assert_pairings_read_inside_the_fold(g)
+    g.rows
+    _assert_pairings_read_inside_the_fold(g)
+
+
+def test_kernel_pairings_carry_polynomial_parameters():
+    a, b, c, d, e, f = variables()
+    _assert_pairings_read_inside_the_fold(rep.word("x", WORD_I_TILDE, (a, b, c, d, e, f)))
+    _assert_pairings_read_inside_the_fold(rep.GroupElement(
+        (("x", 1, a), ("y", 2, b), ("sdot", 1), ("x", 2, c * d), ("sdot_inv", 2),
+         ("y", 1, e), ("coweight", 2, Fraction(-3, 5)), ("x", 1, f), ("sdot", 2))))
 
 
 def test_lowest_rows_require_the_bottom_wedge():

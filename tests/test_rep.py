@@ -1,6 +1,7 @@
 """The exact representation V7 and the one-parameter subgroups."""
 
 import importlib
+import itertools
 import json
 import math
 import pkgutil
@@ -293,6 +294,21 @@ def test_fold_kernels_match_the_dense_product(word, block):
     assert images == _dense_images(dense_product(word, V7), block)
 
 
+#: every fixed block the package folds: the unit rows, whose fold is the
+#: matrix, and rows 0 and 1 of the identity and of wdot(w0)
+FIXED_BLOCKS = (rep.Block(rep.UNIT_ROWS), minors._row_block(False), minors._row_block(True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.one_of(atoms, int_atoms), max_size=7))
+def test_literal_block_kernels_match_the_caller_rows_kernel(word):
+    """A fixed block folded from the literals written into its kernel reads
+    the same numerators over the same den as the same rows folded as the
+    caller's, for words of every atom kind."""
+    for block in FIXED_BLOCKS:
+        assert rep._fold_rows(block, word) == rep._fold_rows([list(r) for r in block.entries], word)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(atoms, int_atoms), max_size=7), row_blocks)
 def test_folds_construct_no_fraction(word, block):
@@ -370,8 +386,10 @@ def test_integral_rows_at_large_prime_denominators(R):
 
 @pytest.mark.parametrize("t", (Fraction(-3, 7), Fraction(5, 1000003), Fraction(-(2**61 - 1), 4)))
 def test_torus_kernel_folds_its_eigenvalues_over_a_positive_int(t):
-    for i in (1, 2):
-        rows, den = rep._word_kernel((("coweight", i),))(rep.UNIT_ROWS, (("coweight", i, t),))
+    # the caller-rows kernel and the kernel of the unit rows written in as literals
+    for i, block in itertools.product((1, 2), (None, rep.Block(rep.UNIT_ROWS))):
+        kernel = rep._word_kernel((("coweight", i),), block)
+        rows, den = kernel(rep.UNIT_ROWS, (("coweight", i, t),))
         assert type(den) is int and den > 0
         assert all(type(n) is int for row in rows for n in row)
         expected = [[t ** mu.pairing(i) if r == c else 0 for c in range(7)]
@@ -518,10 +536,12 @@ def _lru_caches():
 CACHE_BOUNDS = {
     "rep.build_representations": 1,
     "rep._atom_terms": 10,  # five kinds (x, y, coweight, sdot, sdot_inv) x two letters
-    "rep._word_kernel": 128,  # word shapes are unbounded: its maxsize
+    "rep._word_kernel": 64,  # word shapes are unbounded: its maxsize
     "rep.wdot": len(W.elements),
     "minors._extremal_by_weight": 12,  # six chamber weights per level
     "minors._lowest_rows": 1,  # rows 0 and 1 of wdot(w0)
+    "minors._row_block": 2,  # the rows 0 and 1 of each direction
+    "minors._chamber_reader": 2,  # the 12 chamber minors of each direction
     "chamber._ansatz_weights": 4,  # two words x two directions
     "deodhar.families": 1,
     "deodhar._signed_draws": 1,
