@@ -33,9 +33,16 @@ other input with ``TypeError``.
 
 Both positions read their two rows through ``rep.apply_covector``, so
 an element whose matrix is kept folds nothing more, and drop the common
-denominator: a row scale moves no pivot.  A position chain folds e_0
-and e_1 factor by factor.  The flag identity of ``chamber`` is the plus
-position at the identity, since B+ e B+ = B+.
+denominator: a row scale moves no pivot.  The flag identity of
+``chamber`` is the plus position at the identity, since B+ e B+ = B+.
+
+A cell point is one checked ``rep.word``: each family keeps one atom
+template, the kinds and letters of the atoms of z_1 ... z_6 and the
+ends of the factors, which the coordinates fill.  A position chain
+folds e_0 and e_1 along the whole point once, in one kernel call that
+returns them after the end of every factor, and reads the seven
+positions off those blocks; ``cell_factors`` cuts the point at the same
+ends.
 
 Random coordinates come from ``sample_signed``: per coordinate, one
 pick from a table, built once, of the 625 values sign * p / q per sign,
@@ -48,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, count
 
 from . import linalg, minors, rep
 from .weyl import W, WORD_I, Subexpression, enumerate_distinguished
@@ -182,40 +190,67 @@ def cell_by_display(display):
     raise KeyError("no cell family matches %r" % (display,))
 
 
-def cell_factors(cell, t, m):
-    """The factors z_1, ..., z_6 at the given coordinates, as group elements:
-    ``cell_point`` is their product, and ``factor_chain`` reads the
-    position chain of their partial products.  The coordinates are passed to
-    the atoms as they are, so a float or a string raises the atom's
-    ``TypeError`` before any comparison.  The zero and sign checks read the
-    rational t only: a ``Poly`` t folds symbolically."""
+#: the atoms of the factor z_j by the role of position j: y_i(t), sdot_i
+#: and x_i(m) sdot_i^-1
+_FACTOR_ATOMS = {"t": ("y",), "0": ("sdot",), "m": ("x", "sdot_inv")}
+
+
+@lru_cache(maxsize=8)
+def _factor_atoms(word, layout):
+    """(kinds, letters, ends, picks) for the points of the family of
+    ``word`` and ``layout``: the kinds and letters of the atoms of
+    z_1 ... z_6, the number of atoms up to the end of each factor, and
+    the index of each atom's parameter in t + m.  Kept for the eight
+    families."""
+    kinds, letters, ends = [], [], []
+    for letter, r in zip(word, layout):
+        kinds += _FACTOR_ATOMS[r]
+        letters += (letter,) * len(_FACTOR_ATOMS[r])
+        ends.append(len(kinds))
+    t, m = count(), count(layout.count("t"))
+    picks = tuple(next(t) if r == "t" else next(m) for r in layout if r != "0")
+    return tuple(kinds), tuple(letters), tuple(ends), picks
+
+
+def _cell_word(cell, t, m):
+    """(z_1 ... z_6, ends): the point as one checked ``rep.word`` and the
+    number of its atoms up to the end of each factor.  The coordinates
+    are passed to ``rep.word`` as they are, so a float or a string raises
+    its ``TypeError`` before any comparison.  The zero and sign checks
+    read the numerator of a rational t only: a ``Poly`` t folds
+    symbolically."""
     fam = cell.family
     if len(t) != len(fam.I) or len(m) != len(fam.K):
         raise ValueError("expected %d t's and %d m's" % (len(fam.I), len(fam.K)))
-    ti, mi = iter(t), iter(m)
-    factors = [
-        rep.y(letter, next(ti)) if r == "t"
-        else rep.sdot(letter) if r == "0"
-        else rep.x(letter, next(mi)) * rep.sdot_inverse(letter)
-        for letter, r in zip(fam.word, fam.layout)
-    ]
+    kinds, letters, ends, picks = _factor_atoms(fam.word, fam.layout)
+    coordinates = (*t, *m)
+    point = rep.word(kinds, letters, [coordinates[k] for k in picks])
     for val, sign in zip(t, cell.h):
         if not isinstance(val, (int, Fraction)):
             continue
-        if val == 0:
+        if not val.numerator:
             raise ValueError("t coordinates must be nonzero")
-        if (val > 0) != (sign > 0):
+        if (val.numerator > 0) != (sign > 0):
             raise ValueError("t coordinate %s violates the sign choice" % val)
-    return factors
+    return point, ends
+
+
+def cell_factors(cell, t, m):
+    """The factors z_1, ..., z_6 at the given coordinates, as group elements:
+    the pieces of the one checked element ``cell_point`` builds, cut at
+    the ends of the factors.  ``factor_chain`` reads the position chain
+    of their partial products."""
+    return rep.split(*_cell_word(cell, t, m))
 
 
 def cell_point(cell, t, m):
-    """The product z_1 ... z_6 at the given coordinates.
+    """The product z_1 ... z_6 at the given coordinates, one ``rep.word``
+    of the atoms of its six factors.
 
     ``t`` lists the R*-coordinates (I positions, in order), each with
     the sign required by the cell; ``m`` lists the R-coordinates.
     """
-    return rep.group_product(cell_factors(cell, t, m))
+    return _cell_word(cell, t, m)[0]
 
 
 def _by_pivots(elements):
@@ -231,6 +266,9 @@ def _by_pivots(elements):
 
 
 _PIVOTS = _by_pivots(W.elements)
+
+#: rows 0 and 1 of the identity, folded along a position chain
+_TOP_ROWS = rep.Block(rep.UNIT_ROWS[:2])
 
 
 def _mixed_from_top_rows(rows):
@@ -267,27 +305,35 @@ def bruhat_position_plus(g):
     return W.w0 * _mixed_from_top_rows(_folded(g, minors.lowest_row))
 
 
+def _chain(point, ends):
+    """The chain of ``point``'s prefixes of ``ends`` atoms after W.w0: rows 0
+    and 1 of the identity, folded along the word in one kernel call that
+    returns them after every end, without their denominators."""
+    prefixes, _ = rep.apply_covector(point, _TOP_ROWS, ends)
+    return (W.w0,) + tuple(W.w0 * _mixed_from_top_rows(rows) for rows in prefixes)
+
+
+def _joined(factors):
+    """(product, ends): the product of ``factors`` and the number of its
+    atoms up to the end of each factor."""
+    return rep.group_product(factors), tuple(accumulate(len(z.provenance) for z in factors))
+
+
 def factor_chain(factors):
     """Relative positions of B- to the flags of the partial products of
     ``factors``, as from ``cell_factors``.
 
     Returns the Weyl elements w with B- -> B_j in position w for
     j = 0..6; membership of the point in the cell is equivalent to this
-    chain equalling (w0 sigma_j).  Rows 0 and 1 of each partial product
-    are folded on from those of the one before, without the common
-    denominator.
+    chain equalling (w0 sigma_j).  Rows 0 and 1 of every partial product
+    are read from one fold of the whole product.
     """
-    chain = [W.w0]
-    rows = rep.UNIT_ROWS[:2]
-    for z in factors:
-        rows, _ = rep.apply_covector(z, rows)
-        chain.append(W.w0 * _mixed_from_top_rows(rows))
-    return tuple(chain)
+    return _chain(*_joined(factors))
 
 
 def position_chain(cell, t, m):
     """The ``factor_chain`` of the cell's factors at the given coordinates."""
-    return factor_chain(cell_factors(cell, t, m))
+    return _chain(*_cell_word(cell, t, m))
 
 
 def expected_chain(cell):
@@ -296,15 +342,20 @@ def expected_chain(cell):
     return tuple(W.w0 * s for s in cell.family.sigma)
 
 
-def verify_factor_chain(cell, factors):
-    """True iff every partial product of the cell's ``factors`` sits in
-    B- sigma_j B+."""
+def _chain_matches(cell, point, ends):
+    # a point off every double coset of a Weyl element is in no cell
     try:
-        return factor_chain(factors) == expected_chain(cell)
+        return _chain(point, ends) == expected_chain(cell)
     except ArithmeticError:
         return False
 
 
+def verify_factor_chain(cell, factors):
+    """True iff every partial product of the cell's ``factors`` sits in
+    B- sigma_j B+."""
+    return _chain_matches(cell, *_joined(factors))
+
+
 def verify_cell_chain(cell, t, m):
     """True iff every partial product sits in B- sigma_j B+."""
-    return verify_factor_chain(cell, cell_factors(cell, t, m))
+    return _chain_matches(cell, *_cell_word(cell, t, m))

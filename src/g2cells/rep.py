@@ -24,13 +24,15 @@ it: products concatenate words, inverses reverse them, and a matrix is
 folded from the word only when it is first read.  Dense matrix
 products run only while the representation is built.  Only this module
 writes an atom or builds a ``GroupElement`` from a word: the rest of
-the package starts from ``word``, which builds the atoms of one kind
-along a word of letters as one element, from its one-letter cases
-``x``, ``y``, ``sdot``, ``sdot_inverse`` and ``coweight``, or from
-``wdot``, and joins elements with ``*`` or ``group_product``.  ``word``
-refuses a letter outside {1, 2} (``ValueError``) and a parameter that
-is not an int, ``Fraction`` or, for x and y, ``Poly`` (``TypeError``)
-before the element is built.
+the package starts from ``word``, which builds the atoms along a word of
+letters as one element, of one kind or of a kind per letter (a Deodhar
+cell point is one such word), from its one-letter cases ``x``, ``y``,
+``sdot``, ``sdot_inverse`` and ``coweight``, or from ``wdot``, joins
+elements with ``*`` or ``group_product`` and cuts one into its factors
+with ``split``.  ``word`` refuses a letter outside {1, 2}
+(``ValueError``) and a parameter that is not an int, ``Fraction`` or,
+for x and y, ``Poly`` (``TypeError``) before the element is built,
+checking each once.
 
 Each of the ten (kind, letter) pairs has one integer term table,
 ``_atom_terms``: the terms (r, c, v, a, b) saying that entry (r, c) of
@@ -48,22 +50,27 @@ matrix, or rows 0 and 1 of the identity or of wdot(w0).  A block's
 entries are written into the source as literals, so a zero entry drops
 its terms and an int entry folds into the monomial it multiplies, and a
 block with wedges returns the chamber pairings of its folded rows 0 and
-1 (``minors``) in place of the rows.  ``_word_kernel`` compiles each
-kernel once, keyed by the shape and the block, never by a parameter,
-in a bounded LRU cache.  There is one fold, ``_fold_rows``: it carries
-a block of row vectors as Python int numerators over one common
-denominator along the whole word in one call of its kernel, and no
-fold builds a ``Fraction``.
+1 (``minors``) in place of the rows.  A block without wedges may be
+read after chosen atoms as well, the ends of a word's factors: the
+kernel returns the block after each such prefix, over the product of
+the prefix's scales, so a Deodhar position chain is one kernel call.
+``_word_kernel`` compiles each kernel once, keyed by the shape, the
+block and the ends, never by a parameter, in a bounded LRU cache.
+There is one fold, ``_fold_rows``: it carries a block of row vectors as
+Python int numerators over one common denominator along the whole word
+in one call of its kernel, and no fold builds a ``Fraction``.
 
 There is one reader of rows of an element, ``apply_covector``: a block
-of int covectors times g.  The minors and both Bruhat positions fold
-the blocks of rows 0 and 1 of the identity or of wdot(w0), and so read
-rows 0 and 1 of g or of wdot(w0) g, or their pairings.  The whole
-matrix, ``GroupElement.rows``, is the seven unit rows folded once and
-kept; only the unipotence predicates, ``==`` and the ``Fraction`` view
-``m7`` read it.  Once it is kept, ``apply_covector`` multiplies a block
-of rows into it instead of walking the word again; pairings are always
-folded along the word.  A word made only of x atoms lies in U+ and one
+of int covectors times g, or times each of g's prefixes.  The minors
+and both Bruhat positions fold the blocks of rows 0 and 1 of the
+identity or of wdot(w0), and so read rows 0 and 1 of g or of wdot(w0) g,
+or their pairings; a position chain reads rows 0 and 1 of every prefix
+of g that ends a factor.  The whole matrix, ``GroupElement.rows``, is
+the seven unit rows folded once and kept; only the unipotence
+predicates, ``==`` and the ``Fraction`` view ``m7`` read it.  Once it
+is kept, ``apply_covector`` multiplies a block of rows into it instead
+of walking the word again; pairings and prefixes are always folded
+along the word.  A word made only of x atoms lies in U+ and one
 made only of y atoms in U-, so the unipotence predicates read such
 words without folding a matrix.
 """
@@ -72,7 +79,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import pairwise, repeat
 
 from . import linalg
 from .scalars import EXACT_SCALARS
@@ -91,6 +98,7 @@ __all__ = [
     "wdot",
     "group_identity",
     "group_product",
+    "split",
     "apply_covector",
     "Block",
     "UNIT_ROWS",
@@ -262,7 +270,7 @@ def _product(coeff, *factors):
     return "%d*%s" % (coeff, product if len(names) == 1 else "(%s)" % product)
 
 
-def _word_source(shape, block):
+def _word_source(shape, block, ends=None):
     """The source of ``kernel(rows, atoms)``, the fold of every word of
     ``shape``, its sequence of (kind, letter) pairs, from their integer
     term tables alone.
@@ -281,7 +289,10 @@ def _word_source(shape, block):
     kernel returns per wedge the pairing of the folded rows 0 and 1,
     coeff*top[c] at level 1 and
     coeff*(top[a]*low[b]) + -coeff*(top[b]*low[a]) at level 2, in place
-    of the rows.
+    of the rows.  Given ``ends``, counts of atoms, a block without wedges
+    returns its rows after each prefix of the word that many atoms long,
+    rows that the fold carries anyway, with the product of the scales of
+    the prefix's atoms as its den.
     """
     head, tables, scales, names = ["def kernel(rows, atoms):"], [], [], {}
 
@@ -301,13 +312,14 @@ def _word_source(shape, block):
             head += ["    t%d = atoms[%d][2]" % (j, j),
                      "    p%d = t%d.numerator" % (j, j),
                      "    q%d = t%d.denominator" % (j, j)]
-            scales.append(monomial(j, 1, top_p, top_q))
+            scales.append((j, monomial(j, 1, top_p, top_q)))
         tables.append(terms)
 
     def fold(row, suffix, body, keep=None):
-        # ``row`` after each atom, each entry an int or a name; the last
-        # atom leaves expressions, or names only the columns in ``keep``
-        # and each atom before it only the columns that the next one reads
+        # ``row`` after each count of atoms, each entry an int or a name;
+        # the last atom leaves expressions, or names only the columns in
+        # ``keep`` and each atom before it only the columns the next reads
+        after = [row]
         live = [keep]
         for terms in reversed(tables[1:]):
             live.append(None if keep is None else {r for r, c, *_ in terms if c in live[-1]})
@@ -329,46 +341,57 @@ def _word_source(shape, block):
                     if type(value) is str and not value.isidentifier():
                         row[c] = "u%d_%d%s" % (j, c, suffix)
                         body.append("%s = %s" % (row[c], value))
-        return row
+            after.append(row)
+        return after
+
+    def den(end):
+        return "*".join(name for j, name in scales if j < end) or "1"
+
+    if ends is not None and (block is None or block.wedges is not None):
+        raise ValueError("only a Block without wedges is read after prefixes")
 
     body = []
     if block is None:
         names_0 = ["u0_%d" % c for c in range(7)]
-        row = fold(names_0, "", body)
+        row = fold(names_0, "", body)[-1]
         head += ["    out = []", "    for %s in rows:" % ", ".join(names_0)]
         body = ["    " + line for line in body + ["out.append(%s)" % _listed(row)]]
         out = "out"
     elif block.wedges is None:
-        out = _listed(_listed(fold(entries, "_%d" % k, body))
-                      for k, entries in enumerate(block.entries))
+        after = [fold(entries, "_%d" % k, body) for k, entries in enumerate(block.entries)]
+        if ends is None:
+            out = _listed(_listed(rows[-1]) for rows in after)
+        else:
+            out = _listed(_listed(_listed(rows[end]) for rows in after) for end in ends)
     else:
-        top = fold(block.entries[0], "_0", body, {c for cols, _ in block.wedges for c in cols})
+        top = fold(block.entries[0], "_0", body, {c for cols, _ in block.wedges for c in cols})[-1]
         low = fold(block.entries[1], "_1", body,
-                   {c for cols, _ in block.wedges if len(cols) == 2 for c in cols})
+                   {c for cols, _ in block.wedges if len(cols) == 2 for c in cols})[-1]
         out = _listed(_product(coeff, top[cols[0]]) if len(cols) == 1 else _total(
                           [_product(coeff, top[cols[0]], low[cols[1]]),
                            _product(-coeff, top[cols[1]], low[cols[0]])])
                       for cols, coeff in block.wedges)
     return "\n".join(head + ["    " + line for line in body]) + "\n    return %s, %s\n" % (
-        out, "*".join(scales) or "1")
+        out, den(len(shape)) if ends is None else _listed(map(den, ends)))
 
 
 @lru_cache(maxsize=64)
-def _word_kernel(shape, block):
+def _word_kernel(shape, block, ends=None):
     """The straight-line fold of the words of ``shape`` for ``block``, a
-    ``Block`` or None for caller rows, compiled on first use from
-    ``_word_source``.  Keyed by the shape and the block, never by a
-    parameter, and bounded: the least recently used of more than 64 keys
-    is compiled again when next met.  A cold ``g2cells verify`` meets 56
-    keys, the most of any command or benchmark workload, so none of them
-    evicts.  This is the package's one ``exec``."""
+    ``Block`` or None for caller rows, read after the prefixes ``ends``
+    or at the end, compiled on first use from ``_word_source``.  Keyed by
+    the shape, the block and the ends, never by a parameter, and bounded:
+    the least recently used of more than 64 keys is compiled again when
+    next met.  A cold ``g2cells verify`` meets 58 keys, the most of any
+    command or benchmark workload, so none of them evicts.  This is the
+    package's one ``exec``."""
     namespace = {}
     name = "<kernel %s>" % " ".join("%s%d" % pair for pair in shape)
-    exec(compile(_word_source(shape, block), name, "exec"), namespace)
+    exec(compile(_word_source(shape, block, ends), name, "exec"), namespace)
     return namespace["kernel"]
 
 
-def _fold_rows(rows, atoms):
+def _fold_rows(rows, atoms, ends=None):
     """(rows . (product of the atoms' matrices) * den, den), over the integers.
 
     ``rows`` is a block of integer row vectors, or a ``Block``, whose
@@ -377,10 +400,12 @@ def _fold_rows(rows, atoms):
     multiplies the rows by each atom's matrix times its scale in turn,
     and returns ``den``, the product of the scales.  So the rows stay
     integral (or ``Poly``s with integral coefficients) and no ``Fraction``
-    is built.  This is the package's only fold.
+    is built.  Given ``ends``, it returns the rows after each of those
+    prefixes of the word, with the den of each.  This is the package's
+    only fold.
     """
     block = rows if type(rows) is Block else None
-    return _word_kernel(tuple([atom[:2] for atom in atoms]), block)(rows, atoms)
+    return _word_kernel(tuple([atom[:2] for atom in atoms]), block, ends)(rows, atoms)
 
 
 #: the unit rows e_0, ..., e_6 of V7: every block of unit covectors that is
@@ -479,6 +504,13 @@ def _atom_repr(atom):
     return "%s%d(%s)" % (atom[0], atom[1], atom[2])
 
 
+def split(g, ends):
+    """The elements of the pieces of g's word that end after ``ends[k]``
+    atoms, in order: g's factors, whose product is g if the last end is
+    the length of the word."""
+    return [GroupElement(g.provenance[start:end]) for start, end in pairwise((0, *ends))]
+
+
 def group_identity():
     return GroupElement(())
 
@@ -500,37 +532,54 @@ _PARAMETER_TYPES = {
 }
 
 
-def word(kind, letters, params=None):
-    """The product of the atoms of one kind along ``letters``, as one element:
-    x_i(t), y_i(t) or coweight(i, t) for each letter i and its parameter t
-    of ``params``, or sdot_i or sdot_i^-1 for each letter, with no params.
+def word(kinds, letters, params=None):
+    """The product of the atoms along ``letters``, as one element.
 
-    Every letter and parameter is checked before the element is built: a
-    letter outside {1, 2} raises ``ValueError``, and so do a kind of no
-    atom, a count of parameters other than that of the letters and a zero
-    torus parameter; a parameter that is not an int, ``Fraction`` or, for
-    x and y, ``Poly`` raises ``TypeError``.
+    ``kinds`` is one kind for every letter, or a sequence of kinds, one
+    per letter.  An x, y or coweight atom takes the next parameter t of
+    ``params``, as x_i(t), y_i(t) or coweight(i, t); sdot_i and sdot_i^-1
+    take none, so a word of them alone takes no ``params``.
+
+    Every kind, letter and parameter is checked once, before the element
+    is built: an unknown kind, a count of kinds other than that of the
+    letters and a letter outside {1, 2} raise ``ValueError``, and so do a
+    count of parameters other than that of the atoms that take one and,
+    after every parameter's type, a zero torus parameter; a parameter
+    that is not an int, ``Fraction`` or, for x and y, ``Poly`` raises
+    ``TypeError``.
     """
-    if kind not in _PARAMETER_TYPES:
-        raise ValueError("unknown atom kind %r" % (kind,))
+    one = type(kinds) is str
+    kinds = (kinds,) if one else tuple(kinds)
+    for kind in kinds:
+        if kind not in _PARAMETER_TYPES:
+            raise ValueError("unknown atom kind %r" % (kind,))
     letters = tuple(letters)
+    if not one and len(kinds) != len(letters):
+        raise ValueError("%d kinds for %d letters" % (len(kinds), len(letters)))
     for i in letters:
         if i not in (1, 2):
             raise ValueError("letter must be 1 or 2, not %r" % (i,))
-    exact = _PARAMETER_TYPES[kind]
-    if exact is None:
+    takers = list(filter(_PARAMETER_TYPES.get, kinds))
+    if not takers:
         if params is not None:
-            raise ValueError("%s atoms take no parameter" % kind)
-        return GroupElement([(kind, i) for i in letters])
+            raise ValueError("%s atoms take no parameter" % "/".join(dict.fromkeys(kinds)))
+        return GroupElement(zip(repeat(kinds[0]) if one else kinds, letters))
     params = tuple(params)
-    if len(params) != len(letters):
-        raise ValueError("%d parameters for %d letters" % (len(params), len(letters)))
-    for t in params:
-        if not isinstance(t, exact):
+    if one:
+        takers *= len(letters)
+    if len(params) != len(takers):
+        raise ValueError("%d parameters for %d atoms that take one" % (len(params), len(takers)))
+    exact = repeat(_PARAMETER_TYPES[kinds[0]]) if one else map(_PARAMETER_TYPES.get, takers)
+    for t, types in zip(params, exact):
+        if not isinstance(t, types):
             raise TypeError("parameter must be an exact scalar, not %r" % (t,))
-    if kind == "coweight" and 0 in params:
+    if "coweight" in kinds and any(t == 0 for t, kind in zip(params, takers) if kind == "coweight"):
         raise ValueError("coweight argument must be nonzero")
-    return GroupElement(zip(repeat(kind), letters, params))
+    if one:
+        return GroupElement(zip(takers, letters, params))
+    t = iter(params)
+    return GroupElement([(kind, i, next(t)) if _PARAMETER_TYPES[kind] else (kind, i)
+                         for kind, i in zip(kinds, letters)])
 
 
 def x(i, t):
@@ -565,14 +614,21 @@ def wdot(w):
     return word("sdot", w.word)
 
 
-def apply_covector(g, rows):
+def apply_covector(g, rows, ends=None):
     """rows . g for a block of int row vectors or a ``Block``, the one reader
     of rows of an element: (numerators, den), entry j of row k of rows . g
     being numerators[k][j] / den with den a positive int.  The block is
     folded along the word until the matrix is kept, and multiplied into
     the kept matrix after: the fold is linear in the block, so both give
     the same numerators over the same den.  A ``Block`` with wedges gives
-    (pairings, den) instead, always folded along the word."""
+    (pairings, den) instead, always folded along the word.
+
+    Given ``ends``, a tuple of atom counts, a ``Block`` without wedges
+    gives (blocks, dens) from one fold along the word: blocks[k] over
+    dens[k] is rows . g_k, g_k the product of the first ends[k] atoms of
+    g's word."""
+    if ends is not None:
+        return _fold_rows(rows, g.provenance, ends)
     if type(rows) is Block:
         if g.kept is None or rows.wedges is not None:
             return _fold_rows(rows, g.provenance)

@@ -357,6 +357,14 @@ def test_figure1_gives_up_after_64_samples(monkeypatch):
     assert built == [16, 32, 64]
 
 
+@pytest.mark.parametrize("seed", (0, 59, 1234))
+def test_other_seeds_give_the_same_partition_and_euler_table(partition, report, seed):
+    other = components.compute_figure1(SAMPLES, seed)
+    assert other.sizes() == partition.sizes()
+    assert other.bijection == partition.bijection
+    assert other.euler_report.per_component == report.per_component
+
+
 def test_components_cache_is_bounded():
     maxsize = components._figure1.cache_info().maxsize
     assert maxsize is not None and maxsize <= 8
@@ -410,7 +418,7 @@ def test_one_graph_sample_builds_one_element_and_one_kernel_lookup_per_fold(monk
     monkeypatch.setattr(rep.GroupElement, "__init__",
                         lambda self, word: elements.append(word) or init(self, word))
     monkeypatch.setattr(rep, "_word_kernel",
-                        lambda shape, block: lookups.append(shape) or kernel(shape, block))
+                        lambda shape, *key: lookups.append(shape) or kernel(shape, *key))
     monkeypatch.setattr(rep, "_fold_rows", lambda rows, atoms: folds.append(atoms) or fold(rows, atoms))
     rng = random.Random(5)
     for word, other, signs in samples:

@@ -105,6 +105,34 @@ def test_cell_point_validates_signs():
         deodhar.cell_point(cell, (1,), (0, 0))  # arity
 
 
+def test_a_cell_point_is_one_checked_build_and_a_chain_one_kernel_lookup(monkeypatch):
+    """A point is one ``rep.word`` of the atoms of its six factors, and its
+    position chain reads every prefix from one kernel of that word."""
+    rng = random.Random(11)
+    points = [checks._random_family_point(fam, rng) for fam in deodhar.families()]
+    for point in points:  # warm the kernels, so that a lookup compiles nothing
+        deodhar.verify_cell_chain(*point)
+    words, lookups = [], []
+    word, kernel = rep.word, rep._word_kernel
+    monkeypatch.setattr(rep, "word", lambda *args: words.append(args) or word(*args))
+    monkeypatch.setattr(rep, "_word_kernel", lambda *key: lookups.append(key) or kernel(*key))
+    for cell, t, m in points:
+        for log in (words, lookups):
+            log.clear()
+        point = deodhar.cell_point(cell, t, m)
+        assert (len(words), lookups) == (1, [])
+        factors = deodhar.cell_factors(cell, t, m)
+        assert len(words) == 2 and len(factors) == 6
+        assert rep.group_product(factors).provenance == point.provenance
+        chain = deodhar.factor_chain(factors)
+        assert len(lookups) == 1 and len(words) == 2
+        shape, _, ends = lookups[0]
+        assert len(shape) == ends[-1] == len(point.provenance) and len(ends) == 6
+        assert chain == deodhar.expected_chain(cell)
+        assert deodhar.verify_cell_chain(cell, t, m)
+        assert len(lookups) == 2 and len(words) == 3
+
+
 def test_two_line_keys_name_each_element():
     """The lines w sends to lines 0 and 1 carry the weights w^-1 omega1 and
     w^-1 omega2 - w^-1 omega1, which fix w."""

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from g2cells import chamber, minors, rep
+from g2cells import chamber, deodhar, minors, rep
 from g2cells.weyl import V7_WEIGHTS, WORD_I, Subexpression
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -261,6 +261,27 @@ def test_kernel_source_is_built_from_integer_tables(kind, letter):
             else:
                 assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
                                     tokenize.DEDENT, tokenize.ENDMARKER), tok
+
+
+def _assert_kernel_tokens(source):
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert KERNEL_NAME.fullmatch(tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit(), tok
+        elif tok.type == tokenize.OP:
+            assert tok.string in KERNEL_OPS, tok
+        else:
+            assert tok.type in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER), tok
+
+
+@pytest.mark.parametrize("fam", deodhar.families(), ids=lambda fam: fam.name)
+def test_chain_kernel_source_is_built_from_integer_tables(fam):
+    """The kernel that reads a cell point's rows after each factor, from the
+    one builder, is made of the same tokens as every other kernel."""
+    kinds, letters, ends, _ = deodhar._factor_atoms(fam.word, fam.layout)
+    _assert_kernel_tokens(rep._word_source(tuple(zip(kinds, letters)), deodhar._TOP_ROWS, ends))
 
 
 #: the index sets of a subexpression, each a read of its one layout

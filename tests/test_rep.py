@@ -496,6 +496,96 @@ def test_prefix_points_match_dense_prefix_products():
             assert deodhar.cell_point(cell, t, m) == prefixes[-1]
 
 
+#: rows 0 and 1 of the identity, kept, as a chain folds them: the kernels
+#: of its prefix reads are keyed by the block itself
+TOP_ROWS = rep.Block(rep.UNIT_ROWS[:2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(deodhar.families()), st.data())
+def test_prefix_blocks_equal_the_per_factor_folds(fam, data):
+    """Rows 0 and 1 read after every factor of a mixed word, from one fold
+    of the whole word, equal the rows carried through the factors one
+    fold at a time, each over the product of the factors' dens.  The
+    words are cell points, spelled out per factor, so their shapes are
+    the eight family layouts."""
+    t = data.draw(st.lists(nonzero_parameters, min_size=len(fam.I), max_size=len(fam.I)))
+    m = data.draw(st.lists(parameters, min_size=len(fam.K), max_size=len(fam.K)))
+    cell = deodhar.CellId(fam, tuple(1 if v > 0 else -1 for v in t))
+    words = _cell_word(cell, t, m)
+    ends = tuple(itertools.accumulate(map(len, words)))
+    point = deodhar.cell_point(cell, t, m)
+    assert point.provenance == sum(words, ())
+    prefixes, dens = rep.apply_covector(point, TOP_ROWS, ends)
+    assert len(prefixes) == len(dens) == 6
+    rows, den = [list(row) for row in rep.UNIT_ROWS[:2]], 1
+    for word, prefix, prefix_den in zip(words, prefixes, dens):
+        rows, factor_den = rep.apply_covector(rep.GroupElement(word), rows)
+        den *= factor_den
+        assert (prefix, prefix_den) == (rows, den)
+    # the factors are the point cut at the same ends
+    assert [z.provenance for z in deodhar.cell_factors(cell, t, m)] == words
+
+
+def test_prefix_reads_take_a_block_without_wedges():
+    g = rep.x(1, 2) * rep.y(2, 3)
+    for rows in (rep.UNIT_ROWS[:2], minors.minor_reader(V7_WEIGHTS[:1], False)):
+        with pytest.raises(ValueError, match="without wedges"):
+            rep.apply_covector(g, rows, (1, 2))
+    # an end may be 0, the block itself, and ends may repeat
+    prefixes, dens = rep.apply_covector(g, TOP_ROWS, (0, 2, 2))
+    assert prefixes[0] == [list(row) for row in rep.UNIT_ROWS[:2]] and dens[0] == 1
+    assert prefixes[1] == prefixes[2] == rep.apply_covector(g, rep.UNIT_ROWS[:2])[0]
+
+
+def test_a_mixed_word_is_one_checked_element():
+    a = variables()[0]
+    g = rep.word(("y", "sdot", "x", "sdot_inv", "coweight"), (1, 2, 2, 2, 1),
+                 (Fraction(2, 3), a, Fraction(-1, 4)))
+    assert g.provenance == (("y", 1, Fraction(2, 3)), ("sdot", 2), ("x", 2, a),
+                            ("sdot_inv", 2), ("coweight", 1, Fraction(-1, 4)))
+    assert rep.word(("sdot", "sdot_inv"), (1, 2)) == rep.sdot(1) * rep.sdot_inverse(2)
+    for kinds, letters, params, error, match in (
+        (("y", "z"), (1, 2), (1,), ValueError, "kind"),
+        (("y", "sdot"), (1,), (1,), ValueError, "kinds for"),
+        (("y", "sdot"), (1, 3), (1,), ValueError, "letter"),
+        (("y", "sdot", "x"), (1, 2, 1), (1,), ValueError, "parameters"),
+        (("sdot", "sdot_inv"), (1, 2), (), ValueError, "no parameter"),
+        (("y", "coweight"), (1, 2), (0.5, 0), TypeError, "exact"),
+        (("y", "coweight"), (1, 2), (1, a), TypeError, "exact"),
+        (("y", "coweight"), (1, 2), (1, 0), ValueError, "nonzero"),
+    ):
+        with pytest.raises(error, match=match):
+            rep.word(kinds, letters, params)
+
+
+def test_element_repr_spells_each_atom():
+    g = (rep.x(1, Fraction(2, 3)) * rep.y(2, -5) * rep.sdot(1) * rep.sdot_inverse(2)
+         * rep.coweight(1, Fraction(-1, 4)))
+    assert repr(g) == "GroupElement(x1(2/3), y2(-5), s1., s2.^-1, coweight1(-1/4))"
+    assert repr(rep.group_identity()) == "GroupElement(1)"
+
+
+def test_a_cold_verify_evicts_no_kernel(child_env):
+    """``g2cells verify`` in a fresh interpreter compiles each kernel key it
+    meets once: every lookup that missed is still cached."""
+    script = "\n".join((
+        "import contextlib, io",
+        "from g2cells import cli, rep",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['verify'])",
+        "info = rep._word_kernel.cache_info()",
+        "print(code, info.misses, info.currsize, info.maxsize)",
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=child_env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, misses, currsize, maxsize = map(int, proc.stdout.split())
+    assert code == 0
+    assert misses == currsize <= maxsize
+
+
 def test_products_fold_without_dense_products(monkeypatch):
     def refuse(*args):
         raise AssertionError("a dense matrix product ran after set-up")
@@ -544,6 +634,7 @@ CACHE_BOUNDS = {
     "minors._chamber_reader": 2,  # the 12 chamber minors of each direction
     "chamber._ansatz_weights": 4,  # two words x two directions
     "deodhar.families": 1,
+    "deodhar._factor_atoms": 8,  # the (word, layout) of each family: its maxsize
     "deodhar._signed_draws": 1,
     "components._figure1": 4,  # (samples, seed) is unbounded: its maxsize
 }
